@@ -323,9 +323,8 @@ def allocate_brute(problem: AllocationProblem,
 # baselines
 
 
-def allocate_heuristic(problem: AllocationProblem, mode: str,
-                       high_bits: int | None = None) -> BitAssignment:
-    """Upgrade a contiguous run of layers to ``high_bits``, rest at min.
+def allocate_heuristic(problem: AllocationProblem, mode: str) -> BitAssignment:
+    """Upgrade a contiguous run of layers to the widest option, rest at min.
 
     head upgrades a prefix, tail a suffix, as many layers as the budget
     admits. Baseline only; never raises on a valid problem (zero
@@ -334,11 +333,7 @@ def allocate_heuristic(problem: AllocationProblem, mode: str,
     if mode not in ("head", "tail"):
         raise ContractError(f"unknown heuristic mode {mode!r}")
     bits = problem.bits_list()
-    if high_bits is None:
-        high_bits = bits[-1]
-    if high_bits not in bits:
-        raise ContractError(f"no {high_bits}-bit option in the problem")
-    hi = bits.index(high_bits)
+    hi = len(bits) - 1
     n = len(problem.names)
     t = problem.target
     budget = t.numerator * sum(problem.params)
@@ -347,7 +342,7 @@ def allocate_heuristic(problem: AllocationProblem, mode: str,
     upgraded = set()
     used = base
     for i in idx:
-        extra = (high_bits - bits[0]) * problem.params[i] * t.denominator
+        extra = (bits[hi] - bits[0]) * problem.params[i] * t.denominator
         if used + extra > budget:
             break
         used += extra

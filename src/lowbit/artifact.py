@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -24,9 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import codecs
 from .codecs import PackedWeights
 from .config import canonical_json, digest_of
-from .errors import PackError
+from .errors import ContractError, PackError
 
 MAGIC = b"LBART001"
 FORMAT = "lowbit/artifact-v1"
@@ -130,8 +132,10 @@ def _read_header(buf: bytes) -> tuple:
         raise PackError("truncated artifact header")
     try:
         header = json.loads(buf[start:start + hlen])
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise PackError(f"artifact header is not valid JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise PackError("artifact header is not a JSON object")
     if header.get("format") != FORMAT:
         raise PackError(f"unknown artifact format {header.get('format')!r}")
     return header, buf[start + hlen:]
@@ -155,12 +159,110 @@ def load_artifact(path) -> Artifact:
     return Artifact(header, packed, tuned)
 
 
+def _count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _shape(x) -> bool:
+    return type(x) is list and all(_count(d) for d in x)
+
+
+def _text(x) -> bool:
+    return isinstance(x, str)
+
+
+SECTION_ROW = {"name": _text, "kind": _text, "offset": _count,
+               "length": _count, "sha256": _text}
+LAYER_ROW = {"name": _text, "params": _count, "bits": _count, "shape": _shape}
+ASSIGNED_ROW = {"name": _text, "bits": _count}
+TUNED_FIELDS = ("v", "alpha", "beta")
+
+
+def _dict(obj, key) -> dict:
+    v = obj.get(key) if isinstance(obj, dict) else None
+    return v if isinstance(v, dict) else {}
+
+
+def _rows(table, what: str, fields: dict, problems: list) -> list:
+    """The well-formed rows of a header table; a problem for each other."""
+    if not isinstance(table, list):
+        problems.append(f"{what} is not a list")
+        return []
+    good = []
+    for i, row in enumerate(table):
+        if isinstance(row, dict) and all(ok(row.get(k))
+                                         for k, ok in fields.items()):
+            good.append(row)
+        else:
+            problems.append(f"{what} row {i} is malformed")
+    return good
+
+
+def _decode_section(row, blob, problems, packed, tuned) -> None:
+    name = row["name"]
+    parts = name.split(":")
+    if row["kind"] == "packed" and len(parts) == 2 and parts[0] == "packed":
+        try:
+            pw = PackedWeights.from_bytes(blob)
+        except PackError as e:
+            problems.append(f"section {name}: {e}")
+            return
+        if pw.to_bytes() != blob:
+            problems.append(f"section {name}: non-canonical payload")
+        packed[parts[1]] = pw
+    elif (row["kind"] == "array" and len(parts) == 3 and parts[0] == "tune"
+          and parts[2] in TUNED_FIELDS and _shape(row.get("shape"))):
+        if math.prod(row["shape"]) * 8 != len(blob):
+            problems.append(f"section {name}: shape/length mismatch")
+            return
+        arr = np.frombuffer(blob, dtype=np.float64).reshape(row["shape"])
+        tuned.setdefault(parts[1], {})[parts[2]] = arr
+    else:
+        problems.append(f"section {name}: malformed {row['kind']!r} section")
+
+
+def _check_layer(lname, row, pw, family, assigned, problems) -> None:
+    """Cross-check one layer's table row, packed header and assignment."""
+    bits = row["bits"]
+    if pw.bits != bits:
+        problems.append(f"layer {lname}: table has {bits} bits, "
+                        f"packed header {pw.bits}")
+    if assigned.get(lname) != bits:
+        problems.append(f"layer {lname}: table has {bits} bits, "
+                        f"assignment {assigned.get(lname)}")
+    if family is not None:
+        try:
+            # the codec does not depend on the group size
+            want = codecs.codec_for(codecs.scheme_for_bits(family, bits, 0))
+        except ContractError as e:
+            problems.append(f"layer {lname}: {e}")
+        else:
+            if pw.codec != want:
+                problems.append(f"layer {lname}: codec {pw.codec} for "
+                                f"{family} at {bits} bits, want {want}")
+    shape = tuple(row["shape"])
+    if pw.codec in (codecs.CODEC_MXFP4, codecs.CODEC_MXFP8):
+        shape = shape[::-1]  # mx payloads are packed (out, in)
+    if pw.shape != shape:
+        problems.append(f"layer {lname}: packed shape {pw.shape}, want {shape}")
+        return
+    try:
+        deq = pw.dequantize()
+    except PackError as e:
+        problems.append(f"layer {lname}: {e}")
+        return
+    if not np.all(np.isfinite(deq)):
+        problems.append(f"layer {lname}: non-finite dequantized values")
+
+
 def verify_artifact(path) -> list:
     """Self-contained integrity check; returns a list of problems.
 
-    Re-derives both digests, checks every section hash and byte-level
-    round trip, decodes each packed layer against the layer table,
-    bounds the tuned parameters, and re-checks the bit budget exactly.
+    Never raises on a malformed file. Re-derives both digests, checks
+    every section hash and byte-level round trip, cross-checks each
+    layer's bits, codec and shape between the layer table, its packed
+    header, the assignment and the scheme family, bounds the tuned
+    parameters, and re-checks the bit budget exactly.
     """
     problems = []
     try:
@@ -173,12 +275,22 @@ def verify_artifact(path) -> list:
         problems.append("config digest mismatch")
     if digest_of(header.get("assignment", {})) != header.get("assignment_digest"):
         problems.append("assignment digest mismatch")
+    asn = _dict(header, "assignment")
+    scheme = _dict(header.get("config"), "scheme")
+    family = scheme.get("family")
+    if family not in ("int-sym", "mxfp"):
+        problems.append(f"config has no known scheme.family: {family!r}")
+        family = None
 
-    layers = {row["name"]: row for row in header.get("layers", [])}
+    layers = {row["name"]: row for row in _rows(
+        header.get("layers", []), "layer table", LAYER_ROW, problems)}
+    assigned = {row["name"]: row["bits"] for row in _rows(
+        asn.get("layers", []), "assignment layers", ASSIGNED_ROW, problems)}
     seen_payload = 0
     packed = {}
     tuned = {}
-    for row in header.get("sections", []):
+    for row in _rows(header.get("sections", []), "section table",
+                     SECTION_ROW, problems):
         name = row["name"]
         blob = payload[row["offset"]:row["offset"] + row["length"]]
         if len(blob) != row["length"]:
@@ -188,49 +300,28 @@ def verify_artifact(path) -> list:
         if _sha(blob) != row["sha256"]:
             problems.append(f"section {name}: sha256 mismatch")
             continue
-        if row["kind"] == "packed":
-            lname = name.split(":", 1)[1]
-            try:
-                pw = PackedWeights.from_bytes(blob)
-            except PackError as e:
-                problems.append(f"section {name}: {e}")
-                continue
-            if pw.to_bytes() != blob:
-                problems.append(f"section {name}: non-canonical payload")
-            packed[lname] = pw
-        else:
-            _, lname, field = name.split(":")
-            arr = np.frombuffer(blob, dtype=np.float64)
-            if int(np.prod(row["shape"], dtype=np.int64)) != arr.size:
-                problems.append(f"section {name}: shape/length mismatch")
-                continue
-            tuned.setdefault(lname, {})[field] = arr.reshape(row["shape"])
+        _decode_section(row, blob, problems, packed, tuned)
     if len(payload) != seen_payload:
         problems.append(
             f"payload has {len(payload) - seen_payload} unaccounted bytes")
 
-    for lname, pw in packed.items():
-        row = layers.get(lname)
-        if row is None:
+    for lname in packed:
+        if lname not in layers:
             problems.append(f"packed layer {lname} missing from layer table")
-            continue
-        want = tuple(row["shape"])
-        got = tuple(pw.shape)
-        if got not in (want, want[::-1]):
-            problems.append(f"layer {lname}: packed shape {got} vs {want}")
-            continue
-        deq = pw.dequantize()
-        if not np.all(np.isfinite(deq)):
-            problems.append(f"layer {lname}: non-finite dequantized values")
-    for lname in layers:
-        if lname not in packed:
+    for lname in assigned:
+        if lname not in layers:
+            problems.append(f"assigned layer {lname} missing from layer table")
+    for lname, row in layers.items():
+        if lname in packed:
+            _check_layer(lname, row, packed[lname], family, assigned, problems)
+        else:
             problems.append(f"layer {lname} has no packed section")
 
     for lname, fields in tuned.items():
         if lname not in layers:
             problems.append(f"tuned params for unknown layer {lname}")
             continue
-        missing = {"v", "alpha", "beta"} - set(fields)
+        missing = set(TUNED_FIELDS) - set(fields)
         if missing:
             problems.append(f"layer {lname}: missing tuned fields {sorted(missing)}")
         v = fields.get("v")
@@ -243,14 +334,15 @@ def verify_artifact(path) -> list:
                 problems.append(
                     f"layer {lname}: {fname} outside [{AB_LO}, {AB_HI}]")
 
-    asn = header.get("assignment", {})
-    target = asn.get("target_bits") or header.get("config", {}).get(
-        "scheme", {}).get("target_bits")
+    target = asn.get("target_bits") or scheme.get("target_bits")
     if target and layers:
-        t = Fraction(target)
-        total = sum(int(row["params"]) for row in layers.values())
-        used = sum(int(row["bits"]) * int(row["params"])
-                   for row in layers.values())
+        try:
+            t = Fraction(target)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            problems.append(f"target_bits {target!r} is not a fraction")
+            return problems
+        total = sum(row["params"] for row in layers.values())
+        used = sum(row["bits"] * row["params"] for row in layers.values())
         # used/total <= t, cross-multiplied to integers
         if used * t.denominator > t.numerator * total:
             problems.append(

@@ -6,7 +6,12 @@ Two codec families:
   [-2^(b-1), 2^(b-1)-1]; the zero point is always zero. One scale per
   contiguous input-channel group per output channel. The scale follows
   (max(W)*alpha - min(W)*beta) / (2^b - 1); with alpha = beta = 1 and a
-  zero rounding offset this is plain round-to-nearest.
+  zero rounding offset this is plain round-to-nearest. The grid is
+  written once, as a tensor graph: tuning builds it from trainable
+  offsets and multipliers, and :func:`quantize_weight` builds the same
+  graph from constants and reads the codes and scales off its nodes, so
+  the packed codes are exactly the tuned ones. Dequantizing codes is
+  :func:`int_sym_decode`, shared with the artifact reader.
 * ``mxfp``: microscaling block floats. Blocks of 32 along the last axis
   share a power-of-two scale 2^(floor(log2(amax)) - emax); elements are
   rounded half-to-even onto a tiny float grid (E2M1 for 4-bit, E4M3 for
@@ -18,6 +23,7 @@ package; int-sym groups run down axis 0.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -32,6 +38,8 @@ CODEC_RAW = 0
 CODEC_INT_SYM = 1
 CODEC_MXFP4 = 2
 CODEC_MXFP8 = 3
+
+PACK_WIDTHS = (2, 4, 8)
 
 SCALES_NONE = 0
 SCALES_F64 = 1
@@ -121,10 +129,47 @@ def group_index(n_rows: int, group_size: int) -> np.ndarray:
     return idx
 
 
-def uniform_scale(wmax, wmin, bits: int, alpha=1.0, beta=1.0):
-    """Per-group step size; floored so a constant group never divides by zero."""
-    s = (wmax * alpha - wmin * beta) / float((1 << bits) - 1)
-    return np.maximum(s, SCALE_FLOOR)
+def group_extrema(w: np.ndarray, group_size: int):
+    """Per-group (max, min) down axis 0, each shaped (n_groups, columns)."""
+    starts = [s for s, _ in group_segments(w.shape[0], group_size)]
+    return (np.maximum.reduceat(w, starts, axis=0),
+            np.minimum.reduceat(w, starts, axis=0))
+
+
+def _int_sym_grid(w: np.ndarray, bits: int, group_size: int, v, alpha, beta,
+                  init_scales):
+    """The int-sym grid: scale, divide, add offset, round, clip.
+
+    ``v`` (or None), ``alpha`` and ``beta`` are Tensors. Returns the
+    (codes, group scales, per-row scales) nodes of one graph.
+    """
+    if w.ndim != 2:
+        raise ShapeError(f"expected a 2-d weight, got shape {w.shape}")
+    lo, hi = grid_bounds(bits)
+    n_groups = len(group_segments(w.shape[0], group_size))
+    if init_scales is not None:
+        s_g = T.mul(T.Tensor(init_scales), alpha)
+        if s_g.shape != (n_groups, w.shape[1]):
+            raise ShapeError(
+                f"init_scales shape {s_g.shape} != {(n_groups, w.shape[1])}")
+    else:
+        wmax, wmin = group_extrema(w, group_size)
+        denom = float((1 << bits) - 1)
+        s_g = T.div(T.sub(T.mul(T.Tensor(wmax), alpha),
+                          T.mul(T.Tensor(wmin), beta)), T.Tensor(denom))
+    s_g = T.clip(s_g, lo=SCALE_FLOOR)
+    s_full = T.take(s_g, group_index(w.shape[0], group_size))
+    x = T.div(T.Tensor(w), s_full)
+    if v is not None:
+        x = T.add(x, v)
+    return T.clip(T.round_ste(x), lo, hi), s_g, s_full
+
+
+def int_sym_decode(codes: np.ndarray, scales: np.ndarray,
+                   group_size: int) -> np.ndarray:
+    """Dequantize int-sym codes with their (n_groups, out) scales."""
+    return codes.astype(np.float64) * scales[group_index(codes.shape[0],
+                                                         group_size)]
 
 
 def quantize_weight(w: np.ndarray, bits: int, group_size: int,
@@ -135,52 +180,29 @@ def quantize_weight(w: np.ndarray, bits: int, group_size: int,
     Returns (dequantized, codes, scales). ``v`` is an optional
     per-element rounding offset in [-0.5, 0.5]. ``alpha``/``beta``
     rescale the minmax range; when ``init_scales`` is given the scale is
-    instead ``init_scales * alpha`` and ``beta`` is ignored.
+    instead ``init_scales * alpha`` and ``beta`` is ignored. This is the
+    constant-input case of :func:`uniform_qdq_graph`; the dequantized
+    weight is the decode of the returned codes, as an artifact reader
+    computes it.
     """
-    w = np.asarray(w)
-    if w.ndim != 2:
-        raise ShapeError(f"expected a 2-d weight, got shape {w.shape}")
-    lo, hi = grid_bounds(bits)
-    segs = group_segments(w.shape[0], group_size)
-    if init_scales is not None:
-        scales = np.maximum(np.asarray(init_scales) * alpha, SCALE_FLOOR)
-        if scales.shape != (len(segs), w.shape[1]):
-            raise ShapeError(
-                f"init_scales shape {scales.shape} != {(len(segs), w.shape[1])}")
-    else:
-        wmax = np.stack([w[s:e].max(axis=0) for s, e in segs])
-        wmin = np.stack([w[s:e].min(axis=0) for s, e in segs])
-        scales = uniform_scale(wmax, wmin, bits, alpha, beta)
-    s_full = scales[group_index(w.shape[0], group_size)]
-    x = w / s_full
-    if v is not None:
-        x = x + v
-    codes = np.clip(np.rint(x), lo, hi).astype(np.int8)
-    return codes * s_full, codes, scales
+    q, s_g, _ = _int_sym_grid(np.asarray(w), bits, group_size,
+                              None if v is None else T.Tensor(v),
+                              T.Tensor(alpha), T.Tensor(beta), init_scales)
+    codes = q.data.astype(np.int8)
+    return int_sym_decode(codes, s_g.data, group_size), codes, s_g.data
 
 
 def uniform_qdq_graph(w: np.ndarray, bits: int, group_size: int,
                       v: T.Tensor, alpha: T.Tensor, beta: T.Tensor,
                       init_scales: np.ndarray | None = None) -> T.Tensor:
-    """Differentiable twin of :func:`quantize_weight` for tuning.
+    """Differentiable :func:`quantize_weight` for tuning.
 
     ``w`` is constant; gradients flow to the rounding offset ``v``
     (straight-through, zeroed where the code clips) and to
     ``alpha``/``beta`` through the scale expression.
     """
-    w = np.asarray(w)
-    lo, hi = grid_bounds(bits)
-    segs = group_segments(w.shape[0], group_size)
-    if init_scales is not None:
-        s_g = T.mul(T.Tensor(init_scales), alpha)
-    else:
-        wmax = T.Tensor(np.stack([w[s:e].max(axis=0) for s, e in segs]))
-        wmin = T.Tensor(np.stack([w[s:e].min(axis=0) for s, e in segs]))
-        denom = float((1 << bits) - 1)
-        s_g = T.div(T.sub(T.mul(wmax, alpha), T.mul(wmin, beta)), T.Tensor(denom))
-    s_g = T.clip(s_g, lo=SCALE_FLOOR)
-    s_full = T.take(s_g, group_index(w.shape[0], group_size))
-    q = T.clip(T.round_ste(T.add(T.div(T.Tensor(w), s_full), v)), lo, hi)
+    q, _, s_full = _int_sym_grid(np.asarray(w), bits, group_size, v, alpha,
+                                 beta, init_scales)
     return T.mul(s_full, q)
 
 
@@ -227,8 +249,6 @@ MXFP4 = MxFormat("mxfp4", mbits=1, emax=2, emin=0, max_value=6.0,
 _E4M3_MAGS = tuple(m for m in _float_grid(4, 3, 7) if m <= 448.0)
 MXFP8 = MxFormat("mxfp8", mbits=3, emax=8, emin=-6, max_value=448.0,
                  magnitudes=_E4M3_MAGS)
-
-MX_FORMATS = {"mxfp4": MXFP4, "mxfp8": MXFP8}
 
 
 def _floor_log2(a: np.ndarray) -> np.ndarray:
@@ -341,7 +361,7 @@ def pack_bits(values: np.ndarray, bits: int) -> bytes:
     2-bit codes go 4 per byte, 4-bit codes 2 per byte, 8-bit codes 1 per
     byte; the first code occupies the least significant bits.
     """
-    if bits not in (2, 4, 8):
+    if bits not in PACK_WIDTHS:
         raise PackError(f"unsupported pack width {bits}")
     v = np.asarray(values).reshape(-1)
     if v.size and (v.min() < 0 or v.max() >= (1 << bits)):
@@ -360,7 +380,7 @@ def pack_bits(values: np.ndarray, bits: int) -> bytes:
 
 
 def unpack_bits(buf: bytes, bits: int, count: int) -> np.ndarray:
-    if bits not in (2, 4, 8):
+    if bits not in PACK_WIDTHS:
         raise PackError(f"unsupported pack width {bits}")
     raw = np.frombuffer(buf, dtype=np.uint8)
     if bits == 8:
@@ -410,14 +430,6 @@ class PackedWeights:
     scales: np.ndarray | None  # f64 groups (int-sym) or int8 exponents (mx)
     codes: np.ndarray          # int8 (int-sym), uint8 (mx), f64 (raw)
 
-    def _scale_count(self) -> int:
-        if self.codec == CODEC_RAW:
-            return 0
-        if self.codec == CODEC_INT_SYM:
-            return len(group_segments(self.shape[0], self.group_size)) * self.shape[1]
-        per_row = -(-self.shape[-1] // self.group_size)
-        return int(np.prod(self.shape[:-1], dtype=np.int64)) * per_row
-
     def to_bytes(self) -> bytes:
         head = struct.pack("<BBIB", self.codec, self.bits, self.group_size,
                            len(self.shape))
@@ -437,74 +449,92 @@ class PackedWeights:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "PackedWeights":
+        """Decode one payload; any malformed input raises :class:`PackError`.
+
+        Sizes are checked against the buffer before anything is
+        allocated, so a corrupt header cannot ask for a huge array.
+        """
         try:
             codec, bits, group_size, rank = struct.unpack_from("<BBIB", buf, 0)
-            off = 7
-            dims = []
-            for _ in range(rank):
-                dims.append(struct.unpack_from("<Q", buf, off)[0])
-                off += 8
-            (scale_fmt,) = struct.unpack_from("<B", buf, off)
-            off += 1
+            shape = struct.unpack_from(f"<{rank}Q", buf, 7)
+            (scale_fmt,) = struct.unpack_from("<B", buf, 7 + 8 * rank)
         except struct.error as e:
             raise PackError(f"truncated header: {e}") from e
-        shape = tuple(int(d) for d in dims)
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 0
+        off = 8 + 8 * rank
+        body = len(buf) - off
+        size = math.prod(shape)
         pw = cls(codec, bits, group_size, shape, None, np.empty(0))
         if codec == CODEC_RAW:
             if scale_fmt != SCALES_NONE:
                 raise PackError("raw payload must not carry scales")
-            need = size * 8
-            if len(buf) - off < need:
+            if body < size * 8:
                 raise PackError("raw payload shorter than header promises")
             pw.codes = np.frombuffer(buf, dtype=np.float64, count=size,
                                      offset=off).reshape(shape).copy()
             return pw
-        n_scales = pw._scale_count()
+        if codec not in (CODEC_INT_SYM, CODEC_MXFP4, CODEC_MXFP8):
+            raise PackError(f"unknown codec id {codec}")
+        if rank != 2 or size == 0:
+            raise PackError(f"shape {shape} is not a non-empty 2-d weight")
         if codec == CODEC_INT_SYM:
             if scale_fmt != SCALES_F64:
                 raise PackError("int-sym scales must be f64")
-            pw.scales = np.frombuffer(buf, dtype=np.float64, count=n_scales,
-                                      offset=off)
-            n_groups = len(group_segments(shape[0], group_size))
-            pw.scales = pw.scales.reshape(n_groups, shape[1]).copy()
-            off += n_scales * 8
-            fields = unpack_bits(buf[off:], bits, size)
-            pw.codes = field_to_signed(fields, bits).reshape(shape)
-        elif codec in (CODEC_MXFP4, CODEC_MXFP8):
+            width, scale_dtype = bits, np.float64
+        else:
+            fmt = MXFP4 if codec == CODEC_MXFP4 else MXFP8
             if scale_fmt != SCALES_E8M0:
                 raise PackError("mx scales must be e8m0")
-            pw.scales = np.frombuffer(buf, dtype=np.int8, count=n_scales,
-                                      offset=off).copy()
-            per_row = -(-shape[-1] // group_size)
-            pw.scales = pw.scales.reshape(shape[:-1] + (per_row,))
-            off += n_scales
-            width = 4 if codec == CODEC_MXFP4 else 8
-            pw.codes = unpack_bits(buf[off:], width, size).reshape(shape)
+            if group_size != fmt.block:
+                raise PackError(f"mx block size {group_size}, want {fmt.block}")
+            width, scale_dtype = (4 if codec == CODEC_MXFP4 else 8), np.int8
+        if width not in PACK_WIDTHS:
+            raise PackError(f"unsupported pack width {width}")
+        code_bytes = -(-size * width // 8)
+        if body < code_bytes:
+            raise PackError("payload shorter than header promises")
+        rows, cols = shape
+        if codec == CODEC_INT_SYM:
+            scale_shape = (len(group_segments(rows, group_size)), cols)
         else:
-            raise PackError(f"unknown codec id {codec}")
+            scale_shape = (rows, -(-cols // group_size))
+        n_scales = math.prod(scale_shape)
+        scale_bytes = n_scales * np.dtype(scale_dtype).itemsize
+        if body < scale_bytes + code_bytes:
+            raise PackError("payload shorter than header promises")
+        pw.scales = np.frombuffer(buf, dtype=scale_dtype, count=n_scales,
+                                  offset=off).reshape(scale_shape).copy()
+        codes = unpack_bits(buf[off + scale_bytes:], width, size).reshape(shape)
+        pw.codes = field_to_signed(codes, bits) if codec == CODEC_INT_SYM \
+            else codes
         return pw
 
     def dequantize(self) -> np.ndarray:
         if self.codec == CODEC_RAW:
             return np.asarray(self.codes, dtype=np.float64)
         if self.codec == CODEC_INT_SYM:
-            s_full = self.scales[group_index(self.shape[0], self.group_size)]
-            return self.codes.astype(np.float64) * s_full
+            return int_sym_decode(self.codes, self.scales, self.group_size)
         fmt = MXFP4 if self.codec == CODEC_MXFP4 else MXFP8
         return mx_dequantize(self.codes.reshape(-1), self.scales, fmt, self.shape)
+
+
+def codec_for(scheme: QuantScheme) -> int:
+    """The payload codec id a scheme packs to."""
+    if scheme.family == "none":
+        return CODEC_RAW
+    if scheme.family == "int-sym":
+        return CODEC_INT_SYM
+    return CODEC_MXFP4 if scheme.bits == 4 else CODEC_MXFP8
 
 
 def pack_layer(w_deq: np.ndarray, scheme: QuantScheme, codes=None,
                scales=None) -> PackedWeights:
     """Wrap an already-quantized layer (or a raw one) for serialization."""
-    if scheme.family == "none":
-        return PackedWeights(CODEC_RAW, scheme.bits, 0, tuple(w_deq.shape), None,
+    codec = codec_for(scheme)
+    if codec == CODEC_RAW:
+        return PackedWeights(codec, scheme.bits, 0, tuple(w_deq.shape), None,
                              np.asarray(w_deq, dtype=np.float64))
-    if scheme.family == "int-sym":
-        gs = scheme.group_size
-        return PackedWeights(CODEC_INT_SYM, scheme.bits, gs, tuple(w_deq.shape),
-                             scales, codes)
-    codec = CODEC_MXFP4 if scheme.bits == 4 else CODEC_MXFP8
+    if codec == CODEC_INT_SYM:
+        return PackedWeights(codec, scheme.bits, scheme.group_size,
+                             tuple(w_deq.shape), scales, codes)
     return PackedWeights(codec, scheme.bits, scheme.mx_format.block,
                          tuple(w_deq.shape), scales, codes)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import models
+from . import codecs, models
 from .allocator import as_budget
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .tuner import RECIPES, TuneConfig, recipe
 
 OUT_DIR_ENV = "LOWBIT_OUT_DIR"
@@ -176,9 +176,12 @@ def load_config(path=None, sets=()) -> RunConfig:
         raise ConfigError(f"scheme.options: cannot parse {raw_opts!r}") from None
     if not options:
         raise ConfigError("scheme.options: need at least one option")
-    if any(b < 1 for b in options):
-        raise ConfigError("scheme.options: bit widths must be positive")
     group_size = _get(parser, "scheme", "group_size", int, "scheme.group_size")
+    for b in options:
+        try:
+            codecs.scheme_for_bits(family, b, group_size)
+        except ContractError as e:
+            raise ConfigError(f"scheme: option {b}: {e}") from None
 
     raw_t = parser.get("scheme", "target_bits")
     try:
@@ -215,7 +218,7 @@ def load_config(path=None, sets=()) -> RunConfig:
                             "tuning.use_scale_init"),
         propagate_quantized=_get(parser, "tuning", "propagate_quantized",
                                  _bool, "tuning.propagate_quantized"),
-        seq_len=seq_len, calib_samples=calib_samples, seed=spec.seed,
+        seed=spec.seed,
     )
     if parser.get("tuning", "steps").strip():
         tune_kw["steps"] = _get(parser, "tuning", "steps", int, "tuning.steps")

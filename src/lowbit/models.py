@@ -112,9 +112,8 @@ class ToyModel:
     def layers(self) -> list:
         return list(self._infos)
 
-    def quantizable_layers(self, exclude=()) -> list:
-        return [i for i in self._infos
-                if i.kind == "linear" and i.name not in exclude]
+    def quantizable_layers(self) -> list:
+        return [i for i in self._infos if i.kind == "linear"]
 
     def layer_info(self, name: str) -> LayerInfo:
         for i in self._infos:
@@ -231,17 +230,16 @@ class ToyModel:
             total += loss.item()
         return total / len(batches)
 
-    def capture_layer_inputs(self, ids, weights=None) -> dict:
+    def capture_layer_inputs(self, ids) -> dict:
         cap: dict[str, np.ndarray] = {}
-        self.forward(ids, overrides=weights, capture=cap)
+        self.forward(ids, capture=cap)
         return cap
 
     # ------------------------------------------------------------------
     # block-level entry points for the tuner
 
-    def embed_forward(self, ids, overrides=None) -> np.ndarray:
-        ctx = {"overrides": overrides or {}, "taps": {}, "tap_nodes": {},
-               "capture": None}
+    def embed_forward(self, ids) -> np.ndarray:
+        ctx = {"overrides": {}, "taps": {}, "tap_nodes": {}, "capture": None}
         return self._embed(ids, ctx).data
 
     def block_forward(self, block: int, x, overrides=None) -> T.Tensor:

@@ -18,13 +18,12 @@ learnable multiplier constrained to [0.5, 1.5].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codecs import SCALE_FLOOR, grid_bounds, group_segments
-from .errors import ContractError, ShapeError
+from .codecs import SCALE_FLOOR, grid_bounds, group_extrema, group_segments
+from .errors import ShapeError
 
 EPS_GRID = (np.arange(180) - 90) * 0.01  # -0.90 .. 0.89, 0.0 exactly at index 90
 
@@ -52,25 +51,6 @@ class ActChannelStats:
             raise ShapeError(
                 f"stats for {name} have {v.shape[0]} channels, layer has {n_channels}")
         return v
-
-    def save(self, path) -> None:
-        payload = {
-            "schema": "lowbit/act-stats-v1",
-            "samples": self.samples,
-            "layers": {k: [float(x) for x in v] for k, v in sorted(self.layers.items())},
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "ActChannelStats":
-        with open(path) as f:
-            payload = json.load(f)
-        out = cls(samples=int(payload.get("samples", 0)))
-        for k, v in payload.get("layers", {}).items():
-            out.layers[k] = np.asarray(v, dtype=np.float64)
-        return out
 
 
 def calibrate_act_stats(model, batches) -> ActChannelStats:
@@ -136,7 +116,8 @@ def search_layer_scales(w: np.ndarray, act_stats: np.ndarray, bits: int,
     w2 = (a * a)[:, None]
     best_s = np.empty((len(segs), w.shape[1]))
     best_obj = np.full((len(segs), w.shape[1]), np.inf)
-    amax = np.stack([np.abs(w[s:e]).max(axis=0) for s, e in segs])
+    wmax, wmin = group_extrema(w, group_size)
+    amax = np.maximum(wmax, -wmin)  # max |W| per group, exactly
     denom = 2.0 ** (bits - 1) + EPS_GRID
     for i in range(len(EPS_GRID)):
         scales = np.maximum(amax / denom[i], SCALE_FLOOR)
@@ -152,11 +133,3 @@ def search_layer_scales(w: np.ndarray, act_stats: np.ndarray, bits: int,
     zero = amax <= 0
     best_s[zero] = SCALE_FLOOR
     return best_s
-
-
-def apply_alpha(s_init, alpha):
-    """Refined scale s_init * alpha; the multiplier must stay in [0.5, 1.5]."""
-    a = np.asarray(alpha, dtype=np.float64)
-    if np.any(a < 0.5) or np.any(a > 1.5):
-        raise ContractError("scale multiplier outside [0.5, 1.5]")
-    return np.asarray(s_init) * a

@@ -7,16 +7,14 @@ the perturbed point folded with the perturbation itself:
     weight-only option:  sum |g_w * (W_full - W_qdq)|
     weight+act option:   sum |g_a * (A_full - A_qdq)|
 
-averaged over calibration batches. One forward/backward per layer per
-option buys scores whose per-layer ranking tracks the true loss change,
-which is all the allocator consumes. A cheaper shared-gradient variant
-(gradients taken once, at the full-precision point) hides behind
-``grads_at="full"``.
+averaged over calibration batches. The gradient is always taken at the
+quantized point. One forward/backward per layer per option buys scores
+whose per-layer ranking tracks the true loss change, which is all the
+allocator consumes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +22,6 @@ import numpy as np
 from . import tensor as T
 from .codecs import QuantScheme, mx_qdq, mx_qdq_weight, quantize_weight, scheme_for_bits
 from .errors import ContractError
-
-GRADS_AT_QUANT = "quantized"
-GRADS_AT_FULL = "full"
 
 
 def option_set(family: str, bits_list, group_size: int = 32) -> list:
@@ -58,17 +53,16 @@ def _check_probe_target(model, layer_name):
 
 
 def delta_loss_weight_only(model, layer_name: str, scheme: QuantScheme,
-                           calib_batches, grads_at: str = GRADS_AT_QUANT) -> float:
+                           calib_batches) -> float:
     """Loss-impact score for a weight-only option on one layer."""
     w_f = _check_probe_target(model, layer_name)
     w_q = rtn_weight(w_f, scheme)
     dev = w_f - w_q
     if not np.any(dev):
         return 0.0
-    point = w_f if grads_at == GRADS_AT_FULL else w_q
     total = 0.0
     for ids in calib_batches:
-        leaf = T.Tensor(point, requires_grad=True)
+        leaf = T.Tensor(w_q, requires_grad=True)
         loss, _ = model.loss(ids, overrides={layer_name: leaf})
         g = T.backward(loss, wrt=[leaf])[leaf]
         total += deviation_score(g, dev)
@@ -76,7 +70,7 @@ def delta_loss_weight_only(model, layer_name: str, scheme: QuantScheme,
 
 
 def delta_loss_weight_act(model, layer_name: str, scheme: QuantScheme,
-                          calib_batches, grads_at: str = GRADS_AT_QUANT) -> float:
+                          calib_batches) -> float:
     """Loss-impact score for a weight+activation option on one layer.
 
     The weight term is dropped; the score folds the activation gradient
@@ -88,36 +82,29 @@ def delta_loss_weight_act(model, layer_name: str, scheme: QuantScheme,
     if not scheme.quantizes_acts:
         raise ContractError(f"{scheme.label} does not quantize activations")
     fmt = scheme.mx_format
-    overrides = {} if grads_at == GRADS_AT_FULL else \
-        {layer_name: T.Tensor(rtn_weight(w_f, scheme))}
+    overrides = {layer_name: T.Tensor(rtn_weight(w_f, scheme))}
     total = 0.0
     for ids in calib_batches:
         rec = {}
 
         def tap(x):
-            a_f = x.data
-            a_in = a_f if grads_at == GRADS_AT_FULL else mx_qdq(a_f, fmt)[0]
-            leaf = T.Tensor(a_in, requires_grad=True)
-            rec["a_f"] = a_f
-            rec["leaf"] = leaf
-            return leaf
+            rec["a_f"] = x.data
+            rec["leaf"] = T.Tensor(mx_qdq(x.data, fmt)[0], requires_grad=True)
+            return rec["leaf"]
 
         loss, _ = model.loss(ids, overrides=overrides, taps={layer_name: tap})
         leaf = rec["leaf"]
         g = T.backward(loss, wrt=[leaf])[leaf]
-        a_q = mx_qdq(rec["a_f"], fmt)[0]
-        total += deviation_score(g, rec["a_f"] - a_q)
+        total += deviation_score(g, rec["a_f"] - leaf.data)
     return total / len(calib_batches)
 
 
-def _layer_score(model, layer_name, scheme, calib_batches, grads_at) -> float:
+def _layer_score(model, layer_name, scheme, calib_batches) -> float:
     if scheme.family == "none":
         return 0.0
     if scheme.quantizes_acts:
-        return delta_loss_weight_act(model, layer_name, scheme,
-                                     calib_batches, grads_at)
-    return delta_loss_weight_only(model, layer_name, scheme,
-                                  calib_batches, grads_at)
+        return delta_loss_weight_act(model, layer_name, scheme, calib_batches)
+    return delta_loss_weight_only(model, layer_name, scheme, calib_batches)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +125,6 @@ class SensitivityReport:
     layers: list   # LayerScore, model order
     calib_samples: int
     calib_seq_len: int
-    grads_at: str = GRADS_AT_QUANT
 
     def option_labels(self) -> list:
         return [s.label for s in self.options]
@@ -147,7 +133,7 @@ class SensitivityReport:
         return {
             "schema": "lowbit/sensitivity-v1",
             "family": self.family,
-            "grads_at": self.grads_at,
+            "grads_at": "quantized",
             "calib": {"samples": self.calib_samples,
                       "seq_len": self.calib_seq_len},
             "options": [{"label": s.label, "bits": s.bits,
@@ -156,11 +142,6 @@ class SensitivityReport:
                         "scores": {k: float(v) for k, v in sorted(l.scores.items())}}
                        for l in self.layers],
         }
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensitivityReport":
@@ -172,79 +153,21 @@ class SensitivityReport:
         layers = [LayerScore(l["name"], int(l["params"]), dict(l["scores"]))
                   for l in d["layers"]]
         return cls(family, options, layers, int(d["calib"]["samples"]),
-                   int(d["calib"]["seq_len"]), d.get("grads_at", GRADS_AT_QUANT))
-
-    @classmethod
-    def load(cls, path) -> "SensitivityReport":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+                   int(d["calib"]["seq_len"]))
 
 
-def _scores_shared(model, schemes, infos, calib_batches) -> dict:
-    """One forward/backward per batch; gradients at the fp point."""
-    names = [i.name for i in infos]
-    live = [s for s in schemes if s.family != "none"]
-    w_devs = {}
-    for n in names:
-        w_f = model.params[n]
-        w_devs[n] = {s.label: w_f - rtn_weight(w_f, s)
-                     for s in live if not s.quantizes_acts}
-    need_acts = any(s.quantizes_acts for s in live)
-    totals = {n: {s.label: 0.0 for s in schemes} for n in names}
-    for ids in calib_batches:
-        leaves = {n: T.Tensor(model.params[n], requires_grad=True) for n in names}
-        recs = {}
-        taps = {}
-        if need_acts:
-            # additive zero probe: keeps the graph connected (a fresh
-            # leaf would sever upstream weight gradients) while exposing
-            # d loss / d input as the probe's own gradient
-            def make_tap(name):
-                def tap(x):
-                    probe = T.Tensor(np.zeros_like(x.data), requires_grad=True)
-                    recs[name] = (x.data, probe)
-                    return T.add(x, probe)
-                return tap
-            taps = {n: make_tap(n) for n in names}
-        loss, _ = model.loss(ids, overrides=leaves, taps=taps)
-        wrt = list(leaves.values()) + [recs[n][1] for n in names if n in recs]
-        grads = T.backward(loss, wrt=wrt)
-        for n in names:
-            for s in live:
-                if s.quantizes_acts:
-                    a_f, probe = recs[n]
-                    a_q = mx_qdq(a_f, s.mx_format)[0]
-                    totals[n][s.label] += deviation_score(grads[probe], a_f - a_q)
-                else:
-                    totals[n][s.label] += deviation_score(
-                        grads[leaves[n]], w_devs[n][s.label])
-    nb = len(calib_batches)
-    return {n: {k: v / nb for k, v in per.items()} for n, per in totals.items()}
-
-
-def build_report(model, schemes: list, calib_batches, exclude=(),
-                 grads_at: str = GRADS_AT_QUANT) -> SensitivityReport:
+def build_report(model, schemes: list, calib_batches) -> SensitivityReport:
     """Score every quantizable layer under every option."""
     if not schemes:
         raise ContractError("empty option set")
-    if grads_at not in (GRADS_AT_QUANT, GRADS_AT_FULL):
-        raise ContractError(f"unknown gradient point {grads_at!r}")
-    infos = model.quantizable_layers(exclude)
     family = next((s.family for s in schemes if s.family != "none"), "none")
     layers = []
-    if grads_at == GRADS_AT_FULL:
-        shared = _scores_shared(model, schemes, infos, calib_batches)
-        for info in infos:
-            layers.append(LayerScore(info.name, info.n_params,
-                                     dict(shared[info.name])))
-    else:
-        for info in infos:
-            ls = LayerScore(info.name, info.n_params)
-            for scheme in schemes:
-                ls.scores[scheme.label] = _layer_score(
-                    model, info.name, scheme, calib_batches, grads_at)
-            layers.append(ls)
+    for info in model.quantizable_layers():
+        ls = LayerScore(info.name, info.n_params)
+        for scheme in schemes:
+            ls.scores[scheme.label] = _layer_score(model, info.name, scheme,
+                                                   calib_batches)
+        layers.append(ls)
     n_samples = sum(int(b.shape[0]) for b in calib_batches)
     seq_len = int(calib_batches[0].shape[1]) if calib_batches else 0
-    return SensitivityReport(family, list(schemes), layers, n_samples,
-                             seq_len, grads_at)
+    return SensitivityReport(family, list(schemes), layers, n_samples, seq_len)

@@ -3,41 +3,26 @@
 The graph is built eagerly: every operation that sees at least one
 gradient-requiring input records its parents and a vector-Jacobian
 callback on the output node. ``backward`` orders the reachable nodes
-topologically (a :class:`GradTape`) and replays them in reverse, so each
+topologically (:func:`build_tape`) and replays them in reverse, so each
 node is visited only after all of its consumers.
 
 Tensors are treated as immutable once constructed; optimizers build
-fresh leaves each step instead of mutating ``data`` in place. Compute
-precision defaults to 64-bit floats. 32-bit mode exists for speed
-experiments but numeric tolerances elsewhere in the toolkit assume
-64-bit.
+fresh leaves each step instead of mutating ``data`` in place. All data
+is 64-bit float, which the numeric tolerances elsewhere in the toolkit
+assume.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import ContractError, ShapeError
 
-_DEFAULT_DTYPE = np.float64
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError(f"unsupported compute dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
 
 
 _uid = itertools.count()
@@ -48,9 +33,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "uid", "_op", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, *, dtype=None,
+    def __init__(self, data, requires_grad: bool = False, *,
                  _op: str = "leaf", _parents: tuple = (), _vjp=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.uid = next(_uid)
@@ -472,22 +457,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 # backward machinery
 
 
-@dataclass
-class GradTape:
-    """Topologically ordered record of the graph reachable from a root.
+def build_tape(root: Tensor) -> list:
+    """Every gradient-relevant node under ``root``, parents before consumers.
 
-    ``nodes`` lists every gradient-relevant node with parents appearing
-    before consumers, so iterating in reverse visits each node after all
-    of its consumers have deposited their contributions.
+    Iterating the list in reverse visits each node after all of its
+    consumers have deposited their contributions.
     """
-
-    nodes: list
-
-    def entries(self):
-        return [(n.uid, n._op, tuple(p.uid for p in n._parents)) for n in self.nodes]
-
-
-def build_tape(root: Tensor) -> GradTape:
     order = []
     visited = set()
     stack = [(root, False)]
@@ -502,7 +477,7 @@ def build_tape(root: Tensor) -> GradTape:
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    return GradTape(order)
+    return order
 
 
 def backward(loss: Tensor, wrt=None) -> dict:
@@ -519,7 +494,7 @@ def backward(loss: Tensor, wrt=None) -> dict:
         raise ContractError("loss does not depend on any gradient-requiring tensor")
     tape = build_tape(loss)
     grads = {loss.uid: np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
+    for node in reversed(tape):
         g = grads.get(node.uid)
         if g is None:
             continue
@@ -530,7 +505,7 @@ def backward(loss: Tensor, wrt=None) -> dict:
                 acc = grads.get(parent.uid)
                 grads[parent.uid] = pg if acc is None else acc + pg
     result = {}
-    for node in tape.nodes:
+    for node in tape:
         g = grads.get(node.uid)
         if g is None:
             g = np.zeros_like(node.data)

@@ -23,8 +23,8 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 RECIPES = {
-    "default": dict(steps=200, lr_mult=1.0, calib_samples=128),
-    "enhanced": dict(steps=500, lr_mult=2.0, calib_samples=512),
+    "default": dict(steps=200, lr_mult=1.0),
+    "enhanced": dict(steps=500, lr_mult=2.0),
 }
 
 
@@ -33,8 +33,6 @@ class TuneConfig:
     steps: int = 200
     lr: float | None = None  # resolved to 1/steps when omitted
     batch_size: int = 8
-    seq_len: int = 64
-    calib_samples: int = 128
     trim_fraction: float = 0.001
     use_scale_init: bool = True
     propagate_quantized: bool = True
@@ -51,10 +49,6 @@ class TuneConfig:
             raise ConfigError("trim_fraction must lie in [0, 1)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.calib_samples < 1:
-            raise ConfigError("calib_samples must be >= 1")
-        if self.seq_len < 2:
-            raise ConfigError("seq_len must be >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -68,7 +62,7 @@ def recipe(name: str = "default", **overrides) -> TuneConfig:
     if name not in RECIPES:
         raise ConfigError(f"unknown recipe {name!r}; have {sorted(RECIPES)}")
     base = RECIPES[name]
-    kw = dict(steps=base["steps"], calib_samples=base["calib_samples"])
+    kw = dict(steps=base["steps"])
     kw.update(overrides)
     if "lr" not in overrides:
         kw["lr"] = base["lr_mult"] / max(kw["steps"], 1)
@@ -319,7 +313,6 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
 
     metrics = {}
     if eval_batches is not None:
-        metrics["fp_loss"] = model.eval_loss(eval_batches)
         metrics["quantized_loss"] = model.eval_loss(
             eval_batches, weights=weights or None)
     return QuantizeResult(plan, weights, packed, tuned, init_scales, metrics)

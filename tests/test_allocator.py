@@ -168,7 +168,7 @@ class TestHeuristics:
 
     def test_head_upgrades_prefix(self):
         prob = self.base_problem([[9.0, 0.0]] * 6)
-        got = al.allocate_heuristic(prob, "head", 8)
+        got = al.allocate_heuristic(prob, "head")
         # avg budget 4 bits: 6*400 total, upgrades cost 600 each over base 1200
         assert got.bits == (8, 8, 2, 2, 2, 2)
         assert got.solver == "head"
@@ -176,37 +176,34 @@ class TestHeuristics:
 
     def test_tail_upgrades_suffix(self):
         prob = self.base_problem([[9.0, 0.0]] * 6)
-        got = al.allocate_heuristic(prob, "tail", 8)
+        got = al.allocate_heuristic(prob, "tail")
         assert got.bits == (2, 2, 2, 2, 8, 8)
 
     def test_zero_budget_means_no_upgrades(self):
         prob = self.base_problem([[9.0, 0.0]] * 4, target=2)
         for mode in ("head", "tail"):
-            got = al.allocate_heuristic(prob, mode, 8)
+            got = al.allocate_heuristic(prob, mode)
             assert got.bits == (2, 2, 2, 2)
 
     def test_full_budget_upgrades_everything(self):
         prob = self.base_problem([[9.0, 0.0]] * 4, target=8)
-        got = al.allocate_heuristic(prob, "head", 8)
+        got = al.allocate_heuristic(prob, "head")
         assert got.bits == (8, 8, 8, 8)
 
     def test_dp_never_worse_than_heuristics(self):
         rng = np.random.default_rng(81)
         for _ in range(100):
             prob = rand_problem(rng)
-            hb = prob.bits_list()[-1]
             dp = al.allocate_dp(prob).objective
             for mode in ("head", "tail"):
-                h = al.allocate_heuristic(prob, mode, hb)
+                h = al.allocate_heuristic(prob, mode)
                 al.validate_assignment(prob, h)
                 assert dp <= h.objective
 
-    def test_bad_mode_and_missing_option(self):
+    def test_bad_mode_rejected(self):
         prob = self.base_problem([[1.0, 0.0]])
         with pytest.raises(ContractError):
-            al.allocate_heuristic(prob, "middle", 8)
-        with pytest.raises(ContractError):
-            al.allocate_heuristic(prob, "head", 5)
+            al.allocate_heuristic(prob, "middle")
 
 
 class TestContracts:

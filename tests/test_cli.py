@@ -90,7 +90,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match=frag.replace("[", "\\[")):
             load_config(p)
 
-    @pytest.mark.parametrize("item", ["no-equals", "noscope=3", "a.b=1"])
+    @pytest.mark.parametrize("item", ["no-equals", "noscope=3", "a.b=1",
+                                      "scheme.options=1,4",
+                                      "scheme.group_size=-3"])
     def test_rejects_bad_override(self, item):
         with pytest.raises(ConfigError):
             load_config(None, [item])
@@ -129,7 +131,8 @@ def demo_payload(rng, bits=4, target="4"):
                      "beta": np.ones((2, 6))}}
     layers = [{"name": "lin", "params": 48, "bits": bits,
                "label": scheme.label, "shape": [8, 6]}]
-    config = {"scheme": {"target_bits": target}, "run": {"seed": 0}}
+    config = {"scheme": {"family": "int-sym", "target_bits": target},
+              "run": {"seed": 0}}
     assignment = {"target_bits": target,
                   "layers": [{"name": "lin", "bits": bits}]}
     return config, assignment, layers, packed, tuned
@@ -140,6 +143,65 @@ def save_demo(path, rng, **kw):
     art.save_artifact(path, config, assignment, layers,
                       {"losses": {"fp": 1.0}}, [], packed, tuned)
     return packed, tuned
+
+
+def mx_payload(rng):
+    """An mxfp artifact's parts: one 4-bit layer and one raw 16-bit head."""
+    w = rng.normal(size=(40, 6))
+    scheme = codecs.QuantScheme("mxfp", 4, 32)
+    deq, codes, exps = codecs.mx_qdq_weight(w, scheme.mx_format)
+    head = rng.normal(size=(6, 3))
+    packed = {"lin": codecs.pack_layer(deq.T, scheme, codes, exps),
+              "head": codecs.pack_layer(head, codecs.scheme_for_bits(
+                  "mxfp", 16, 32))}
+    layers = [{"name": "lin", "params": 240, "bits": 4, "label": "mxfp4",
+               "shape": [40, 6]},
+              {"name": "head", "params": 18, "bits": 16, "label": "w16",
+               "shape": [6, 3]}]
+    config = {"scheme": {"family": "mxfp", "target_bits": "16"},
+              "run": {"seed": 0}}
+    assignment = {"target_bits": "16",
+                  "layers": [{"name": "lin", "bits": 4},
+                             {"name": "head", "bits": 16}]}
+    return config, assignment, layers, packed, {}
+
+
+class Blob:
+    """Stands in for PackedWeights to write a crafted payload verbatim."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def to_bytes(self):
+        return self.data
+
+
+def save_parts(path, parts, packed=None):
+    config, assignment, layers, good, tuned = parts
+    art.save_artifact(path, config, assignment, layers, {}, [],
+                      good if packed is None else packed, tuned)
+
+
+def mutate_header(header, rng):
+    """Delete a key of, or swap the type of, one random node of the header."""
+    nodes = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                nodes.append((node, k))
+                walk(v)
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                nodes.append((node, i))
+                walk(v)
+    walk(header)
+    parent, key = nodes[rng.integers(len(nodes))]
+    if isinstance(parent, dict) and rng.random() < 0.5:
+        del parent[key]
+        return
+    swaps = [None, 0, -1, 2 ** 70, 1.5, True, "x", [], {}, [1, 2], {"a": 1}]
+    parent[key] = swaps[rng.integers(len(swaps))]
 
 
 class TestArtifact:
@@ -209,6 +271,102 @@ class TestArtifact:
         problems = art.verify_artifact(path)
         assert any("rounding offsets outside" in p for p in problems)
         assert any("alpha outside" in p for p in problems)
+
+    def test_rewritten_layer_bits_flagged(self, tmp_path):
+        path = tmp_path / "a.lbq"
+        save_demo(path, np.random.default_rng(5), bits=4, target="4")
+
+        def lower(h):
+            h["layers"][0]["bits"] = 2
+        rewrite_header(path, lower)
+        problems = art.verify_artifact(path)
+        assert any("packed header 4" in p for p in problems)
+        assert any("assignment 4" in p for p in problems)
+
+    def test_codec_must_match_family(self, tmp_path):
+        path = tmp_path / "a.lbq"
+        save_demo(path, np.random.default_rng(5))
+
+        def to_mx(h):
+            h["config"]["scheme"]["family"] = "mxfp"
+            h["config_digest"] = digest_of(h["config"])
+        rewrite_header(path, to_mx)
+        assert any("codec" in p for p in art.verify_artifact(path))
+
+    def test_transposed_int_sym_payload_flagged(self, tmp_path):
+        rng = np.random.default_rng(5)
+        parts = demo_payload(rng)
+        w = rng.normal(size=(6, 8))  # the table says (8, 6)
+        deq, codes, scales = codecs.quantize_weight(w, 4, 4)
+        packed = {"lin": codecs.pack_layer(
+            deq, codecs.QuantScheme("int-sym", 4, 4), codes, scales)}
+        path = tmp_path / "a.lbq"
+        save_parts(path, parts, packed)
+        assert any("packed shape (6, 8)" in p for p in art.verify_artifact(path))
+
+    def test_malformed_header_rows_are_problems(self, tmp_path):
+        path = tmp_path / "a.lbq"
+        save_demo(path, np.random.default_rng(5))
+
+        def drop_sha(h):
+            del h["sections"][0]["sha256"]
+        rewrite_header(path, drop_sha)
+        assert any("section table row 0 is malformed" in p
+                   for p in art.verify_artifact(path))
+        head = canonical_json([1, 2]).encode()
+        path.write_bytes(art.MAGIC + struct.pack("<Q", len(head)) + head)
+        assert art.verify_artifact(path) == [
+            "artifact header is not a JSON object"]
+
+    def test_crafted_packed_headers_are_problems(self, tmp_path):
+        rng = np.random.default_rng(6)
+        parts = mx_payload(rng)
+        mx = parts[3]["lin"]
+        mx.group_size = 0
+        crafted = {
+            "mx block 0": mx.to_bytes(),
+            "int-sym rank 3": struct.pack("<BBIB3QB", codecs.CODEC_INT_SYM, 4,
+                                          4, 3, 2, 2, 2, codecs.SCALES_F64)
+            + bytes(64),
+            "huge shape": struct.pack("<BBIB2QB", codecs.CODEC_INT_SYM, 4, 4,
+                                      2, 2 ** 62, 2 ** 62, codecs.SCALES_F64),
+        }
+        for what, blob in crafted.items():
+            path = tmp_path / "a.lbq"
+            save_parts(path, parts, {**parts[3], "lin": Blob(blob)})
+            problems = art.verify_artifact(path)
+            assert any("section packed:lin" in p for p in problems), what
+
+    def test_verify_never_raises_on_mutations(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "a.lbq"
+        bases = []
+        for parts in (demo_payload(np.random.default_rng(5)),
+                      mx_payload(np.random.default_rng(6))):
+            save_parts(path, parts)
+            assert art.verify_artifact(path) == []  # mx packed (out, in)
+            bases.append((parts, path.read_bytes()))
+        for case in range(400):
+            parts, good = bases[case % 2]
+            kind = case // 2 % 4
+            if kind == 0:  # flip one byte anywhere
+                buf = bytearray(good)
+                buf[rng.integers(len(buf))] ^= int(rng.integers(1, 256))
+                path.write_bytes(bytes(buf))
+            elif kind == 1:  # truncate
+                path.write_bytes(good[:rng.integers(len(good))])
+            elif kind == 2:  # delete a header key or swap its type
+                path.write_bytes(good)
+                rewrite_header(path, lambda h: mutate_header(h, rng))
+            else:  # crafted payload header behind a matching sha256
+                name = sorted(parts[3])[case % len(parts[3])]
+                blob = bytearray(parts[3][name].to_bytes())
+                blob[rng.integers(min(len(blob), 32))] ^= \
+                    int(rng.integers(1, 256))
+                save_parts(path, parts, {**parts[3], name: Blob(bytes(blob))})
+            problems = art.verify_artifact(path)
+            assert isinstance(problems, list), case
+            assert all(isinstance(p, str) for p in problems), case
 
     def test_failed_save_leaves_nothing(self, tmp_path, monkeypatch):
         path = tmp_path / "a.lbq"
@@ -392,6 +550,16 @@ class TestCliErrors:
     def test_bad_override_exits_config(self, tmp_path):
         assert run_cli(tmp_path, "sensitivity",
                        sets=TINY + ("model.nosuch=1",)) == 2
+
+    @pytest.mark.parametrize("item", ["scheme.options=1,4",
+                                      "scheme.group_size=-3"])
+    def test_bad_scheme_exits_config_before_training(self, tmp_path,
+                                                     monkeypatch, item):
+        def no_training(cfg):
+            raise AssertionError("model built for a rejected config")
+        monkeypatch.setattr(cli.cfglib, "build_model", no_training)
+        assert run_cli(tmp_path, "sensitivity", sets=TINY + (item,)) == 2
+        assert not (tmp_path / "sensitivity.json").exists()
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2

@@ -192,19 +192,29 @@ class TestUniformQdq:
             C.quantize_weight(np.ones(4), bits=2, group_size=0)
         with pytest.raises(ContractError):
             C.QuantScheme("int-sym", 1, 32)
-        assert np.all(C.uniform_scale(np.array(1.0), np.array(-1.0), 4) > 0)
+        # a constant group's scale is floored, never zero
+        assert np.all(C.quantize_weight(np.zeros((4, 1)), 4, 0)[2] > 0)
         del w
 
     def test_graph_path_matches_array_path(self):
         rng = np.random.default_rng(38)
-        w = rng.normal(size=(16, 3))
-        v = rng.uniform(-0.5, 0.5, size=(16, 3))
-        alpha = rng.uniform(0.8, 1.2, size=(2, 3))
-        beta = rng.uniform(0.8, 1.2, size=(2, 3))
-        out = C.uniform_qdq_graph(
-            w, 4, 8, T.Tensor(v), T.Tensor(alpha), T.Tensor(beta))
-        deq, _, _ = C.quantize_weight(w, 4, 8, v=v, alpha=alpha, beta=beta)
-        np.testing.assert_allclose(out.data, deq, rtol=1e-12, atol=1e-15)
+        w = rng.normal(size=(40, 3))
+        for bits in range(2, 9):
+            for gs in (0, 8, 32):
+                n_g = len(C.group_segments(40, gs))
+                alpha = rng.uniform(0.5, 1.5, size=(n_g, 3))
+                beta = rng.uniform(0.5, 1.5, size=(n_g, 3))
+                s0 = np.abs(rng.normal(size=(n_g, 3))) * 0.1
+                for v in (None, rng.uniform(-0.5, 0.5, size=w.shape)):
+                    for init in (None, s0):
+                        out = C.uniform_qdq_graph(
+                            w, bits, gs,
+                            T.Tensor(np.zeros_like(w) if v is None else v),
+                            T.Tensor(alpha), T.Tensor(beta), init_scales=init)
+                        deq, _, _ = C.quantize_weight(
+                            w, bits, gs, v=v, alpha=alpha, beta=beta,
+                            init_scales=init)
+                        np.testing.assert_array_equal(out.data, deq)
 
     def test_graph_path_gradients_match_hand_derived_estimator(self):
         # True derivatives of the rounding step are zero almost

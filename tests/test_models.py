@@ -66,12 +66,6 @@ class TestBuildDeterminism:
         assert "blocks.0.norm1.g" not in quant
         assert "head" in quant
 
-    def test_quantizable_exclude(self):
-        m = M.ToyModel.build(tiny_spec())
-        names = [li.name for li in m.quantizable_layers(exclude=("head",))]
-        assert "head" not in names
-        assert "blocks.0.attn.wq" in names
-
     def test_block_layer_names_cover_all_non_head(self):
         m = M.ToyModel.build(tiny_spec(n_blocks=3))
         got = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lowbit import scale_init as S
-from lowbit.errors import ContractError, ShapeError
+from lowbit.errors import ShapeError
 
 
 def search_ref(group, stats, bits):
@@ -124,19 +124,3 @@ class TestActStats:
         st.merge_batch("l", np.ones((2, 3)))
         with pytest.raises(ShapeError):
             st.get("l", 5)
-
-    def test_save_load_round_trip(self, tmp_path):
-        st = S.ActChannelStats(samples=6)
-        st.merge_batch("a", np.array([[0.25, 4.0]]))
-        path = tmp_path / "stats.json"
-        st.save(path)
-        back = S.ActChannelStats.load(path)
-        assert back.samples == 6
-        np.testing.assert_array_equal(back.layers["a"], [0.25, 4.0])
-
-    def test_apply_alpha_contract(self):
-        assert S.apply_alpha(np.array([2.0]), 1.25)[0] == 2.5
-        with pytest.raises(ContractError):
-            S.apply_alpha(np.array([2.0]), 1.6)
-        with pytest.raises(ContractError):
-            S.apply_alpha(np.array([2.0]), 0.4)

@@ -1,9 +1,12 @@
 """Sensitivity-score tests, anchored by a brute-force loss-delta oracle."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from lowbit import cli
 from lowbit import models as M
 from lowbit import sensitivity as sv
 from lowbit import tensor as T
@@ -192,31 +195,7 @@ class TestReport:
         schemes = sv.option_set("int-sym", [2, 4], 32)
         rep = sv.build_report(m, schemes, cal)
         p = tmp_path / "rep.json"
-        rep.save(p)
-        back = sv.SensitivityReport.load(p)
+        cli._write_json(p, rep.to_dict())
+        back = sv.SensitivityReport.from_dict(json.loads(p.read_text()))
         assert back.to_dict() == rep.to_dict()
         assert [s.label for s in back.options] == [s.label for s in rep.options]
-
-    def test_exclude_list(self):
-        m, cal = trained_fixture(0)
-        rep = sv.build_report(m, sv.option_set("int-sym", [2], 32), cal,
-                              exclude=("head",))
-        assert "head" not in [l.name for l in rep.layers]
-
-    def test_shared_gradient_mode_matches_per_layer_full_mode(self):
-        m, cal = trained_fixture(3)
-        schemes = sv.option_set("mxfp", [4, 8]) + sv.option_set("int-sym", [2], 32)
-        rep = sv.build_report(m, schemes, cal, grads_at="full")
-        for l in rep.layers[:4]:
-            for s in schemes:
-                if s.quantizes_acts:
-                    want = sv.delta_loss_weight_act(m, l.name, s, cal, "full")
-                else:
-                    want = sv.delta_loss_weight_only(m, l.name, s, cal, "full")
-                assert l.scores[s.label] == pytest.approx(want, rel=1e-9)
-
-    def test_unknown_gradient_point_rejected(self):
-        m, cal = trained_fixture(0)
-        with pytest.raises(ContractError):
-            sv.build_report(m, sv.option_set("int-sym", [2], 32), cal,
-                            grads_at="sideways")

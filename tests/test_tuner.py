@@ -100,7 +100,6 @@ class TestTuneConfig:
         cfg = tuner.recipe("enhanced")
         assert cfg.steps == 500
         assert cfg.lr == pytest.approx(2.0 / 500)
-        assert cfg.calib_samples == 512
 
     def test_recipe_lr_follows_overridden_steps(self):
         assert tuner.recipe("default", steps=10).lr == pytest.approx(0.1)
@@ -332,7 +331,7 @@ class TestQuantizeModel:
         plan = tuner.plan_from_assignment(names, [16] * len(names), "int-sym", 32)
         res = tuner.quantize_model(model, plan, cal, self.cfg(), eval_batches=ev)
         assert res.weights == {}
-        assert abs(res.metrics["quantized_loss"] - res.metrics["fp_loss"]) <= 1e-10
+        assert abs(res.metrics["quantized_loss"] - model.eval_loss(ev)) <= 1e-10
 
     def test_steps_zero_no_init_is_plain_rtn(self):
         model, cal = small_model(seed=11)

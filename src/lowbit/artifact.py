@@ -1,10 +1,12 @@
 """Quantized-model artifact: one self-describing binary file.
 
 Layout: 8-byte magic, little-endian u64 header length, canonical-JSON
-header, then the payload sections back to back. The header carries the
-config and assignment (with their digests), a layer table, metrics, and
-a section table with per-section sha256, so the verifier needs nothing
-beyond the file itself.
+header, then the payload sections back to back: one ``packed:<layer>``
+section per layer, holding its codes and scales in the layer's
+(in, out) layout. The header carries the config and assignment (with
+their digests), a layer table, metrics, and a section table with
+per-section sha256, so the verifier needs nothing beyond the file
+itself.
 
 Writes are atomic: a temp file in the target directory is fsynced and
 renamed over the destination, so a crashed run never leaves a partial
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 import tempfile
@@ -31,10 +32,7 @@ from .config import canonical_json, digest_of
 from .errors import ContractError, PackError
 
 MAGIC = b"LBART001"
-FORMAT = "lowbit/artifact-v1"
-
-V_BOUND = 0.5
-AB_LO, AB_HI = 0.5, 1.5
+FORMAT = "lowbit/artifact-v2"
 
 
 def _sha(b: bytes) -> str:
@@ -45,7 +43,6 @@ def _sha(b: bytes) -> str:
 class Artifact:
     header: dict
     packed: dict    # layer name -> PackedWeights
-    tuned: dict     # layer name -> {"v": arr, "alpha": arr, "beta": arr}
 
     @property
     def config(self) -> dict:
@@ -60,37 +57,24 @@ class Artifact:
         return self.header["metrics"]
 
 
-def _sections(packed: dict, tuned: dict):
-    """Deterministic (name, kind, bytes, meta) list."""
-    out = []
-    for name in sorted(packed):
-        out.append((f"packed:{name}", "packed", packed[name].to_bytes(), {}))
-    for name in sorted(tuned):
-        for field in ("v", "alpha", "beta"):
-            arr = np.ascontiguousarray(tuned[name][field], dtype=np.float64)
-            meta = {"dtype": "f8", "shape": list(arr.shape)}
-            out.append((f"tune:{name}:{field}", "array", arr.tobytes(), meta))
-    return out
-
-
 def save_artifact(path, config_dict: dict, assignment_dict: dict,
                   layers: list, metrics: dict, tuning: list,
-                  packed: dict, tuned: dict) -> None:
+                  packed: dict) -> None:
     """Atomically write an artifact file.
 
     ``layers`` rows need name/params/bits/label/shape; ``tuning`` is the
-    per-block loss summary; ``tuned`` maps layer name to its v, alpha
-    and beta arrays.
+    per-block loss summary; ``packed`` maps layer name to its
+    :class:`PackedWeights`.
     """
     path = Path(path)
-    sections = _sections(packed, tuned)
+    names = sorted(packed)
+    blobs = [packed[name].to_bytes() for name in names]
     table = []
     offset = 0
-    for name, kind, blob, meta in sections:
-        row = {"name": name, "kind": kind, "offset": offset,
-               "length": len(blob), "sha256": _sha(blob)}
-        row.update(meta)
-        table.append(row)
+    for name, blob in zip(names, blobs):
+        table.append({"name": f"packed:{name}", "kind": "packed",
+                      "offset": offset, "length": len(blob),
+                      "sha256": _sha(blob)})
         offset += len(blob)
     header = {
         "format": FORMAT,
@@ -110,7 +94,7 @@ def save_artifact(path, config_dict: dict, assignment_dict: dict,
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(head)))
             fh.write(head)
-            for _, _, blob, _ in sections:
+            for blob in blobs:
                 fh.write(blob)
             fh.flush()
             os.fsync(fh.fileno())
@@ -141,24 +125,6 @@ def _read_header(buf: bytes) -> tuple:
     return header, buf[start + hlen:]
 
 
-def load_artifact(path) -> Artifact:
-    buf = Path(path).read_bytes()
-    header, payload = _read_header(buf)
-    packed = {}
-    tuned = {}
-    for row in header["sections"]:
-        blob = payload[row["offset"]:row["offset"] + row["length"]]
-        if len(blob) != row["length"]:
-            raise PackError(f"section {row['name']} is truncated")
-        if row["kind"] == "packed":
-            packed[row["name"].split(":", 1)[1]] = PackedWeights.from_bytes(blob)
-        else:
-            _, name, field = row["name"].split(":")
-            arr = np.frombuffer(blob, dtype=np.float64).reshape(row["shape"])
-            tuned.setdefault(name, {})[field] = arr.copy()
-    return Artifact(header, packed, tuned)
-
-
 def _count(x) -> bool:
     return type(x) is int and x >= 0
 
@@ -175,7 +141,6 @@ SECTION_ROW = {"name": _text, "kind": _text, "offset": _count,
                "length": _count, "sha256": _text}
 LAYER_ROW = {"name": _text, "params": _count, "bits": _count, "shape": _shape}
 ASSIGNED_ROW = {"name": _text, "bits": _count}
-TUNED_FIELDS = ("v", "alpha", "beta")
 
 
 def _dict(obj, key) -> dict:
@@ -198,30 +163,61 @@ def _rows(table, what: str, fields: dict, problems: list) -> list:
     return good
 
 
-def _decode_section(row, blob, problems, packed, tuned) -> None:
+def _decode_section(row, blob, problems, packed) -> None:
     name = row["name"]
     parts = name.split(":")
-    if row["kind"] == "packed" and len(parts) == 2 and parts[0] == "packed":
-        try:
-            pw = PackedWeights.from_bytes(blob)
-        except PackError as e:
-            problems.append(f"section {name}: {e}")
-            return
-        if pw.to_bytes() != blob:
-            problems.append(f"section {name}: non-canonical payload")
-        packed[parts[1]] = pw
-    elif (row["kind"] == "array" and len(parts) == 3 and parts[0] == "tune"
-          and parts[2] in TUNED_FIELDS and _shape(row.get("shape"))):
-        if math.prod(row["shape"]) * 8 != len(blob):
-            problems.append(f"section {name}: shape/length mismatch")
-            return
-        arr = np.frombuffer(blob, dtype=np.float64).reshape(row["shape"])
-        tuned.setdefault(parts[1], {})[parts[2]] = arr
-    else:
+    if row["kind"] != "packed" or len(parts) != 2 or parts[0] != "packed":
         problems.append(f"section {name}: malformed {row['kind']!r} section")
+        return
+    try:
+        pw = PackedWeights.from_bytes(blob)
+    except PackError as e:
+        problems.append(f"section {name}: {e}")
+        return
+    if pw.to_bytes() != blob:
+        problems.append(f"section {name}: non-canonical payload")
+    packed[parts[1]] = pw
 
 
-def _check_layer(lname, row, pw, family, assigned, problems) -> None:
+def _parse(buf: bytes, problems: list) -> tuple:
+    """(header, layer name -> PackedWeights) of an artifact's bytes.
+
+    Raises :class:`PackError` when there is no header to read; appends a
+    problem for each malformed section row, truncated or tampered
+    section, undecodable payload and unaccounted payload byte.
+    """
+    header, payload = _read_header(buf)
+    seen_payload = 0
+    packed = {}
+    for row in _rows(header.get("sections", []), "section table",
+                     SECTION_ROW, problems):
+        name = row["name"]
+        blob = payload[row["offset"]:row["offset"] + row["length"]]
+        if len(blob) != row["length"]:
+            problems.append(f"section {name}: truncated payload")
+            continue
+        seen_payload = max(seen_payload, row["offset"] + row["length"])
+        if _sha(blob) != row["sha256"]:
+            problems.append(f"section {name}: sha256 mismatch")
+            continue
+        _decode_section(row, blob, problems, packed)
+    if len(payload) != seen_payload:
+        problems.append(
+            f"payload has {len(payload) - seen_payload} unaccounted bytes")
+    return header, packed
+
+
+def load_artifact(path) -> Artifact:
+    """Read an artifact; a :class:`PackError` names every section fault."""
+    problems = []
+    header, packed = _parse(Path(path).read_bytes(), problems)
+    if problems:
+        raise PackError("; ".join(problems))
+    return Artifact(header, packed)
+
+
+def _check_layer(lname, row, pw, family, group_size, assigned,
+                 problems) -> None:
     """Cross-check one layer's table row, packed header and assignment."""
     bits = row["bits"]
     if pw.bits != bits:
@@ -240,9 +236,11 @@ def _check_layer(lname, row, pw, family, assigned, problems) -> None:
             if pw.codec != want:
                 problems.append(f"layer {lname}: codec {pw.codec} for "
                                 f"{family} at {bits} bits, want {want}")
+    if (pw.codec == codecs.CODEC_INT_SYM and group_size is not None
+            and pw.group_size != group_size):
+        problems.append(f"layer {lname}: packed group size {pw.group_size}, "
+                        f"scheme.group_size {group_size}")
     shape = tuple(row["shape"])
-    if pw.codec in (codecs.CODEC_MXFP4, codecs.CODEC_MXFP8):
-        shape = shape[::-1]  # mx payloads are packed (out, in)
     if pw.shape != shape:
         problems.append(f"layer {lname}: packed shape {pw.shape}, want {shape}")
         return
@@ -260,14 +258,13 @@ def verify_artifact(path) -> list:
 
     Never raises on a malformed file. Re-derives both digests, checks
     every section hash and byte-level round trip, cross-checks each
-    layer's bits, codec and shape between the layer table, its packed
-    header, the assignment and the scheme family, bounds the tuned
-    parameters, and re-checks the bit budget exactly.
+    layer's bits, codec, group size and shape between the layer table,
+    its packed header, the assignment and the config's scheme, and
+    re-checks the bit budget exactly.
     """
     problems = []
     try:
-        buf = Path(path).read_bytes()
-        header, payload = _read_header(buf)
+        header, packed = _parse(Path(path).read_bytes(), problems)
     except (OSError, PackError) as e:
         return [str(e)]
 
@@ -281,29 +278,16 @@ def verify_artifact(path) -> list:
     if family not in ("int-sym", "mxfp"):
         problems.append(f"config has no known scheme.family: {family!r}")
         family = None
+    group_size = scheme.get("group_size")
+    if not _count(group_size):
+        problems.append(
+            f"config has no integer scheme.group_size: {group_size!r}")
+        group_size = None
 
     layers = {row["name"]: row for row in _rows(
         header.get("layers", []), "layer table", LAYER_ROW, problems)}
     assigned = {row["name"]: row["bits"] for row in _rows(
         asn.get("layers", []), "assignment layers", ASSIGNED_ROW, problems)}
-    seen_payload = 0
-    packed = {}
-    tuned = {}
-    for row in _rows(header.get("sections", []), "section table",
-                     SECTION_ROW, problems):
-        name = row["name"]
-        blob = payload[row["offset"]:row["offset"] + row["length"]]
-        if len(blob) != row["length"]:
-            problems.append(f"section {name}: truncated payload")
-            continue
-        seen_payload = max(seen_payload, row["offset"] + row["length"])
-        if _sha(blob) != row["sha256"]:
-            problems.append(f"section {name}: sha256 mismatch")
-            continue
-        _decode_section(row, blob, problems, packed, tuned)
-    if len(payload) != seen_payload:
-        problems.append(
-            f"payload has {len(payload) - seen_payload} unaccounted bytes")
 
     for lname in packed:
         if lname not in layers:
@@ -313,26 +297,10 @@ def verify_artifact(path) -> list:
             problems.append(f"assigned layer {lname} missing from layer table")
     for lname, row in layers.items():
         if lname in packed:
-            _check_layer(lname, row, packed[lname], family, assigned, problems)
+            _check_layer(lname, row, packed[lname], family, group_size,
+                         assigned, problems)
         else:
             problems.append(f"layer {lname} has no packed section")
-
-    for lname, fields in tuned.items():
-        if lname not in layers:
-            problems.append(f"tuned params for unknown layer {lname}")
-            continue
-        missing = set(TUNED_FIELDS) - set(fields)
-        if missing:
-            problems.append(f"layer {lname}: missing tuned fields {sorted(missing)}")
-        v = fields.get("v")
-        if v is not None and (np.abs(v) > V_BOUND).any():
-            problems.append(f"layer {lname}: rounding offsets outside "
-                            f"[-{V_BOUND}, {V_BOUND}]")
-        for fname in ("alpha", "beta"):
-            ab = fields.get(fname)
-            if ab is not None and ((ab < AB_LO) | (ab > AB_HI)).any():
-                problems.append(
-                    f"layer {lname}: {fname} outside [{AB_LO}, {AB_HI}]")
 
     target = asn.get("target_bits") or scheme.get("target_bits")
     if target and layers:

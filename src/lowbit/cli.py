@@ -98,11 +98,6 @@ def _tuning_summary(res) -> list:
              "best_step": b.best_step} for b in res.tuned]
 
 
-def _tuned_arrays(res) -> dict:
-    return {lay.name: {"v": lay.v, "alpha": lay.alpha, "beta": lay.beta}
-            for blk in res.tuned for lay in blk.layers}
-
-
 def _rtn_bits(options, target) -> int:
     """Uniform-precision baseline: widest option that fits the budget."""
     fit = [b for b in options if b <= target]
@@ -224,7 +219,7 @@ def cmd_quantize(cfg, args) -> int:
                                                            cfg.group_size))
     save_artifact(cfg.out_dir / ARTIFACT_FILE, cfg.to_dict(), asn_dict,
                   layers, {"losses": losses, "budget": budget}, summary,
-                  packed, _tuned_arrays(res_tuned))
+                  packed)
     _write_json(cfg.out_dir / METRICS_FILE, metrics)
 
     for k in ("fp", "rtn", "dl_only", "tuned"):

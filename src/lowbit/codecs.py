@@ -10,15 +10,17 @@ Two codec families:
   written once, as a tensor graph: tuning builds it from trainable
   offsets and multipliers, and :func:`quantize_weight` builds the same
   graph from constants and reads the codes and scales off its nodes, so
-  the packed codes are exactly the tuned ones. Dequantizing codes is
-  :func:`int_sym_decode`, shared with the artifact reader.
-* ``mxfp``: microscaling block floats. Blocks of 32 along the last axis
-  share a power-of-two scale 2^(floor(log2(amax)) - emax); elements are
-  rounded half-to-even onto a tiny float grid (E2M1 for 4-bit, E4M3 for
-  8-bit) with saturating overflow.
+  the packed codes are exactly the tuned ones.
+* ``mxfp``: microscaling block floats. Blocks of 32 share a power-of-two
+  scale 2^(floor(log2(amax)) - emax); elements are rounded half-to-even
+  onto a tiny float grid (E2M1 for 4-bit, E4M3 for 8-bit) with
+  saturating overflow.
 
 Weights are laid out (in_features, out_features) everywhere in this
-package; int-sym groups run down axis 0.
+package, packed payloads included. Int-sym groups and MX blocks both run
+down axis 0, the axis a matmul reduces over, so both codecs store one
+scale per (group, output column) and dequantize through the one decoder
+:func:`group_decode`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ CODEC_RAW = 0
 CODEC_INT_SYM = 1
 CODEC_MXFP4 = 2
 CODEC_MXFP8 = 3
-
-PACK_WIDTHS = (2, 4, 8)
 
 SCALES_NONE = 0
 SCALES_F64 = 1
@@ -65,6 +65,9 @@ class QuantScheme:
             raise ContractError(f"int-sym bits must be in [2, 8], got {self.bits}")
         if self.family == "mxfp" and self.bits not in (4, 8):
             raise ContractError(f"mxfp bits must be 4 or 8, got {self.bits}")
+        if self.family == "mxfp" and self.group_size != MXFP4.block:
+            raise ContractError(f"mxfp blocks are {MXFP4.block} long, "
+                                f"got group_size {self.group_size}")
         if self.group_size < 0:
             raise ContractError("group_size must be >= 0")
 
@@ -165,11 +168,14 @@ def _int_sym_grid(w: np.ndarray, bits: int, group_size: int, v, alpha, beta,
     return T.clip(T.round_ste(x), lo, hi), s_g, s_full
 
 
-def int_sym_decode(codes: np.ndarray, scales: np.ndarray,
-                   group_size: int) -> np.ndarray:
-    """Dequantize int-sym codes with their (n_groups, out) scales."""
-    return codes.astype(np.float64) * scales[group_index(codes.shape[0],
-                                                         group_size)]
+def group_decode(values: np.ndarray, scales: np.ndarray,
+                 group_size: int) -> np.ndarray:
+    """Scale (rows, out) grid values by their (n_groups, out) group scales.
+
+    The one decoder of both codecs: int-sym codes with their f64 scales,
+    and MX grid values with their powers of two.
+    """
+    return values * scales[group_index(values.shape[0], group_size)]
 
 
 def quantize_weight(w: np.ndarray, bits: int, group_size: int,
@@ -189,7 +195,8 @@ def quantize_weight(w: np.ndarray, bits: int, group_size: int,
                               None if v is None else T.Tensor(v),
                               T.Tensor(alpha), T.Tensor(beta), init_scales)
     codes = q.data.astype(np.int8)
-    return int_sym_decode(codes, s_g.data, group_size), codes, s_g.data
+    return (group_decode(codes.astype(np.float64), s_g.data, group_size),
+            codes, s_g.data)
 
 
 def uniform_qdq_graph(w: np.ndarray, bits: int, group_size: int,
@@ -302,7 +309,7 @@ def _encode_grid(q: np.ndarray, fmt: MxFormat) -> np.ndarray:
     idx = np.searchsorted(mags, np.abs(q))
     if not np.all(mags[np.minimum(idx, len(mags) - 1)] == np.abs(q)):
         raise PackError("value not on the format grid")
-    sign = np.signbit(q) & (np.abs(q) > 0)
+    sign = np.signbit(q)  # -0.0 too, so decoding returns it bit for bit
     return (idx | (sign.astype(np.int64) << fmt.sign_shift)).astype(np.uint8)
 
 
@@ -317,32 +324,19 @@ def _decode_grid(codes: np.ndarray, fmt: MxFormat) -> np.ndarray:
 
 
 def mx_qdq_weight(w: np.ndarray, fmt: MxFormat):
-    """qdq an (in, out) weight with blocks along the input axis.
+    """qdq an (in, out) weight with blocks down the input axis.
 
     Matmul reduces over a weight's first axis, and block scales must be
-    shared along the reduction, so the weight is blocked transposed.
-    Returns (deq in original layout, codes, exps) with codes/exps in the
-    (out, in) layout they were quantized in.
+    shared along the reduction. Returns (deq, codes, exps): deq and codes
+    shaped like ``w``, exps shaped (n_blocks, out) like int-sym scales
+    with group size ``fmt.block``.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeError(f"expected a 2-d weight, got shape {w.shape}")
     deq_t, codes, exps = mx_qdq(w.T, fmt)
-    return np.ascontiguousarray(deq_t.T), codes, exps
-
-
-def mx_dequantize(codes: np.ndarray, exps: np.ndarray, fmt: MxFormat,
-                  shape: tuple) -> np.ndarray:
-    last = shape[-1]
-    nb = -(-last // fmt.block)
-    vals = _decode_grid(codes, fmt).reshape(shape[:-1] + (last,))
-    pad = nb * fmt.block - last
-    if pad:
-        vals = np.pad(vals, [(0, 0)] * (len(shape) - 1) + [(0, pad)])
-    vals = vals.reshape(shape[:-1] + (nb, fmt.block))
-    scale = np.ldexp(1.0, exps.astype(np.int64)).reshape(shape[:-1] + (nb,))
-    out = (vals * scale[..., None]).reshape(shape[:-1] + (nb * fmt.block,))
-    return out[..., :last]
+    return (np.ascontiguousarray(deq_t.T), np.ascontiguousarray(codes.T),
+            np.ascontiguousarray(exps.T))
 
 
 def mx_qdq_tensor(a: T.Tensor, fmt: MxFormat) -> T.Tensor:
@@ -356,44 +350,33 @@ def mx_qdq_tensor(a: T.Tensor, fmt: MxFormat) -> T.Tensor:
 
 
 def pack_bits(values: np.ndarray, bits: int) -> bytes:
-    """Pack unsigned codes little-endian within each byte.
+    """Pack unsigned ``bits``-wide codes into a little-endian bitstream.
 
-    2-bit codes go 4 per byte, 4-bit codes 2 per byte, 8-bit codes 1 per
-    byte; the first code occupies the least significant bits.
+    Code i takes stream bits [i*bits, (i+1)*bits), least significant bit
+    first, and each byte fills from its least significant bit, so 2-bit
+    codes go 4 per byte with the first code lowest. The last byte is
+    zero-padded.
     """
-    if bits not in PACK_WIDTHS:
+    if not 2 <= bits <= 8:
         raise PackError(f"unsupported pack width {bits}")
     v = np.asarray(values).reshape(-1)
     if v.size and (v.min() < 0 or v.max() >= (1 << bits)):
         raise PackError(f"code out of range for {bits}-bit packing")
-    v = v.astype(np.uint8)
-    if bits == 8:
-        return v.tobytes()
-    per = 8 // bits
-    padded = np.zeros(-(-v.size // per) * per, dtype=np.uint8)
-    padded[:v.size] = v
-    padded = padded.reshape(-1, per)
-    out = np.zeros(padded.shape[0], dtype=np.uint8)
-    for k in range(per):
-        out |= padded[:, k] << (bits * k)
-    return out.tobytes()
+    stream = np.unpackbits(v.astype(np.uint8), bitorder="little")
+    return np.packbits(stream.reshape(-1, 8)[:, :bits],
+                       bitorder="little").tobytes()
 
 
 def unpack_bits(buf: bytes, bits: int, count: int) -> np.ndarray:
-    if bits not in PACK_WIDTHS:
+    """The first ``count`` codes of a :func:`pack_bits` stream, as uint8."""
+    if not 2 <= bits <= 8:
         raise PackError(f"unsupported pack width {bits}")
     raw = np.frombuffer(buf, dtype=np.uint8)
-    if bits == 8:
-        vals = raw
-    else:
-        per = 8 // bits
-        mask = (1 << bits) - 1
-        vals = np.zeros(raw.size * per, dtype=np.uint8)
-        for k in range(per):
-            vals[k::per] = (raw >> (bits * k)) & mask
-    if count > vals.size:
-        raise PackError(f"payload holds {vals.size} codes, need {count}")
-    return vals[:count].copy()
+    if count * bits > raw.size * 8:
+        raise PackError(f"payload holds {raw.size * 8 // bits} codes, "
+                        f"need {count}")
+    stream = np.unpackbits(raw, count=count * bits, bitorder="little")
+    return stream.reshape(count, bits) @ 2 ** np.arange(bits, dtype=np.uint8)
 
 
 def signed_to_field(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -414,13 +397,21 @@ def field_to_signed(fields: np.ndarray, bits: int) -> np.ndarray:
 # packed container
 
 
+def _code_layout(codec: int, bits: int) -> tuple:
+    """(code width, scale format, scale dtype) of a quantized payload."""
+    if codec == CODEC_INT_SYM:
+        return bits, SCALES_F64, np.float64
+    return (4 if codec == CODEC_MXFP4 else 8), SCALES_E8M0, np.int8
+
+
 @dataclass
 class PackedWeights:
     """One layer's quantized payload plus enough metadata to decode it.
 
     Byte layout: codec id u8, bits u8, group size u32, shape rank u8 and
-    one u64 per dim, scale format u8, then the scale array, then the
-    packed code stream. Counts are derived from the header, not stored.
+    one u64 per dim, scale format u8, then the (n_groups, out) scale
+    array, then the packed code stream of the (in, out) weight in
+    row-major order. Counts are derived from the header, not stored.
     """
 
     codec: int
@@ -437,15 +428,12 @@ class PackedWeights:
         if self.codec == CODEC_RAW:
             head += struct.pack("<B", SCALES_NONE)
             return head + np.asarray(self.codes, dtype=np.float64).tobytes()
-        if self.codec == CODEC_INT_SYM:
-            head += struct.pack("<B", SCALES_F64)
-            body = np.asarray(self.scales, dtype=np.float64).tobytes()
-            body += pack_bits(signed_to_field(self.codes, self.bits), self.bits)
-            return head + body
-        head += struct.pack("<B", SCALES_E8M0)
-        body = np.asarray(self.scales, dtype=np.int8).tobytes()
-        body += pack_bits(self.codes.reshape(-1), 4 if self.codec == CODEC_MXFP4 else 8)
-        return head + body
+        width, scale_fmt, scale_dtype = _code_layout(self.codec, self.bits)
+        fields = signed_to_field(self.codes, self.bits) \
+            if self.codec == CODEC_INT_SYM else self.codes
+        return (head + struct.pack("<B", scale_fmt)
+                + np.asarray(self.scales, dtype=scale_dtype).tobytes()
+                + pack_bits(fields, width))
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "PackedWeights":
@@ -476,27 +464,18 @@ class PackedWeights:
             raise PackError(f"unknown codec id {codec}")
         if rank != 2 or size == 0:
             raise PackError(f"shape {shape} is not a non-empty 2-d weight")
-        if codec == CODEC_INT_SYM:
-            if scale_fmt != SCALES_F64:
-                raise PackError("int-sym scales must be f64")
-            width, scale_dtype = bits, np.float64
-        else:
-            fmt = MXFP4 if codec == CODEC_MXFP4 else MXFP8
-            if scale_fmt != SCALES_E8M0:
-                raise PackError("mx scales must be e8m0")
-            if group_size != fmt.block:
-                raise PackError(f"mx block size {group_size}, want {fmt.block}")
-            width, scale_dtype = (4 if codec == CODEC_MXFP4 else 8), np.int8
-        if width not in PACK_WIDTHS:
-            raise PackError(f"unsupported pack width {width}")
+        if codec == CODEC_INT_SYM and not 2 <= bits <= 8:
+            raise PackError(f"int-sym bits {bits} outside [2, 8]")
+        if codec != CODEC_INT_SYM and group_size != MXFP4.block:
+            raise PackError(f"mx block size {group_size}, want {MXFP4.block}")
+        width, want_fmt, scale_dtype = _code_layout(codec, bits)
+        if scale_fmt != want_fmt:
+            raise PackError(f"scale format {scale_fmt}, want {want_fmt}")
         code_bytes = -(-size * width // 8)
         if body < code_bytes:
             raise PackError("payload shorter than header promises")
         rows, cols = shape
-        if codec == CODEC_INT_SYM:
-            scale_shape = (len(group_segments(rows, group_size)), cols)
-        else:
-            scale_shape = (rows, -(-cols // group_size))
+        scale_shape = (len(group_segments(rows, group_size)), cols)
         n_scales = math.prod(scale_shape)
         scale_bytes = n_scales * np.dtype(scale_dtype).itemsize
         if body < scale_bytes + code_bytes:
@@ -512,9 +491,12 @@ class PackedWeights:
         if self.codec == CODEC_RAW:
             return np.asarray(self.codes, dtype=np.float64)
         if self.codec == CODEC_INT_SYM:
-            return int_sym_decode(self.codes, self.scales, self.group_size)
-        fmt = MXFP4 if self.codec == CODEC_MXFP4 else MXFP8
-        return mx_dequantize(self.codes.reshape(-1), self.scales, fmt, self.shape)
+            values, scales = self.codes.astype(np.float64), self.scales
+        else:
+            fmt = MXFP4 if self.codec == CODEC_MXFP4 else MXFP8
+            values = _decode_grid(self.codes, fmt)
+            scales = np.ldexp(1.0, self.scales.astype(np.int64))
+        return group_decode(values, scales, self.group_size)
 
 
 def codec_for(scheme: QuantScheme) -> int:
@@ -528,13 +510,14 @@ def codec_for(scheme: QuantScheme) -> int:
 
 def pack_layer(w_deq: np.ndarray, scheme: QuantScheme, codes=None,
                scales=None) -> PackedWeights:
-    """Wrap an already-quantized layer (or a raw one) for serialization."""
+    """Wrap an already-quantized layer (or a raw one) for serialization.
+
+    ``codes`` and ``scales`` are as :func:`quantize_weight` or
+    :func:`mx_qdq_weight` return them, laid out like the (in, out) weight.
+    """
     codec = codec_for(scheme)
     if codec == CODEC_RAW:
         return PackedWeights(codec, scheme.bits, 0, tuple(w_deq.shape), None,
                              np.asarray(w_deq, dtype=np.float64))
-    if codec == CODEC_INT_SYM:
-        return PackedWeights(codec, scheme.bits, scheme.group_size,
-                             tuple(w_deq.shape), scales, codes)
-    return PackedWeights(codec, scheme.bits, scheme.mx_format.block,
+    return PackedWeights(codec, scheme.bits, scheme.group_size,
                          tuple(w_deq.shape), scales, codes)

@@ -64,55 +64,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op}{flag})"
 
-    # operator sugar; the actual math lives in the module functions
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def abs(self):
-        return abs_(self)
-
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -181,10 +132,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "div", (a, b), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, "neg", (a,), lambda g: (-g,))
-
-
 def power(a: Tensor, p: float) -> Tensor:
     """Elementwise a**p for a constant exponent."""
     a = _lift(a)
@@ -196,27 +143,8 @@ def power(a: Tensor, p: float) -> Tensor:
     return _make(out, "power", (a,), vjp)
 
 
-def abs_(a: Tensor) -> Tensor:
-    a = _lift(a)
-
-    def vjp(g):
-        return (g * np.sign(a.data),)
-
-    return _make(np.abs(a.data), "abs", (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _lift(a)
-    mask = a.data > 0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _make(a.data * mask, "relu", (a,), vjp)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -304,34 +232,6 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
         return (np.broadcast_to(gg / count, a.shape).astype(a.data.dtype, copy=True),)
 
     return _make(out, "mean", (a,), vjp)
-
-
-def _extreme(a: Tensor, axis, keepdims, op_name: str) -> Tensor:
-    # Gradient routes to the first extremal element along the reduced
-    # axis, which keeps backward deterministic under ties.
-    fn = np.max if op_name == "max" else np.min
-    argfn = np.argmax if op_name == "max" else np.argmin
-    out = fn(a.data, axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        grad = np.zeros_like(a.data)
-        if axis is None:
-            grad.flat[argfn(a.data)] = g
-            return (grad,)
-        idx = np.expand_dims(argfn(a.data, axis=axis), axis)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(grad, idx, gg, axis=axis)
-        return (grad,)
-
-    return _make(out, op_name, (a,), vjp)
-
-
-def max_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    return _extreme(_lift(a), axis, keepdims, "max")
-
-
-def min_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    return _extreme(_lift(a), axis, keepdims, "min")
 
 
 # ---------------------------------------------------------------------------

@@ -172,19 +172,13 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
         for n in tuned_names:
             th = theta[n]
             sch = schemes[n]
-            v = T.Tensor(th["v"], requires_grad=True)
-            a = T.Tensor(th["alpha"], requires_grad=True)
-            s0 = s_init.get(n)
-            if s0 is None:
-                b = T.Tensor(th["beta"], requires_grad=True)
-                over[n] = codecs.uniform_qdq_graph(
-                    model.params[n], sch.bits, sch.group_size, v, a, b)
-                leaves[n] = (v, a, b)
-            else:
-                over[n] = codecs.uniform_qdq_graph(
-                    model.params[n], sch.bits, sch.group_size, v, a,
-                    T.Tensor(th["beta"]), init_scales=s0)
-                leaves[n] = (v, a, None)
+            leaves[n] = tuple(T.Tensor(th[k], requires_grad=True)
+                              for k in ("v", "alpha", "beta"))
+            # beta is unused under searched scales: its gradient is zero,
+            # so its sign step leaves it at exactly 1
+            over[n] = codecs.uniform_qdq_graph(
+                model.params[n], sch.bits, sch.group_size, *leaves[n],
+                init_scales=s_init.get(n))
         out = model.block_forward(block, inputs[idx], overrides=over)
         loss = trimmed_mse(out, targets[idx], cfg.trim_fraction)
         lval = loss.item()
@@ -198,17 +192,16 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
                      for n, th in theta.items()})
         if step == cfg.steps:
             break
-        wrt = [t for trio in leaves.values() for t in trio if t is not None]
-        grads = T.backward(loss, wrt=wrt)
+        grads = T.backward(loss, wrt=[t for trio in leaves.values()
+                                      for t in trio])
         for n in tuned_names:
             v, a, b = leaves[n]
             th = theta[n]
             th["v"] = np.clip(th["v"] - cfg.lr * np.sign(grads[v]), -0.5, 0.5)
             th["alpha"] = np.clip(th["alpha"] - cfg.lr * np.sign(grads[a]),
                                   0.5, 1.5)
-            if b is not None:
-                th["beta"] = np.clip(th["beta"] - cfg.lr * np.sign(grads[b]),
-                                     0.5, 1.5)
+            th["beta"] = np.clip(th["beta"] - cfg.lr * np.sign(grads[b]),
+                                 0.5, 1.5)
 
     best_loss, best_step, best_theta = best
     layers = [TunedLayer(n, best_theta[n]["v"], best_theta[n]["alpha"],
@@ -241,7 +234,7 @@ class QuantizeResult:
 def _finalize_layer(w, scheme, tl: TunedLayer | None, s_init):
     if scheme.family == "mxfp":
         deq, codes, exps = codecs.mx_qdq_weight(w, scheme.mx_format)
-        return deq, codecs.pack_layer(deq.T, scheme, codes, exps)
+        return deq, codecs.pack_layer(deq, scheme, codes, exps)
     deq, codes, scales = codecs.quantize_weight(
         w, scheme.bits, scheme.group_size,
         v=tl.v if tl else None,

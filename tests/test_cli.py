@@ -11,7 +11,7 @@ import pytest
 from lowbit import artifact as art
 from lowbit import cli, codecs
 from lowbit.config import canonical_json, digest_of, load_config
-from lowbit.errors import ConfigError, InfeasibleError, NumericError
+from lowbit.errors import ConfigError, InfeasibleError, NumericError, PackError
 
 # keeps the end-to-end commands fast; the bundled-seed defaults are
 # exercised separately in TestBundledSeed
@@ -126,23 +126,21 @@ def demo_payload(rng, bits=4, target="4"):
     scheme = codecs.QuantScheme("int-sym", bits, 4)
     deq, codes, scales = codecs.quantize_weight(w, bits, 4)
     packed = {"lin": codecs.pack_layer(deq, scheme, codes, scales)}
-    tuned = {"lin": {"v": rng.uniform(-0.5, 0.5, size=(8, 6)),
-                     "alpha": rng.uniform(0.5, 1.5, size=(2, 6)),
-                     "beta": np.ones((2, 6))}}
     layers = [{"name": "lin", "params": 48, "bits": bits,
                "label": scheme.label, "shape": [8, 6]}]
-    config = {"scheme": {"family": "int-sym", "target_bits": target},
+    config = {"scheme": {"family": "int-sym", "group_size": 4,
+                         "target_bits": target},
               "run": {"seed": 0}}
     assignment = {"target_bits": target,
                   "layers": [{"name": "lin", "bits": bits}]}
-    return config, assignment, layers, packed, tuned
+    return config, assignment, layers, packed
 
 
 def save_demo(path, rng, **kw):
-    config, assignment, layers, packed, tuned = demo_payload(rng, **kw)
+    config, assignment, layers, packed = demo_payload(rng, **kw)
     art.save_artifact(path, config, assignment, layers,
-                      {"losses": {"fp": 1.0}}, [], packed, tuned)
-    return packed, tuned
+                      {"losses": {"fp": 1.0}}, [], packed)
+    return packed
 
 
 def mx_payload(rng):
@@ -151,19 +149,20 @@ def mx_payload(rng):
     scheme = codecs.QuantScheme("mxfp", 4, 32)
     deq, codes, exps = codecs.mx_qdq_weight(w, scheme.mx_format)
     head = rng.normal(size=(6, 3))
-    packed = {"lin": codecs.pack_layer(deq.T, scheme, codes, exps),
+    packed = {"lin": codecs.pack_layer(deq, scheme, codes, exps),
               "head": codecs.pack_layer(head, codecs.scheme_for_bits(
                   "mxfp", 16, 32))}
     layers = [{"name": "lin", "params": 240, "bits": 4, "label": "mxfp4",
                "shape": [40, 6]},
               {"name": "head", "params": 18, "bits": 16, "label": "w16",
                "shape": [6, 3]}]
-    config = {"scheme": {"family": "mxfp", "target_bits": "16"},
+    config = {"scheme": {"family": "mxfp", "group_size": 32,
+                         "target_bits": "16"},
               "run": {"seed": 0}}
     assignment = {"target_bits": "16",
                   "layers": [{"name": "lin", "bits": 4},
                              {"name": "head", "bits": 16}]}
-    return config, assignment, layers, packed, {}
+    return config, assignment, layers, packed
 
 
 class Blob:
@@ -177,9 +176,9 @@ class Blob:
 
 
 def save_parts(path, parts, packed=None):
-    config, assignment, layers, good, tuned = parts
+    config, assignment, layers, good = parts
     art.save_artifact(path, config, assignment, layers, {}, [],
-                      good if packed is None else packed, tuned)
+                      good if packed is None else packed)
 
 
 def mutate_header(header, rng):
@@ -208,15 +207,19 @@ class TestArtifact:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         path = tmp_path / "a.lbq"
-        packed, tuned = save_demo(path, rng)
+        packed = save_demo(path, rng)
         got = art.load_artifact(path)
-        assert got.header["format"] == "lowbit/artifact-v1"
+        assert got.header["format"] == "lowbit/artifact-v2"
+        assert [r["name"] for r in got.header["sections"]] == ["packed:lin"]
         assert got.packed["lin"].to_bytes() == packed["lin"].to_bytes()
-        for field in ("v", "alpha", "beta"):
-            np.testing.assert_array_equal(got.tuned["lin"][field],
-                                          tuned["lin"][field])
         assert got.config["scheme"]["target_bits"] == "4"
         assert art.verify_artifact(path) == []
+
+        def to_v1(h):
+            h["format"] = "lowbit/artifact-v1"
+        rewrite_header(path, to_v1)
+        assert art.verify_artifact(path) == [
+            "unknown artifact format 'lowbit/artifact-v1'"]
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.lbq", tmp_path / "b.lbq"
@@ -260,18 +263,6 @@ class TestArtifact:
         save_demo(path, np.random.default_rng(5), bits=4, target="3")
         assert any("budget violated" in p for p in art.verify_artifact(path))
 
-    def test_out_of_box_tuned_params_flagged(self, tmp_path):
-        rng = np.random.default_rng(5)
-        config, assignment, layers, packed, tuned = demo_payload(rng)
-        tuned["lin"]["v"][0, 0] = 0.7
-        tuned["lin"]["alpha"][0, 0] = 1.6
-        path = tmp_path / "a.lbq"
-        art.save_artifact(path, config, assignment, layers, {}, [],
-                          packed, tuned)
-        problems = art.verify_artifact(path)
-        assert any("rounding offsets outside" in p for p in problems)
-        assert any("alpha outside" in p for p in problems)
-
     def test_rewritten_layer_bits_flagged(self, tmp_path):
         path = tmp_path / "a.lbq"
         save_demo(path, np.random.default_rng(5), bits=4, target="4")
@@ -303,6 +294,37 @@ class TestArtifact:
         path = tmp_path / "a.lbq"
         save_parts(path, parts, packed)
         assert any("packed shape (6, 8)" in p for p in art.verify_artifact(path))
+
+    def test_int_sym_group_size_must_match_scheme(self, tmp_path):
+        rng = np.random.default_rng(5)
+        parts = demo_payload(rng)  # scheme.group_size 4
+        deq, codes, scales = codecs.quantize_weight(rng.normal(size=(8, 6)),
+                                                    4, 8)
+        packed = {"lin": codecs.pack_layer(
+            deq, codecs.QuantScheme("int-sym", 4, 8), codes, scales)}
+        path = tmp_path / "a.lbq"
+        save_parts(path, parts, packed)
+        assert art.verify_artifact(path) == [
+            "layer lin: packed group size 8, scheme.group_size 4"]
+
+        def drop_group_size(h):
+            del h["config"]["scheme"]["group_size"]
+            h["config_digest"] = digest_of(h["config"])
+        save_parts(path, parts)
+        rewrite_header(path, drop_group_size)
+        assert art.verify_artifact(path) == [
+            "config has no integer scheme.group_size: None"]
+
+    def test_load_uses_the_checked_parse(self, tmp_path):
+        path = tmp_path / "a.lbq"
+        save_demo(path, np.random.default_rng(5))
+
+        def drop_offset(h):
+            del h["sections"][0]["offset"]
+        rewrite_header(path, drop_offset)
+        with pytest.raises(PackError, match="section table row 0 is malformed"):
+            art.load_artifact(path)
+        assert "section table row 0 is malformed" in art.verify_artifact(path)
 
     def test_malformed_header_rows_are_problems(self, tmp_path):
         path = tmp_path / "a.lbq"
@@ -344,7 +366,7 @@ class TestArtifact:
         for parts in (demo_payload(np.random.default_rng(5)),
                       mx_payload(np.random.default_rng(6))):
             save_parts(path, parts)
-            assert art.verify_artifact(path) == []  # mx packed (out, in)
+            assert art.verify_artifact(path) == []
             bases.append((parts, path.read_bytes()))
         for case in range(400):
             parts, good = bases[case % 2]
@@ -452,6 +474,13 @@ class TestCliCommands:
             == ["layers.0", "head"]
         assert got.header["config_digest"] == m["config_digest"]
         assert art.verify_artifact(tmp_path / "artifact.lbq") == []
+
+    def test_three_bit_option_packs_and_verifies(self, tmp_path):
+        sets = TINY + ("scheme.options=3,4", "scheme.target_bits=7/2")
+        for command in ("sensitivity", "allocate", "quantize", "verify"):
+            assert run_cli(tmp_path, command, sets=sets) == 0, command
+        got = art.load_artifact(tmp_path / "artifact.lbq")
+        assert 3 in [pw.bits for pw in got.packed.values()]
 
     def test_quantize_rerun_byte_identical(self, tmp_path):
         run_cli(tmp_path, "sensitivity")

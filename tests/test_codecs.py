@@ -350,11 +350,16 @@ class TestMxQdq:
 
     def test_code_decode_inverse(self):
         rng = np.random.default_rng(45)
-        for fmt in (C.MXFP4, C.MXFP8):
-            x = rng.normal(size=128) * 3
-            deq, codes, exps = C.mx_qdq(x, fmt)
-            back = C.mx_dequantize(codes, exps, fmt, (128,))
-            np.testing.assert_array_equal(back, deq)
+        for bits in (4, 8):
+            scheme = C.QuantScheme("mxfp", bits, 32)
+            w = rng.normal(size=(128, 3)) * 3
+            deq, codes, exps = C.mx_qdq_weight(w, scheme.mx_format)
+            pw = C.pack_layer(deq, scheme, codes, exps)
+            back = C.PackedWeights.from_bytes(pw.to_bytes())
+            np.testing.assert_array_equal(back.codes, codes)
+            # bit for bit, negative zeros included
+            np.testing.assert_array_equal(back.dequantize().view(np.int64),
+                                          deq.view(np.int64))
 
     def test_tensor_wrapper_is_straight_through(self):
         x = T.Tensor(np.linspace(-4, 4, 32), requires_grad=True)
@@ -368,7 +373,7 @@ class TestMxQdq:
 
 
 class TestPacking:
-    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("bits", range(2, 9))
     def test_pack_unpack_random_streams(self, bits):
         rng = np.random.default_rng(46)
         for _ in range(20):
@@ -412,9 +417,11 @@ class TestPacking:
         rng = np.random.default_rng(48)
         w = rng.normal(size=(16, 40))
         for scheme in (C.QuantScheme("mxfp", 4, 32), C.QuantScheme("mxfp", 8, 32)):
-            deq, codes, exps = C.mx_qdq(w, scheme.mx_format)
+            deq, codes, exps = C.mx_qdq_weight(w, scheme.mx_format)
+            assert codes.shape == w.shape and exps.shape == (1, 40)
             pw = C.pack_layer(deq, scheme, codes, exps)
             back = C.PackedWeights.from_bytes(pw.to_bytes())
+            assert back.shape == w.shape
             np.testing.assert_array_equal(back.dequantize(), deq)
 
     def test_packed_weights_raw_round_trip(self):
@@ -438,6 +445,11 @@ class TestPacking:
             C.PackedWeights.from_bytes(buf[:5])
         with pytest.raises(PackError):
             C.PackedWeights.from_bytes(buf[:-3])
+
+    def test_mx_block_length_is_fixed(self):
+        assert C.scheme_for_bits("mxfp", 4, 0).group_size == 32
+        with pytest.raises(ContractError):
+            C.scheme_for_bits("mxfp", 4, 64)
 
     def test_scheme_labels(self):
         assert C.QuantScheme("int-sym", 2, 32).label == "w2g32"

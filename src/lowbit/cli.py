@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import allocator, codecs, sensitivity, tuner
@@ -46,17 +44,7 @@ PLAIN = tuner.TuneConfig(steps=0, use_scale_init=False)
 def _write_json(path: Path, obj: dict) -> None:
     """Atomic, deterministic JSON: sorted keys, no timestamps."""
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    cfglib.write_atomic(path, text.encode())
 
 
 def _load_json(path: Path, what: str) -> dict:

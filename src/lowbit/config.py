@@ -11,18 +11,24 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import codecs, models
+import numpy as np
+
+from . import __version__, codecs, models, tensor
 from .allocator import as_budget
 from .errors import ConfigError, ContractError
 from .tuner import RECIPES, TuneConfig, recipe
 
 OUT_DIR_ENV = "LOWBIT_OUT_DIR"
+FP_MODEL_FILE = "fp_model.npz"
+_KEY, _DIGEST = "__key__", "__digest__"  # no parameter takes these names
 
 DEFAULTS = {
     "model": {
@@ -246,19 +252,97 @@ def load_config(path=None, sets=()) -> RunConfig:
 
 
 def build_model(cfg: RunConfig):
-    """Trained toy model + calibration batches for this config."""
-    if cfg.source in ("synthetic", "markov"):
-        return models.trained_toy(
-            cfg.spec, n_samples=cfg.calib_samples, seq_len=cfg.seq_len,
-            batch_size=cfg.batch_size, steps=cfg.train_steps, lr=cfg.train_lr,
-            source=cfg.source)
+    """Trained toy model + calibration batches for this config.
+
+    Training runs once per output directory: the trained parameters are
+    kept in ``out_dir/fp_model.npz`` under a key of everything training
+    depends on, and loaded instead of retrained while that key matches.
+    A model with ``train_steps=0`` is cheaper to rebuild than to load
+    and is never cached.
+    """
     model = models.ToyModel.build(cfg.spec)
     cal = models.load_calibration(cfg.source, cfg.spec.vocab,
                                   cfg.calib_samples, cfg.seq_len,
                                   cfg.batch_size, cfg.seed)
     if cfg.train_steps:
-        models.train_model(model, cal, cfg.train_steps, cfg.train_lr)
+        path = cfg.out_dir / FP_MODEL_FILE
+        key = _train_key(cfg, cal)
+        params = _load_params(path, key, model.params)
+        if params is None:
+            models.train_model(model, cal, cfg.train_steps, cfg.train_lr)
+            _save_params(path, key, model.params)
+        else:
+            model.params.update(params)
     return model, cal
+
+
+def _digest_arrays(meta: dict, arrays) -> str:
+    """sha256 of ``meta`` plus the dtype, shape and bytes of each array."""
+    arrays = [np.ascontiguousarray(a) for a in arrays]
+    meta = dict(meta, arrays=[[a.dtype.str, list(a.shape)] for a in arrays])
+    h = hashlib.sha256(canonical_json(meta).encode())
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _train_key(cfg: RunConfig, cal: list) -> str:
+    """Everything the trained parameters depend on: the model section,
+    the seed, the calibration tokens, the package and numpy versions, and
+    the source of the model and autodiff code (the package version does
+    not change with every edit)."""
+    sources = [hashlib.sha256(Path(m.__file__).read_bytes()).hexdigest()
+               for m in (models, tensor)]
+    meta = {"model": cfg.to_dict()["model"], "seed": cfg.seed,
+            "versions": [__version__, np.__version__], "sources": sources}
+    return _digest_arrays(meta, cal)
+
+
+def _load_params(path: Path, key: str, like: dict):
+    """The cached parameters, or None unless the file is intact, carries
+    ``key`` and holds exactly the names, shapes and dtypes of ``like``."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            if (sorted(z.files) != sorted([*like, _KEY, _DIGEST])
+                    or str(z[_KEY]) != key):
+                return None
+            params = {n: z[n] for n in like}
+            digest = str(z[_DIGEST])
+    except Exception:  # any unreadable file is a miss: retrain
+        return None
+    for n, a in like.items():
+        if params[n].shape != a.shape or params[n].dtype != a.dtype:
+            return None
+    if _params_digest(params) != digest:
+        return None
+    return params
+
+
+def _params_digest(params: dict) -> str:
+    return _digest_arrays({"names": list(params)}, params.values())
+
+
+def _save_params(path: Path, key: str, params: dict) -> None:
+    buf = io.BytesIO()
+    np.savez(buf, **params, **{_KEY: np.array(key),
+                               _DIGEST: np.array(_params_digest(params))})
+    write_atomic(path, buf.getvalue())
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write through a temp file in the same directory and os.replace,
+    so a reader never sees a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def eval_set(cfg: RunConfig) -> list:

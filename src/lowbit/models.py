@@ -261,13 +261,13 @@ class ToyModel:
         return T.cross_entropy(pred, np.asarray(ids)[:, 1:].reshape(-1))
 
 
-def train_model(model: ToyModel, batches, steps: int, lr: float) -> float:
+def train_model(model: ToyModel, batches, steps: int, lr: float) -> None:
     """Plain full-precision gradient descent, cycling over batches.
 
     Toy models are built at random init, where quantizing a layer can
     genuinely lower the loss; the quantization pipeline presumes weights
-    near a minimum. A short seeded training run puts them there.
-    Returns the mean loss over ``batches`` after the last step.
+    near a minimum. A short seeded training run puts them there. Updates
+    ``model.params`` in place.
     """
     if steps < 0 or lr <= 0:
         raise ContractError("need steps >= 0 and lr > 0")
@@ -279,13 +279,12 @@ def train_model(model: ToyModel, batches, steps: int, lr: float) -> float:
         grads = T.backward(loss, wrt=list(leaves.values()))
         for n in names:
             model.params[n] = model.params[n] - lr * grads[leaves[n]]
-    return model.eval_loss(batches)
 
 
 def trained_toy(spec: ModelSpec, n_samples: int = 16, seq_len: int = 32,
                 batch_size: int = 8, steps: int = 150, lr: float = 0.5,
                 source: str = "synthetic"):
-    """Build-and-train convenience used by fixtures and the CLI.
+    """Build-and-train convenience for test fixtures.
 
     Returns (model, calibration batches). Fully determined by
     ``spec.seed``: data and training schedule derive from it. ``source`` picks

@@ -85,9 +85,15 @@ def trimmed_mse(pred: T.Tensor, target, trim_fraction: float = 0.0) -> T.Tensor:
     k = int(math.floor(trim_fraction * sq.data.size))
     if k == 0:
         return T.sum_(sq)
-    order = np.argsort(sq.data.ravel(), kind="stable")
-    mask = np.ones(sq.data.size)
-    mask[order[sq.data.size - k:]] = 0.0
+    # drop the k largest as a stable sort would, without sorting: all
+    # above the cut value, then the latest of the ties at the cut
+    flat = sq.data.ravel()
+    cut = np.partition(flat, flat.size - k)[flat.size - k]
+    keep = flat <= cut
+    ties = np.flatnonzero(flat == cut)
+    tied_drops = k - (flat.size - np.count_nonzero(keep))
+    keep[ties[len(ties) - tied_drops:]] = False
+    mask = keep.astype(np.float64)
     return T.sum_(T.mul(sq, T.Tensor(mask.reshape(sq.shape))))
 
 

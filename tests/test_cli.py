@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lowbit import artifact as art
-from lowbit import cli, codecs
+from lowbit import cli, codecs, models
 from lowbit.config import canonical_json, digest_of, load_config
 from lowbit.errors import ConfigError, InfeasibleError, NumericError, PackError
 
@@ -568,6 +568,120 @@ class TestCliCommands:
             assert read_json(tmp_path / name)["config_digest"] == digest
         assert art.load_artifact(
             tmp_path / "artifact.lbq").header["config_digest"] == digest
+
+
+def count_training(monkeypatch):
+    """Wrap models.train_model; the returned list grows by one per call."""
+    calls = []
+    real = models.train_model
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(models, "train_model", counted)
+    return calls
+
+
+def write_tokens(path, seed):
+    rng = np.random.default_rng(seed)
+    path.write_text("".join(" ".join(map(str, row)) + "\n"
+                            for row in rng.integers(0, 16, size=(8, 16))))
+
+
+def flip_middle_byte(path):
+    buf = bytearray(path.read_bytes())
+    buf[len(buf) // 2] ^= 0xFF
+    path.write_bytes(bytes(buf))
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def tamper_one_param(path):
+    # a well-formed archive whose parameters no longer match its digest
+    with np.load(path) as z:
+        arrays = {n: z[n] for n in z.files}
+    arrays["head"] = arrays["head"] + 1e-12
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestFpModelCache:
+    CACHE = "fp_model.npz"
+
+    def test_hit_skips_training_and_keeps_outputs(self, tmp_path,
+                                                  monkeypatch):
+        run_cli(tmp_path, "sensitivity")
+        run_cli(tmp_path, "allocate")
+        assert (tmp_path / self.CACHE).is_file()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite a valid cache")
+        with monkeypatch.context() as m:
+            m.setattr(models, "train_model", no_training)
+            assert run_cli(tmp_path, "quantize") == 0
+        hit = [(tmp_path / f).read_bytes()
+               for f in ("metrics.json", "artifact.lbq")]
+
+        (tmp_path / self.CACHE).unlink()
+        calls = count_training(monkeypatch)
+        assert run_cli(tmp_path, "quantize") == 0
+        assert len(calls) == 1
+        assert [(tmp_path / f).read_bytes()
+                for f in ("metrics.json", "artifact.lbq")] == hit
+
+    @pytest.mark.parametrize("damage", [flip_middle_byte, truncate,
+                                        tamper_one_param])
+    def test_damaged_cache_retrains_once(self, tmp_path, monkeypatch,
+                                         damage):
+        clean = tmp_path / "clean"
+        run_cli(clean, "sensitivity")
+        out = tmp_path / "out"
+        run_cli(out, "sensitivity")
+        damage(out / self.CACHE)
+        calls = count_training(monkeypatch)
+        assert run_cli(out, "sensitivity") == 0
+        assert len(calls) == 1
+        assert (out / "sensitivity.json").read_bytes() \
+            == (clean / "sensitivity.json").read_bytes()
+        assert run_cli(out, "sensitivity") == 0  # the rewritten cache hits
+        assert len(calls) == 1
+
+    def test_cache_of_another_config_retrains_once(self, tmp_path,
+                                                   monkeypatch):
+        run_cli(tmp_path / "other", "sensitivity",
+                sets=TINY + ("model.train_lr=0.25",))
+        run_cli(tmp_path / "clean", "sensitivity")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / self.CACHE).write_bytes(
+            (tmp_path / "other" / self.CACHE).read_bytes())
+        calls = count_training(monkeypatch)
+        assert run_cli(out, "sensitivity") == 0
+        assert len(calls) == 1
+        assert (out / "sensitivity.json").read_bytes() \
+            == (tmp_path / "clean" / "sensitivity.json").read_bytes()
+
+    def test_rewritten_token_file_retrains_once(self, tmp_path, monkeypatch):
+        tokens = tmp_path / "tokens.txt"
+        sets = TINY + (f"data.source={tokens}",)
+        write_tokens(tokens, seed=1)
+        run_cli(tmp_path / "out", "sensitivity", sets=sets)
+        write_tokens(tokens, seed=2)
+        run_cli(tmp_path / "clean", "sensitivity", sets=sets)
+        calls = count_training(monkeypatch)
+        assert run_cli(tmp_path / "out", "sensitivity", sets=sets) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "out" / "sensitivity.json").read_bytes() \
+            == (tmp_path / "clean" / "sensitivity.json").read_bytes()
+
+    def test_untrained_model_is_not_cached(self, tmp_path, monkeypatch):
+        calls = count_training(monkeypatch)
+        sets = TINY + ("model.train_steps=0",)
+        assert run_cli(tmp_path, "sensitivity", sets=sets) == 0
+        assert calls == []
+        assert not (tmp_path / self.CACHE).exists()
 
 
 class TestCliErrors:

@@ -80,6 +80,28 @@ class TestTrimmedMse:
         g = T.backward(loss, wrt=[pred])[pred]
         np.testing.assert_array_equal(g, [2.0, 2.0, 2.0, 0.0])
 
+    def test_bit_identical_to_stable_argsort_with_heavy_ties(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 7, 64, 1000, 16384):
+            for frac in (0.001, 0.01, 0.25, 0.5, 0.9, 0.999):
+                # integer-valued errors: few distinct values, many ties
+                p_arr = rng.integers(-3, 4, size=n).astype(np.float64)
+                t = rng.integers(-1, 2, size=n).astype(np.float64)
+                pred = T.Tensor(p_arr, requires_grad=True)
+                loss = tuner.trimmed_mse(pred, t, frac)
+                g = T.backward(loss, wrt=[pred])[pred]
+
+                k = int(np.floor(frac * n))
+                mask = np.ones(n)
+                order = np.argsort((p_arr - t) ** 2, kind="stable")
+                mask[order[n - k:]] = 0.0
+                ref_pred = T.Tensor(p_arr, requires_grad=True)
+                diff = T.sub(ref_pred, T.Tensor(t))
+                ref = T.sum_(T.mul(T.mul(diff, diff), T.Tensor(mask)))
+                ref_g = T.backward(ref, wrt=[ref_pred])[ref_pred]
+                assert loss.item() == ref.item(), (n, frac)
+                np.testing.assert_array_equal(g, ref_g)
+
     def test_contracts(self):
         with pytest.raises(ShapeError):
             tuner.trimmed_mse(T.Tensor(np.ones(3)), np.ones(4), 0.0)

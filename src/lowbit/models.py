@@ -194,6 +194,11 @@ class ToyModel:
             x = self._rmsnorm(x, "final_norm.g", ctx)
         return self._apply_linear("head", x, ctx)
 
+    @staticmethod
+    def _ctx(overrides=None, taps=None, capture=None):
+        return {"overrides": overrides or {}, "taps": taps or {},
+                "tap_nodes": {}, "capture": capture}
+
     def forward(self, ids, overrides=None, taps=None, capture=None):
         """Logits for a (batch, seq) id array.
 
@@ -203,8 +208,7 @@ class ToyModel:
         rewritten node reported in info["tap_nodes"]; ``capture``, if a
         dict, is filled with each linear layer's input array.
         """
-        ctx = {"overrides": overrides or {}, "taps": taps or {},
-               "tap_nodes": {}, "capture": capture}
+        ctx = self._ctx(overrides, taps, capture)
         x = self._embed(ids, ctx)
         for b in range(self.spec.n_blocks):
             x = self._block(b, x, ctx)
@@ -213,14 +217,8 @@ class ToyModel:
 
     def loss(self, ids, overrides=None, taps=None):
         """Mean next-token cross-entropy over the batch."""
-        ids = np.asarray(ids)
         logits, info = self.forward(ids, overrides=overrides, taps=taps)
-        bsz, t, v = logits.shape
-        if t < 2:
-            raise ContractError("need at least 2 positions for next-token loss")
-        pred = T.reshape(T.narrow(logits, 1, 0, t - 1), (bsz * (t - 1), v))
-        targets = ids[:, 1:].reshape(-1)
-        return T.cross_entropy(pred, targets), info
+        return _next_token_loss(logits, ids), info
 
     def eval_loss(self, batches, weights=None) -> float:
         """Mean loss over batches with optional plain-array overrides."""
@@ -236,29 +234,31 @@ class ToyModel:
         return cap
 
     # ------------------------------------------------------------------
-    # block-level entry points for the tuner
+    # block-level entry points for the tuner and the sensitivity probes;
+    # chained, they run the same ops on the same inputs as ``loss``
 
     def embed_forward(self, ids) -> np.ndarray:
-        ctx = {"overrides": {}, "taps": {}, "tap_nodes": {}, "capture": None}
-        return self._embed(ids, ctx).data
+        return self._embed(ids, self._ctx()).data
 
-    def block_forward(self, block: int, x, overrides=None) -> T.Tensor:
+    def block_forward(self, block: int, x, overrides=None, taps=None) -> T.Tensor:
         if not isinstance(x, T.Tensor):
             x = T.Tensor(x)
-        ctx = {"overrides": overrides or {}, "taps": {}, "tap_nodes": {},
-               "capture": None}
-        return self._block(block, x, ctx)
+        return self._block(block, x, self._ctx(overrides, taps))
 
-    def head_loss_from_hidden(self, x, ids, overrides=None):
-        """Loss given final block output; used for quantized eval paths."""
+    def head_loss_from_hidden(self, x, ids, overrides=None, taps=None):
+        """``loss`` given the last block's output."""
         if not isinstance(x, T.Tensor):
             x = T.Tensor(x)
-        ctx = {"overrides": overrides or {}, "taps": {}, "tap_nodes": {},
-               "capture": None}
-        logits = self._head(x, ctx)
-        bsz, t, v = logits.shape
-        pred = T.reshape(T.narrow(logits, 1, 0, t - 1), (bsz * (t - 1), v))
-        return T.cross_entropy(pred, np.asarray(ids)[:, 1:].reshape(-1))
+        return _next_token_loss(self._head(x, self._ctx(overrides, taps)), ids)
+
+
+def _next_token_loss(logits: T.Tensor, ids) -> T.Tensor:
+    """Cross-entropy of each position's logits against the next token."""
+    bsz, t, v = logits.shape
+    if t < 2:
+        raise ContractError("need at least 2 positions for next-token loss")
+    pred = T.reshape(T.narrow(logits, 1, 0, t - 1), (bsz * (t - 1), v))
+    return T.cross_entropy(pred, np.asarray(ids)[:, 1:].reshape(-1))
 
 
 def train_model(model: ToyModel, batches, steps: int, lr: float) -> None:

@@ -10,7 +10,9 @@ the perturbed point folded with the perturbation itself:
 averaged over calibration batches. The gradient is always taken at the
 quantized point. One forward/backward per layer per option buys scores
 whose per-layer ranking tracks the true loss change, which is all the
-allocator consumes.
+allocator consumes. Each probe's forward starts at the probed layer's
+block, from fp block inputs computed once per batch, and its backward
+computes a gradient only for the probed leaf.
 """
 
 from __future__ import annotations
@@ -45,46 +47,82 @@ def deviation_score(grad: np.ndarray, deviation: np.ndarray) -> float:
     return float(np.abs(grad * deviation).sum())
 
 
+def fp_prefixes(model, calib_batches) -> list:
+    """Per batch, the fp hidden state entering each block, then the last
+    block's output: ``prefixes[i][b]`` is block ``b``'s input on batch ``i``.
+
+    Quantizing one layer leaves everything in front of its block as it
+    is, so every probe starts from these instead of from the embedding.
+    """
+    prefixes = []
+    for ids in calib_batches:
+        xs = [model.embed_forward(ids)]
+        for b in model.block_ids():
+            xs.append(model.block_forward(b, xs[-1]).data)
+        prefixes.append(xs)
+    return prefixes
+
+
 def _check_probe_target(model, layer_name):
     info = model.layer_info(layer_name)
     if info.kind != "linear":
         raise ContractError(f"layer {layer_name!r} has no quantizable weight")
-    return model.params[layer_name]
+    return info
+
+
+def _probe_loss(model, info, ids, xs, overrides, taps=None):
+    """``model.loss`` with the overrides and taps on ``info``'s layer, run
+    from the fp input ``xs`` of that layer's block (``head`` has none)."""
+    start = model.spec.n_blocks if info.block is None else info.block
+    x = xs[start]
+    for b in range(start, model.spec.n_blocks):
+        x = model.block_forward(b, x, overrides=overrides, taps=taps)
+    return model.head_loss_from_hidden(x, ids, overrides=overrides, taps=taps)
 
 
 def delta_loss_weight_only(model, layer_name: str, scheme: QuantScheme,
-                           calib_batches) -> float:
-    """Loss-impact score for a weight-only option on one layer."""
-    w_f = _check_probe_target(model, layer_name)
+                           calib_batches, prefixes=None) -> float:
+    """Loss-impact score for a weight-only option on one layer.
+
+    ``prefixes`` is ``fp_prefixes(model, calib_batches)``, computed here
+    when not given.
+    """
+    info = _check_probe_target(model, layer_name)
+    w_f = model.params[layer_name]
     w_q = rtn_weight(w_f, scheme)
     dev = w_f - w_q
     if not np.any(dev):
         return 0.0
+    if prefixes is None:
+        prefixes = fp_prefixes(model, calib_batches)
     total = 0.0
-    for ids in calib_batches:
+    for ids, xs in zip(calib_batches, prefixes):
         leaf = T.Tensor(w_q, requires_grad=True)
-        loss, _ = model.loss(ids, overrides={layer_name: leaf})
+        loss = _probe_loss(model, info, ids, xs, {layer_name: leaf})
         g = T.backward(loss, wrt=[leaf])[leaf]
         total += deviation_score(g, dev)
     return total / len(calib_batches)
 
 
 def delta_loss_weight_act(model, layer_name: str, scheme: QuantScheme,
-                          calib_batches) -> float:
+                          calib_batches, prefixes=None) -> float:
     """Loss-impact score for a weight+activation option on one layer.
 
     The weight term is dropped; the score folds the activation gradient
     with the activation's own qdq deviation. The probe forward still
     runs with the layer's weight quantized so the gradient is taken in
-    a realistic operating point.
+    a realistic operating point. ``prefixes`` is as for
+    :func:`delta_loss_weight_only`.
     """
-    w_f = _check_probe_target(model, layer_name)
+    info = _check_probe_target(model, layer_name)
     if not scheme.quantizes_acts:
         raise ContractError(f"{scheme.label} does not quantize activations")
     fmt = scheme.mx_format
-    overrides = {layer_name: T.Tensor(rtn_weight(w_f, scheme))}
+    overrides = {layer_name: T.Tensor(rtn_weight(model.params[layer_name], scheme))}
+    if prefixes is None:
+        prefixes = fp_prefixes(model, calib_batches)
     total = 0.0
-    for ids in calib_batches:
+    for ids, xs in zip(calib_batches, prefixes):
         rec = {}
 
         def tap(x):
@@ -92,19 +130,19 @@ def delta_loss_weight_act(model, layer_name: str, scheme: QuantScheme,
             rec["leaf"] = T.Tensor(mx_qdq(x.data, fmt)[0], requires_grad=True)
             return rec["leaf"]
 
-        loss, _ = model.loss(ids, overrides=overrides, taps={layer_name: tap})
+        loss = _probe_loss(model, info, ids, xs, overrides, {layer_name: tap})
         leaf = rec["leaf"]
         g = T.backward(loss, wrt=[leaf])[leaf]
         total += deviation_score(g, rec["a_f"] - leaf.data)
     return total / len(calib_batches)
 
 
-def _layer_score(model, layer_name, scheme, calib_batches) -> float:
+def _layer_score(model, layer_name, scheme, calib_batches, prefixes) -> float:
     if scheme.family == "none":
         return 0.0
-    if scheme.quantizes_acts:
-        return delta_loss_weight_act(model, layer_name, scheme, calib_batches)
-    return delta_loss_weight_only(model, layer_name, scheme, calib_batches)
+    score = (delta_loss_weight_act if scheme.quantizes_acts
+             else delta_loss_weight_only)
+    return score(model, layer_name, scheme, calib_batches, prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +199,13 @@ def build_report(model, schemes: list, calib_batches) -> SensitivityReport:
     if not schemes:
         raise ContractError("empty option set")
     family = next((s.family for s in schemes if s.family != "none"), "none")
+    prefixes = fp_prefixes(model, calib_batches)
     layers = []
     for info in model.quantizable_layers():
         ls = LayerScore(info.name, info.n_params)
         for scheme in schemes:
             ls.scores[scheme.label] = _layer_score(model, info.name, scheme,
-                                                   calib_batches)
+                                                   calib_batches, prefixes)
         layers.append(ls)
     n_samples = sum(int(b.shape[0]) for b in calib_batches)
     seq_len = int(calib_batches[0].shape[1]) if calib_batches else 0

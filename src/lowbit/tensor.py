@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, ShapeError
 
@@ -90,46 +89,42 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = a.data + b.data
+def _binary_vjp(a: Tensor, b: Tensor, da, db):
+    """VJP of a two-operand op from the upstream-gradient maps ``da`` and
+    ``db``. An operand that requires no gradient gets None, so the work
+    for constant operands (weights in a probe, masks, epsilons) is skipped.
+    """
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(da(g), a.shape) if a.requires_grad else None,
+                _unbroadcast(db(g), b.shape) if b.requires_grad else None)
 
-    return _make(out, "add", (a, b), vjp)
+    return vjp
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _lift(a), _lift(b)
+    vjp = _binary_vjp(a, b, lambda g: g, lambda g: g)
+    return _make(a.data + b.data, "add", (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make(out, "sub", (a, b), vjp)
+    vjp = _binary_vjp(a, b, lambda g: g, lambda g: -g)
+    return _make(a.data - b.data, "sub", (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = a.data * b.data
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _make(out, "mul", (a, b), vjp)
+    vjp = _binary_vjp(a, b, lambda g: g * b.data, lambda g: g * a.data)
+    return _make(a.data * b.data, "mul", (a, b), vjp)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = a.data / b.data
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _make(out, "div", (a, b), vjp)
+    vjp = _binary_vjp(a, b, lambda g: g / b.data,
+                      lambda g: -g * a.data / (b.data * b.data))
+    return _make(a.data / b.data, "div", (a, b), vjp)
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -149,6 +144,10 @@ def power(a: Tensor, p: float) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
+    # scipy is imported on first use, so commands that build no model
+    # (allocate, verify, config loading) start without it
+    from scipy.special import erf
+
     a = _lift(a)
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
@@ -313,14 +312,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
-
-    return _make(out, "matmul", (a, b), vjp)
+    vjp = _binary_vjp(a, b, lambda g: g @ np.swapaxes(b.data, -1, -2),
+                      lambda g: np.swapaxes(a.data, -1, -2) @ g)
+    return _make(a.data @ b.data, "matmul", (a, b), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -418,30 +412,3 @@ def backward(loss: Tensor, wrt=None) -> dict:
                 result[t] = t.grad
     return result
 
-
-def finite_diff_grad(f, x: Tensor, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar ``f`` at ``x``.
-
-    Evaluates f once per signed perturbation of each element, so cost is
-    2 * x.size forward passes. ``f`` receives a fresh Tensor sharing the
-    perturbed buffer and must not mutate or retain it.
-    """
-    if eps <= 0:
-        raise ContractError("eps must be positive")
-    base = np.array(x.data, dtype=np.float64, copy=True)
-    flat = base.reshape(-1)
-    out = np.zeros_like(flat)
-
-    def ev():
-        r = f(Tensor(base))
-        return r.item() if isinstance(r, Tensor) else float(r)
-
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = ev()
-        flat[i] = orig - eps
-        fm = ev()
-        flat[i] = orig
-        out[i] = (fp - fm) / (2.0 * eps)
-    return out.reshape(x.shape)

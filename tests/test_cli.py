@@ -1,13 +1,17 @@
 """Config, artifact container, and end-to-end command-line tests."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lowbit
 from lowbit import artifact as art
 from lowbit import cli, codecs, models
 from lowbit.config import canonical_json, digest_of, load_config
@@ -50,6 +54,18 @@ def rewrite_header(path, mutate):
 
 
 class TestConfig:
+    def test_start_up_leaves_scipy_unloaded(self):
+        # scipy is only needed once a model runs (gelu); loading it at
+        # import would tax allocate and verify, which build none
+        code = ("import sys, lowbit.cli, lowbit.config as c; "
+                "c.load_config(None, []); print('scipy' in sys.modules)")
+        src = str(Path(lowbit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_defaults(self):
         cfg = load_config()
         assert cfg.family == "int-sym"

@@ -155,6 +155,69 @@ class TestWeightActScore:
         assert spearmanr(dl, td).statistic >= 0.8
 
 
+def untrained_fixture(arch):
+    spec = M.ModelSpec(arch=arch, hidden=32, n_blocks=2, vocab=64, n_heads=4,
+                       ffn_mult=2, max_seq=32, seed=4)
+    return M.ToyModel.build(spec), M.synthetic_batches(64, 6, 16, 3, seed=4)
+
+
+class TestPrefixProbe:
+    """A probe started from the shared fp block inputs is the full-forward
+    probe, bit for bit."""
+
+    @pytest.mark.parametrize("arch", [M.ARCH_MLP, M.ARCH_TT])
+    def test_weight_probe_equals_full_forward(self, arch):
+        m, cal = untrained_fixture(arch)
+        prefixes = sv.fp_prefixes(m, cal)
+        assert len(prefixes[0]) == m.spec.n_blocks + 1
+        for info in m.quantizable_layers():
+            w_q = sv.rtn_weight(m.params[info.name],
+                                sv.option_set("int-sym", [2], 32)[0])
+            for ids, xs in zip(cal, prefixes):
+                fast = T.Tensor(w_q, requires_grad=True)
+                loss = sv._probe_loss(m, info, ids, xs, {info.name: fast})
+                full = T.Tensor(w_q, requires_grad=True)
+                loss_full, _ = m.loss(ids, overrides={info.name: full})
+                assert loss.item() == loss_full.item()
+                assert np.array_equal(T.backward(loss, wrt=[fast])[fast],
+                                      T.backward(loss_full, wrt=[full])[full])
+
+    @pytest.mark.parametrize("arch", [M.ARCH_MLP, M.ARCH_TT])
+    def test_activation_tap_equals_full_forward(self, arch):
+        m, cal = untrained_fixture(arch)
+        prefixes = sv.fp_prefixes(m, cal)
+        fmt = sv.option_set("mxfp", [4])[0].mx_format
+        for info in m.quantizable_layers():
+            for ids, xs in zip(cal, prefixes):
+                leaves = []
+
+                def tap(x):
+                    leaves.append(T.Tensor(mx_qdq(x.data, fmt)[0],
+                                           requires_grad=True))
+                    return leaves[-1]
+
+                loss = sv._probe_loss(m, info, ids, xs, {}, {info.name: tap})
+                loss_full, _ = m.loss(ids, taps={info.name: tap})
+                fast, full = leaves
+                assert np.array_equal(fast.data, full.data)
+                assert loss.item() == loss_full.item()
+                assert np.array_equal(T.backward(loss, wrt=[fast])[fast],
+                                      T.backward(loss_full, wrt=[full])[full])
+
+    @pytest.mark.parametrize("family,bits", [("int-sym", [2, 4, 16]),
+                                             ("mxfp", [4, 8])])
+    def test_report_equals_probes_without_prefixes(self, family, bits):
+        m, cal = untrained_fixture(M.ARCH_TT)
+        schemes = sv.option_set(family, bits, 32)
+        rep = sv.build_report(m, schemes, cal).to_dict()
+        score = (sv.delta_loss_weight_act if family == "mxfp"
+                 else sv.delta_loss_weight_only)
+        for layer in rep["layers"]:
+            assert layer["scores"] == {
+                s.label: 0.0 if s.family == "none"
+                else score(m, layer["name"], s, cal) for s in schemes}
+
+
 class TestReport:
     def test_cardinality_and_nonnegativity(self):
         m, cal = trained_fixture(0)

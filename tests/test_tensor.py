@@ -8,6 +8,7 @@ matmul), gradients against central finite differences.
 import numpy as np
 import pytest
 
+from gradcheck import finite_diff_grad
 from lowbit import tensor as T
 from lowbit.errors import ContractError, ShapeError
 
@@ -54,7 +55,7 @@ def check_grads(f, *xs, eps=1e-5):
             args = [T.Tensor(x) for x in xs]
             args[i] = t
             return f(*args)
-        fd = T.finite_diff_grad(fi, leaf, eps=eps)
+        fd = finite_diff_grad(fi, leaf, eps=eps)
         assert grad_close(grads[leaf], fd), f"grad mismatch on arg {i}"
 
 
@@ -272,5 +273,45 @@ class TestMachinery:
         np.testing.assert_allclose(g2[x2], [10.0])
 
     def test_finite_diff_rejects_bad_eps(self):
-        with pytest.raises(ContractError):
-            T.finite_diff_grad(lambda t: T.sum_(t), T.Tensor(np.ones(2)), eps=0.0)
+        with pytest.raises(ValueError):
+            finite_diff_grad(lambda t: T.sum_(t), T.Tensor(np.ones(2)), eps=0.0)
+
+
+# (op, shape of a, shape of b); the broadcast cases sum the gradient of
+# the smaller operand back down
+BINARY_CASES = [
+    (T.add, (3, 4), (3, 4)), (T.add, (3, 4), (4,)), (T.add, (1, 4), (3, 1)),
+    (T.sub, (3, 4), (3, 4)), (T.sub, (2, 3, 4), (3, 1)),
+    (T.mul, (3, 4), (3, 4)), (T.mul, (3, 4), (1,)), (T.mul, (2, 3, 4), (4,)),
+    (T.div, (3, 4), (3, 4)), (T.div, (2, 3, 4), (3, 1)),
+    (T.matmul, (3, 4), (4, 2)), (T.matmul, (2, 3, 4), (4, 5)),
+    (T.matmul, (2, 3, 4), (2, 4, 5)), (T.matmul, (3, 4), (2, 4, 5)),
+]
+
+
+class TestConstantOperands:
+    """A binary op computes no gradient for an operand that needs none,
+    and the other operand's gradient keeps its bits."""
+
+    @pytest.mark.parametrize("op,sa,sb", BINARY_CASES, ids=lambda c: (
+        c.__name__ if callable(c) else "x".join(map(str, c))))
+    @pytest.mark.parametrize("constant", [0, 1], ids=["a_const", "b_const"])
+    def test_constant_operand_gets_no_vjp(self, op, sa, sb, constant):
+        rng = np.random.default_rng(30)
+        a = rng.normal(size=sa)
+        b = rng.normal(size=sb) + 3.0  # keeps div away from zero
+
+        def run(needs_grad):
+            leaves = [T.Tensor(x, requires_grad=r) for x, r in zip((a, b), needs_grad)]
+            out = op(*leaves)
+            # a non-uniform upstream gradient, so no gradient is a plain sum
+            grads = T.backward(T.sum_(T.power(out, 2.0)))
+            return out, [grads.get(t) for t in leaves]
+
+        _, want = run((True, True))
+        out, got = run(tuple(i != constant for i in range(2)))
+        varied = 1 - constant
+        vjp = out._vjp(np.ones_like(out.data))
+        assert vjp[constant] is None and vjp[varied] is not None
+        assert got[constant] is None
+        assert np.array_equal(got[varied], want[varied])

@@ -8,18 +8,16 @@ their digests), a layer table, metrics, and a section table with
 per-section sha256, so the verifier needs nothing beyond the file
 itself.
 
-Writes are atomic: a temp file in the target directory is fsynced and
-renamed over the destination, so a crashed run never leaves a partial
-artifact behind.
+Writes go through ``config.write_atomic``: a temp file in the target
+directory is fsynced and renamed over the destination, so a crashed run
+never leaves a partial artifact behind.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +26,7 @@ import numpy as np
 
 from . import codecs
 from .codecs import PackedWeights
-from .config import canonical_json, digest_of
+from .config import canonical_json, digest_of, write_atomic
 from .errors import ContractError, PackError
 
 MAGIC = b"LBART001"
@@ -88,23 +86,8 @@ def save_artifact(path, config_dict: dict, assignment_dict: dict,
         "sections": table,
     }
     head = canonical_json(header).encode()
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(head)))
-            fh.write(head)
-            for blob in blobs:
-                fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, b"".join([MAGIC, struct.pack("<Q", len(head)), head,
+                                 *blobs]))
 
 
 def _read_header(buf: bytes) -> tuple:

@@ -1,4 +1,4 @@
-"""Command-line pipeline: score, allocate, tune, quantize, verify, report.
+"""Command-line pipeline: score, allocate, quantize, verify, report.
 
 Every subcommand reads the same INI config (plus ``--set section.key=value``
 overrides), writes fixed-name JSON outputs into the configured output
@@ -47,14 +47,32 @@ def _write_json(path: Path, obj: dict) -> None:
     cfglib.write_atomic(path, text.encode())
 
 
-def _load_json(path: Path, what: str) -> dict:
+def _ingest(path: Path, what: str, made_by: str, parse) -> tuple:
+    """(raw dict, ``parse(raw dict)``) for the JSON object in ``path``.
+
+    A missing file is a ConfigError naming the command that writes it;
+    a file that is not JSON, or lacks a key or holds a wrong type
+    anywhere ``parse`` reads, is an IngestionError naming the file.
+    """
     if not path.is_file():
-        raise ConfigError(f"{what} {path} does not exist")
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise IngestionError(f"{what} {path}: {e}") from None
+        raise ConfigError(f"{what} {path} does not exist; "
+                          f"run `lowbit {made_by}` first")
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        if not isinstance(d, dict):
+            raise TypeError(f"top level is a JSON {type(d).__name__}")
+        return d, parse(d)
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError, ContractError) as e:
+        raise IngestionError(f"{what} {path}: {type(e).__name__}: {e}") \
+            from None
+
+
+def _load_report(path: Path) -> tuple:
+    """(raw dict, SensitivityReport) read from ``path``."""
+    return _ingest(path, "sensitivity report", "sensitivity",
+                   sensitivity.SensitivityReport.from_dict)
 
 
 def _check_target(target, options) -> None:
@@ -65,8 +83,8 @@ def _check_target(target, options) -> None:
 
 def _load_assignment(path: Path, model):
     """(raw dict, assignment, names, target) checked against the model."""
-    d = _load_json(path, "assignment file")
-    asn, names, target = allocator.assignment_from_dict(d)
+    d, (asn, names, target) = _ingest(path, "assignment file", "allocate",
+                                      allocator.assignment_from_dict)
     want = [i.name for i in model.quantizable_layers()]
     if names != want:
         raise ContractError(
@@ -78,12 +96,6 @@ def _load_assignment(path: Path, model):
 def _quantize(model, names, bits, cal, cfg, tune_cfg, ev):
     plan = tuner.plan_from_assignment(names, bits, cfg.family, cfg.group_size)
     return tuner.quantize_model(model, plan, cal, tune_cfg, eval_batches=ev)
-
-
-def _tuning_summary(res) -> list:
-    return [{"block": b.block, "layers": [l.name for l in b.layers],
-             "initial_loss": b.initial_loss, "final_loss": b.final_loss,
-             "best_step": b.best_step} for b in res.tuned]
 
 
 def _rtn_bits(options, target) -> int:
@@ -120,8 +132,7 @@ def cmd_sensitivity(cfg, args) -> int:
 
 def cmd_allocate(cfg, args) -> int:
     rpath = Path(args.report) if args.report else cfg.out_dir / SENSITIVITY_FILE
-    report = sensitivity.SensitivityReport.from_dict(
-        _load_json(rpath, "sensitivity report"))
+    _, report = _load_report(rpath)
     target = allocator.as_budget(args.target) if args.target else cfg.target_bits
     _check_target(target, [s.bits for s in report.options])
     problem = allocator.AllocationProblem.from_report(report, target)
@@ -139,28 +150,6 @@ def cmd_allocate(cfg, args) -> int:
     print(f"solver {asn.solver}: avg bits {asn.avg_bits} "
           f"(target {target}), objective {asn.objective:.6g}")
     print(f"wrote {cfg.out_dir / ASSIGNMENT_FILE}")
-    return EXIT_OK
-
-
-def cmd_tune(cfg, args) -> int:
-    if cfg.tune.steps < 1:
-        raise ConfigError("tuning.steps must be >= 1 to tune")
-    model, cal = cfglib.build_model(cfg)
-    apath = Path(args.assignment) if args.assignment \
-        else cfg.out_dir / ASSIGNMENT_FILE
-    _, asn, names, _ = _load_assignment(apath, model)
-    res = _quantize(model, names, asn.bits, cal, cfg, cfg.tune, None)
-    blocks = _tuning_summary(res)
-    for b, full in zip(blocks, res.tuned):
-        b["history"] = full.history
-    d = {"schema": "lowbit/tuning-v1", "config_digest": cfg.digest(),
-         "blocks": blocks}
-    _write_json(cfg.out_dir / TUNED_FILE, d)
-
-    for b in blocks:
-        print(f"block {b['block']}: {b['initial_loss']:.6g} -> "
-              f"{b['final_loss']:.6g} (best step {b['best_step']})")
-    print(f"wrote {cfg.out_dir / TUNED_FILE}")
     return EXIT_OK
 
 
@@ -190,7 +179,9 @@ def cmd_quantize(cfg, args) -> int:
               "tuned": res_tuned.metrics["quantized_loss"]}
     budget = {"target_bits": str(target), "avg_bits": str(asn.avg_bits),
               "rtn_uniform_bits": rtn_bits}
-    summary = _tuning_summary(res_tuned)
+    summary = [{"block": b.block, "layers": [l.name for l in b.layers],
+                "initial_loss": b.initial_loss, "final_loss": b.final_loss,
+                "best_step": b.best_step} for b in res_tuned.tuned]
     metrics = {"format": "lowbit/metrics-v1", "config_digest": cfg.digest(),
                "budget": budget, "losses": losses, "tuning": summary}
 
@@ -209,12 +200,18 @@ def cmd_quantize(cfg, args) -> int:
                   layers, {"losses": losses, "budget": budget}, summary,
                   packed)
     _write_json(cfg.out_dir / METRICS_FILE, metrics)
+    # the loss curves, in new dicts so that metrics.json stays without them
+    curves = [dict(b, history=full.history)
+              for b, full in zip(summary, res_tuned.tuned)]
+    _write_json(cfg.out_dir / TUNED_FILE,
+                {"schema": "lowbit/tuning-v1", "config_digest": cfg.digest(),
+                 "blocks": curves})
 
     for k in ("fp", "rtn", "dl_only", "tuned"):
         print(f"{k:>8} eval loss {losses[k]:.6g}")
     print(f"avg bits {asn.avg_bits} (target {target}, rtn uniform {rtn_bits})")
-    print(f"wrote {cfg.out_dir / ARTIFACT_FILE}")
-    print(f"wrote {cfg.out_dir / METRICS_FILE}")
+    for name in (ARTIFACT_FILE, METRICS_FILE, TUNED_FILE):
+        print(f"wrote {cfg.out_dir / name}")
     return EXIT_OK
 
 
@@ -232,10 +229,15 @@ def cmd_verify(cfg, args) -> int:
 
 
 def cmd_report(cfg, args) -> int:
+    # report.json stamps cfg's digest over these scores, so they must
+    # have been scored under cfg
+    rpath = cfg.out_dir / SENSITIVITY_FILE
+    d, report = _load_report(rpath)
+    if d.get("config_digest") != cfg.digest():
+        raise ConfigError(f"{rpath} was scored under another config; "
+                          f"run `lowbit sensitivity` with this one first")
     model, cal = cfglib.build_model(cfg)
     ev = cfglib.eval_set(cfg)
-    schemes = sensitivity.option_set(cfg.family, cfg.options, cfg.group_size)
-    report = sensitivity.build_report(model, schemes, cal)
     problem = allocator.AllocationProblem.from_report(report, cfg.target_bits)
     names = list(problem.names)
 
@@ -299,11 +301,6 @@ def _parser() -> argparse.ArgumentParser:
     a.add_argument("--target", metavar="BITS",
                    help="average bits budget, e.g. 8/3 (default from config)")
 
-    t = sub.add_parser("tune", help="tune rounding against block outputs")
-    common(t)
-    t.add_argument("--assignment", metavar="PATH",
-                   help=f"bit assignment (default OUT/{ASSIGNMENT_FILE})")
-
     q = sub.add_parser("quantize",
                        help="full pipeline: pack weights, compare variants")
     common(q)
@@ -323,7 +320,6 @@ def _parser() -> argparse.ArgumentParser:
 COMMANDS = {
     "sensitivity": cmd_sensitivity,
     "allocate": cmd_allocate,
-    "tune": cmd_tune,
     "quantize": cmd_quantize,
     "verify": cmd_verify,
     "report": cmd_report,

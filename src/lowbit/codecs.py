@@ -339,12 +339,6 @@ def mx_qdq_weight(w: np.ndarray, fmt: MxFormat):
             np.ascontiguousarray(exps.T))
 
 
-def mx_qdq_tensor(a: T.Tensor, fmt: MxFormat) -> T.Tensor:
-    """Graph node wrapper with a straight-through backward."""
-    deq, _, _ = mx_qdq(a.data, fmt)
-    return T._make(deq, "mx_qdq", (a,), lambda g: (g,))
-
-
 # ---------------------------------------------------------------------------
 # bit packing
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, codecs, models, tensor
 from .allocator import as_budget
 from .errors import ConfigError, ContractError
-from .tuner import RECIPES, TuneConfig, recipe
+from .tuner import TuneConfig
 
 OUT_DIR_ENV = "LOWBIT_OUT_DIR"
 FP_MODEL_FILE = "fp_model.npz"
@@ -41,7 +41,7 @@ DEFAULTS = {
         "target_bits": "8/3",
     },
     "tuning": {
-        "recipe": "default", "steps": "", "lr": "", "batch_size": "8",
+        "steps": "", "lr": "", "batch_size": "8",
         "trim_fraction": "0.001", "use_scale_init": "true",
         "propagate_quantized": "true",
     },
@@ -212,9 +212,6 @@ def load_config(path=None, sets=()) -> RunConfig:
     if min(calib_samples, batch_size, eval_samples) < 1 or seq_len < 2:
         raise ConfigError("data: sample counts must be >= 1 and seq_len >= 2")
 
-    recipe_name = parser.get("tuning", "recipe")
-    if recipe_name not in RECIPES:
-        raise ConfigError(f"tuning.recipe: unknown recipe {recipe_name!r}")
     tune_kw = dict(
         batch_size=_get(parser, "tuning", "batch_size", int,
                         "tuning.batch_size"),
@@ -231,7 +228,7 @@ def load_config(path=None, sets=()) -> RunConfig:
     if parser.get("tuning", "lr").strip():
         tune_kw["lr"] = _get(parser, "tuning", "lr", float, "tuning.lr")
     try:
-        tune = recipe(recipe_name, **tune_kw)
+        tune = TuneConfig(**tune_kw)
     except ConfigError as e:
         raise ConfigError(f"tuning: {e}") from None
 
@@ -330,12 +327,15 @@ def _save_params(path: Path, key: str, params: dict) -> None:
 
 
 def write_atomic(path: Path, data: bytes) -> None:
-    """Write through a temp file in the same directory and os.replace,
-    so a reader never sees a partial file."""
+    """Write through a fsynced temp file in the same directory and
+    os.replace, so neither a reader nor a crash ever sees a partial
+    file."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

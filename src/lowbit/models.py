@@ -141,8 +141,6 @@ class ToyModel:
         if ctx["taps"] and name in ctx["taps"]:
             x = ctx["taps"][name](x)
             ctx["tap_nodes"][name] = x
-        if ctx["capture"] is not None:
-            ctx["capture"][name] = x.data
         return T.matmul(x, self._w(name, ctx["overrides"]))
 
     def _rmsnorm(self, x, gain_name, ctx):
@@ -195,20 +193,20 @@ class ToyModel:
         return self._apply_linear("head", x, ctx)
 
     @staticmethod
-    def _ctx(overrides=None, taps=None, capture=None):
+    def _ctx(overrides=None, taps=None):
         return {"overrides": overrides or {}, "taps": taps or {},
-                "tap_nodes": {}, "capture": capture}
+                "tap_nodes": {}}
 
-    def forward(self, ids, overrides=None, taps=None, capture=None):
+    def forward(self, ids, overrides=None, taps=None):
         """Logits for a (batch, seq) id array.
 
         Returns (logits, info). ``overrides`` maps layer name to a
         replacement weight (Tensor or array); ``taps`` maps layer name
         to a callable rewriting that layer's input tensor, with the
-        rewritten node reported in info["tap_nodes"]; ``capture``, if a
-        dict, is filled with each linear layer's input array.
+        rewritten node reported in info["tap_nodes"]. A tap that
+        returns its input unchanged just records it.
         """
-        ctx = self._ctx(overrides, taps, capture)
+        ctx = self._ctx(overrides, taps)
         x = self._embed(ids, ctx)
         for b in range(self.spec.n_blocks):
             x = self._block(b, x, ctx)
@@ -227,11 +225,6 @@ class ToyModel:
             loss, _ = self.loss(ids, overrides=weights)
             total += loss.item()
         return total / len(batches)
-
-    def capture_layer_inputs(self, ids) -> dict:
-        cap: dict[str, np.ndarray] = {}
-        self.forward(ids, capture=cap)
-        return cap
 
     # ------------------------------------------------------------------
     # block-level entry points for the tuner and the sensitivity probes;

@@ -59,10 +59,15 @@ def calibrate_act_stats(model, batches) -> ActChannelStats:
     Monotone in data: merging more batches never decreases any entry.
     """
     stats = ActChannelStats()
+
+    def recorder(name):
+        def tap(x):
+            stats.merge_batch(name, x.data)
+            return x
+        return tap
+    taps = {i.name: recorder(i.name) for i in model.quantizable_layers()}
     for ids in batches:
-        captured = model.capture_layer_inputs(ids)
-        for name, acts in captured.items():
-            stats.merge_batch(name, acts)
+        model.forward(ids, taps=taps)
         stats.samples += ids.shape[0]
     return stats
 

@@ -188,7 +188,9 @@ class SensitivityReport:
         family = d["family"]
         options = [scheme_for_bits(family, o["bits"], o["group_size"])
                    for o in d["options"]]
-        layers = [LayerScore(l["name"], int(l["params"]), dict(l["scores"]))
+        layers = [LayerScore(l["name"], int(l["params"]),
+                             {s.label: float(l["scores"][s.label])
+                              for s in options})
                   for l in d["layers"]]
         return cls(family, options, layers, int(d["calib"]["samples"]),
                    int(d["calib"]["seq_len"]))

@@ -30,13 +30,12 @@ _uid = itertools.count()
 class Tensor:
     """A dense array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "uid", "_op", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "uid", "_op", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, *,
                  _op: str = "leaf", _parents: tuple = (), _vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self.uid = next(_uid)
         self._op = _op
         self._parents = _parents
@@ -379,8 +378,7 @@ def backward(loss: Tensor, wrt=None) -> dict:
 
     Returns a map from Tensor to gradient ndarray covering every
     gradient-requiring node reached from the root; tensors passed in
-    ``wrt`` are always present, with zeros if unreached. Also stores
-    each gradient on ``tensor.grad``.
+    ``wrt`` are always present, with zeros if unreached.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -403,12 +401,10 @@ def backward(loss: Tensor, wrt=None) -> dict:
         g = grads.get(node.uid)
         if g is None:
             g = np.zeros_like(node.data)
-        node.grad = g
         result[node] = g
     if wrt is not None:
         for t in wrt:
             if t not in result:
-                t.grad = np.zeros_like(t.data)
-                result[t] = t.grad
+                result[t] = np.zeros_like(t.data)
     return result
 

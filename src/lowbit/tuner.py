@@ -22,11 +22,6 @@ from . import codecs, scale_init
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
-RECIPES = {
-    "default": dict(steps=200, lr_mult=1.0),
-    "enhanced": dict(steps=500, lr_mult=2.0),
-}
-
 
 @dataclass(frozen=True)
 class TuneConfig:
@@ -51,22 +46,6 @@ class TuneConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-
-def recipe(name: str = "default", **overrides) -> TuneConfig:
-    """Named tuning recipe; explicit overrides always win.
-
-    ``lr`` follows the (possibly overridden) step count unless set
-    directly: 1/steps for "default", 2/steps for "enhanced".
-    """
-    if name not in RECIPES:
-        raise ConfigError(f"unknown recipe {name!r}; have {sorted(RECIPES)}")
-    base = RECIPES[name]
-    kw = dict(steps=base["steps"])
-    kw.update(overrides)
-    if "lr" not in overrides:
-        kw["lr"] = base["lr_mult"] / max(kw["steps"], 1)
-    return TuneConfig(**kw)
 
 
 def trimmed_mse(pred: T.Tensor, target, trim_fraction: float = 0.0) -> T.Tensor:

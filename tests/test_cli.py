@@ -108,7 +108,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("item", ["no-equals", "noscope=3", "a.b=1",
                                       "scheme.options=1,4",
-                                      "scheme.group_size=-3"])
+                                      "scheme.group_size=-3",
+                                      "tuning.recipe=enhanced"])
     def test_rejects_bad_override(self, item):
         with pytest.raises(ConfigError):
             load_config(None, [item])
@@ -411,7 +412,7 @@ class TestArtifact:
 
         def boom(src, dst):
             raise OSError("disk full")
-        monkeypatch.setattr(art.os, "replace", boom)
+        monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError):
             save_demo(path, np.random.default_rng(5))
         assert list(tmp_path.iterdir()) == []
@@ -525,22 +526,28 @@ class TestCliCommands:
         m = read_json(tmp_path / "metrics.json")
         assert m["losses"]["tuned"] == m["losses"]["dl_only"]
         assert m["tuning"] == []
+        assert read_json(tmp_path / "tuned.json")["blocks"] == []
 
-    def test_tune_writes_block_histories(self, tmp_path):
+    def test_quantize_writes_block_histories(self, tmp_path):
         run_cli(tmp_path, "sensitivity")
         run_cli(tmp_path, "allocate")
-        assert run_cli(tmp_path, "tune") == 0
+        assert run_cli(tmp_path, "quantize") == 0
         d = read_json(tmp_path / "tuned.json")
+        assert d["schema"] == "lowbit/tuning-v1"
         assert len(d["blocks"]) == 1
         blk = d["blocks"][0]
         assert len(blk["history"]) == 5  # steps + 1 evaluations
         assert blk["final_loss"] == min(blk["history"])
         assert blk["final_loss"] <= blk["initial_loss"]
+        # metrics.json holds the same blocks, without their curves
+        m = read_json(tmp_path / "metrics.json")
+        assert [{k: v for k, v in b.items() if k != "history"}
+                for b in d["blocks"]] == m["tuning"]
 
-    def test_tune_requires_steps(self, tmp_path):
-        run_cli(tmp_path, "sensitivity")
-        run_cli(tmp_path, "allocate")
-        assert run_cli(tmp_path, "tune", sets=TINY + ("tuning.steps=0",)) == 2
+    def test_tune_command_is_gone(self, tmp_path, capsys):
+        # quantize writes tuned.json; no second command tunes
+        assert run_cli(tmp_path, "tune") == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
 
     def test_verify_round_trip_and_corruption(self, tmp_path, capsys):
         run_cli(tmp_path, "sensitivity")
@@ -558,6 +565,7 @@ class TestCliCommands:
         assert run_cli(tmp_path, "verify") == 2
 
     def test_report_compares_allocations(self, tmp_path):
+        run_cli(tmp_path, "sensitivity")
         assert run_cli(tmp_path, "report") == 0
         d = read_json(tmp_path / "report.json")
         assert set(d["allocations"]) == {"dp", "head", "tail", "tuned"}
@@ -568,15 +576,40 @@ class TestCliCommands:
 
     def test_report_skips_tuned_at_steps_zero(self, tmp_path):
         sets = TINY + ("tuning.steps=0",)
+        run_cli(tmp_path, "sensitivity", sets=sets)
         assert run_cli(tmp_path, "report", sets=sets) == 0
         d = read_json(tmp_path / "report.json")
         assert set(d["allocations"]) == {"dp", "head", "tail"}
+
+    def test_report_reads_the_scores_file(self, tmp_path, monkeypatch):
+        run_cli(tmp_path, "sensitivity")
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("report scored sensitivity again")
+        monkeypatch.setattr(cli.sensitivity, "build_report", no_scoring)
+        assert run_cli(tmp_path, "report") == 0
+        assert (tmp_path / "report.json").is_file()
+
+    def test_report_without_scores_exits_config(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "report") == 2
+        assert "lowbit sensitivity" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_report_rejects_scores_of_another_config(self, tmp_path,
+                                                     monkeypatch, capsys):
+        run_cli(tmp_path, "sensitivity", sets=TINY + ("tuning.steps=3",))
+
+        def no_training(cfg):
+            raise AssertionError("model built for scores of another config")
+        monkeypatch.setattr(cli.cfglib, "build_model", no_training)
+        assert run_cli(tmp_path, "report") == 2
+        assert "another config" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_every_output_embeds_config_digest(self, tmp_path):
         run_cli(tmp_path, "sensitivity")
         run_cli(tmp_path, "allocate")
         run_cli(tmp_path, "quantize")
-        run_cli(tmp_path, "tune")
         run_cli(tmp_path, "report")
         digest = load_config(None, [*TINY, f"run.out_dir={tmp_path}"]).digest()
         for name in ("sensitivity.json", "assignment.json", "tuned.json",
@@ -700,7 +733,61 @@ class TestFpModelCache:
         assert not (tmp_path / self.CACHE).exists()
 
 
+def edited(base, edit):
+    d = json.loads(json.dumps(base))
+    edit(d)
+    return d
+
+
+# well-formed inputs for the TINY model, edited into malformed ones below
+SCORES = {"schema": "lowbit/sensitivity-v1", "family": "int-sym",
+          "calib": {"samples": 8, "seq_len": 16},
+          "options": [{"label": "w2g32", "bits": 2, "group_size": 32},
+                      {"label": "w8g32", "bits": 8, "group_size": 32}],
+          "layers": [{"name": n, "params": 256,
+                      "scores": {"w2g32": 1.0, "w8g32": 0.0}}
+                     for n in ("layers.0", "head")]}
+ASSIGNMENT = {"schema": "lowbit/assignment-v1", "solver": "dp",
+              "objective": 0.0, "avg_bits": "8", "target_bits": "8",
+              "layers": [{"name": n, "option": "w8g32", "bits": 8}
+                         for n in ("layers.0", "head")]}
+BAD_SCORES = {
+    "list": [],
+    "schema_only": {"schema": "lowbit/sensitivity-v1"},
+    "missing_score": edited(
+        SCORES, lambda d: d["layers"][0]["scores"].pop("w8g32")),
+    "text_bits": edited(SCORES, lambda d: d["options"][0].update(bits="two")),
+}
+BAD_ASSIGNMENTS = {
+    "list": [],
+    "missing_option": edited(ASSIGNMENT,
+                             lambda d: d["layers"][0].pop("option")),
+    "zero_denominator": edited(ASSIGNMENT,
+                               lambda d: d.update(avg_bits="1/0")),
+}
+MALFORMED = [
+    *(pytest.param(c, "sensitivity.json", body, id=f"{c}-{n}")
+      for c in ("allocate", "report") for n, body in BAD_SCORES.items()),
+    *(pytest.param("quantize", "assignment.json", body, id=f"quantize-{n}")
+      for n, body in BAD_ASSIGNMENTS.items()),
+]
+
+
 class TestCliErrors:
+    @pytest.mark.parametrize("command,name,body", MALFORMED)
+    def test_malformed_input_exits_config(self, tmp_path, capsys, command,
+                                          name, body):
+        (tmp_path / name).write_text(json.dumps(body))
+        assert run_cli(tmp_path, command) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,name,body", [
+        ("allocate", "sensitivity.json", SCORES),
+        ("quantize", "assignment.json", ASSIGNMENT)])
+    def test_unedited_inputs_are_accepted(self, tmp_path, command, name,
+                                          body):
+        (tmp_path / name).write_text(json.dumps(body))
+        assert run_cli(tmp_path, command) == 0
     def test_missing_calibration_file_names_path(self, tmp_path, capsys):
         sets = TINY + ("data.source=/no/such/calib.npz",)
         assert run_cli(tmp_path, "sensitivity", sets=sets) == 2

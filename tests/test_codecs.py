@@ -361,12 +361,6 @@ class TestMxQdq:
             np.testing.assert_array_equal(back.dequantize().view(np.int64),
                                           deq.view(np.int64))
 
-    def test_tensor_wrapper_is_straight_through(self):
-        x = T.Tensor(np.linspace(-4, 4, 32), requires_grad=True)
-        y = C.mx_qdq_tensor(x, C.MXFP4)
-        grads = T.backward(T.sum_(y))
-        np.testing.assert_array_equal(grads[x], np.ones(32))
-
 
 # ---------------------------------------------------------------------------
 # packing

@@ -169,19 +169,36 @@ class TestGradients:
         assert np.abs(g[10]).max() == 0
 
 
+def record_inputs(model, ids):
+    """(logits, each linear layer's input) from taps that record their
+    input and return it unchanged."""
+    seen = {}
+
+    def recorder(name):
+        def tap(x):
+            seen[name] = x.data
+            return x
+        return tap
+    logits, _ = model.forward(ids, taps={i.name: recorder(i.name)
+                                         for i in model.quantizable_layers()})
+    return logits, seen
+
+
 class TestHooks:
     def test_capture_records_layer_inputs(self):
         m = M.ToyModel.build(tiny_spec())
         ids = np.array([[1, 2, 3]])
-        caps = m.capture_layer_inputs(ids)
+        logits, caps = record_inputs(m, ids)
         assert "blocks.0.attn.wq" in caps
         assert "head" in caps
         assert caps["blocks.0.attn.wq"].shape == (1, 3, 8)
+        # recording leaves the forward as it is
+        np.testing.assert_array_equal(logits.data, m.forward(ids)[0].data)
 
     def test_tap_rewrites_layer_input(self):
         m = M.ToyModel.build(tiny_spec())
         ids = np.array([[1, 2, 3]])
-        x = m.capture_layer_inputs(ids)["blocks.0.mlp.up"]
+        x = record_inputs(m, ids)[1]["blocks.0.mlp.up"]
 
         def double(t):
             return T.Tensor(t.data * 2.0, requires_grad=True)
@@ -198,6 +215,9 @@ class TestHooks:
         v = stats.get("blocks.0.attn.wq", 8)
         assert v.shape == (8,)
         assert (v > 0).all()
+        seen = [record_inputs(m, ids)[1]["blocks.0.attn.wq"] for ids in batches]
+        np.testing.assert_array_equal(
+            v, np.maximum(*(np.abs(x).reshape(-1, 8).max(axis=0) for x in seen)))
 
     def test_block_forward_composes_to_full_forward(self):
         m = M.ToyModel.build(tiny_spec(n_blocks=2))

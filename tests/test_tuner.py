@@ -118,15 +118,9 @@ class TestTuneConfig:
         assert cfg.batch_size == 8
         assert cfg.trim_fraction == 0.001
 
-    def test_enhanced_recipe(self):
-        cfg = tuner.recipe("enhanced")
-        assert cfg.steps == 500
-        assert cfg.lr == pytest.approx(2.0 / 500)
-
-    def test_recipe_lr_follows_overridden_steps(self):
-        assert tuner.recipe("default", steps=10).lr == pytest.approx(0.1)
-        assert tuner.recipe("enhanced", steps=10).lr == pytest.approx(0.2)
-        assert tuner.recipe("default", steps=10, lr=0.5).lr == 0.5
+    def test_lr_follows_overridden_steps(self):
+        assert tuner.TuneConfig(steps=10).lr == pytest.approx(0.1)
+        assert tuner.TuneConfig(steps=10, lr=0.5).lr == 0.5
 
     def test_steps_zero_allowed_as_disable(self):
         cfg = tuner.TuneConfig(steps=0)
@@ -140,10 +134,6 @@ class TestTuneConfig:
     def test_invalid_config(self, kw):
         with pytest.raises(ConfigError):
             tuner.TuneConfig(**kw)
-
-    def test_unknown_recipe(self):
-        with pytest.raises(ConfigError):
-            tuner.recipe("turbo")
 
 
 class TestTuneBlock:

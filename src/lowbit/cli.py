@@ -13,12 +13,11 @@ error, 3 infeasible allocation, 4 numeric failure during tuning.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from . import allocator, codecs, sensitivity, tuner
+from . import allocator, sensitivity, tuner
 from . import config as cfglib
 from .artifact import save_artifact, verify_artifact
 from .errors import (ConfigError, ContractError, InfeasibleError,
@@ -37,8 +36,8 @@ ARTIFACT_FILE = "artifact.lbq"
 METRICS_FILE = "metrics.json"
 REPORT_FILE = "report.json"
 
-# the no-tuning baseline: round-to-nearest, no searched scales
-PLAIN = tuner.TuneConfig(steps=0, use_scale_init=False)
+# the no-tuning baseline: round-to-nearest (0 steps search no scales)
+PLAIN = tuner.TuneConfig(steps=0)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -133,7 +132,11 @@ def cmd_sensitivity(cfg, args) -> int:
 def cmd_allocate(cfg, args) -> int:
     rpath = Path(args.report) if args.report else cfg.out_dir / SENSITIVITY_FILE
     _, report = _load_report(rpath)
-    target = allocator.as_budget(args.target) if args.target else cfg.target_bits
+    try:
+        target = allocator.as_budget(args.target) if args.target \
+            else cfg.target_bits
+    except ContractError as e:
+        raise ConfigError(f"--target: {e}") from None
     _check_target(target, [s.bits for s in report.options])
     problem = allocator.AllocationProblem.from_report(report, target)
     if args.mode == "dp":
@@ -167,11 +170,7 @@ def cmd_quantize(cfg, args) -> int:
     res_rtn = _quantize(model, names, [rtn_bits] * len(names), cal, cfg,
                         PLAIN, ev)
     res_dl = _quantize(model, names, asn.bits, cal, cfg, PLAIN, ev)
-    # steps=0 means no tuning stage at all, searched scales included,
-    # which makes the tuned variant collapse onto the dl-only baseline
-    tune_cfg = cfg.tune if cfg.tune.steps >= 1 \
-        else dataclasses.replace(cfg.tune, use_scale_init=False)
-    res_tuned = _quantize(model, names, asn.bits, cal, cfg, tune_cfg, ev)
+    res_tuned = _quantize(model, names, asn.bits, cal, cfg, cfg.tune, ev)
 
     losses = {"fp": fp_loss,
               "rtn": res_rtn.metrics["quantized_loss"],
@@ -186,19 +185,14 @@ def cmd_quantize(cfg, args) -> int:
                "budget": budget, "losses": losses, "tuning": summary}
 
     layers = []
-    packed = dict(res_tuned.packed)
     for name, lbl, bits in zip(names, asn.choices, asn.bits):
         info = model.layer_info(name)
         layers.append({"name": name, "params": info.n_params,
                        "bits": bits, "label": lbl,
                        "shape": list(info.shape)})
-        if name not in packed:  # stored untouched at 16 bits
-            packed[name] = codecs.pack_layer(
-                model.params[name], codecs.scheme_for_bits(cfg.family, bits,
-                                                           cfg.group_size))
     save_artifact(cfg.out_dir / ARTIFACT_FILE, cfg.to_dict(), asn_dict,
                   layers, {"losses": losses, "budget": budget}, summary,
-                  packed)
+                  res_tuned.packed)
     _write_json(cfg.out_dir / METRICS_FILE, metrics)
     # the loss curves, in new dicts so that metrics.json stays without them
     curves = [dict(b, history=full.history)

@@ -16,6 +16,10 @@ Two codec families:
   onto a tiny float grid (E2M1 for 4-bit, E4M3 for 8-bit) with
   saturating overflow.
 
+:func:`quantize_layer` is the only per-scheme entry point: it maps a
+:class:`QuantScheme` (``none`` included, a raw float64 layer) to the
+layer's eval weight and its :class:`PackedWeights` payload.
+
 Weights are laid out (in_features, out_features) everywhere in this
 package, packed payloads included. Int-sym groups and MX blocks both run
 down axis 0, the axis a matmul reduces over, so both codecs store one
@@ -502,16 +506,27 @@ def codec_for(scheme: QuantScheme) -> int:
     return CODEC_MXFP4 if scheme.bits == 4 else CODEC_MXFP8
 
 
-def pack_layer(w_deq: np.ndarray, scheme: QuantScheme, codes=None,
-               scales=None) -> PackedWeights:
-    """Wrap an already-quantized layer (or a raw one) for serialization.
+def quantize_layer(w: np.ndarray, scheme: QuantScheme, v=None, alpha=1.0,
+                   beta=1.0, init_scales=None):
+    """Quantize one (in, out) layer under ``scheme``: (eval weight, payload).
 
-    ``codes`` and ``scales`` are as :func:`quantize_weight` or
-    :func:`mx_qdq_weight` return them, laid out like the (in, out) weight.
+    The one per-scheme entry point: sensitivity, tuning, eval and the
+    artifact all take a layer's weight from here, so they describe the
+    same quantized layer, and ``payload.dequantize()`` equals the eval
+    weight bit for bit. ``none`` keeps ``w`` and stores it raw; ``mxfp``
+    is round-to-nearest MX; ``int-sym`` is :func:`quantize_weight`, the
+    only family that takes the rounding offset ``v``, the multipliers
+    ``alpha``/``beta`` and the searched ``init_scales``.
     """
-    codec = codec_for(scheme)
-    if codec == CODEC_RAW:
-        return PackedWeights(codec, scheme.bits, 0, tuple(w_deq.shape), None,
-                             np.asarray(w_deq, dtype=np.float64))
-    return PackedWeights(codec, scheme.bits, scheme.group_size,
-                         tuple(w_deq.shape), scales, codes)
+    w = np.asarray(w, dtype=np.float64)
+    shape = tuple(w.shape)
+    if scheme.family == "none":
+        return w, PackedWeights(CODEC_RAW, scheme.bits, 0, shape, None, w)
+    if scheme.family == "mxfp":
+        deq, codes, scales = mx_qdq_weight(w, scheme.mx_format)
+    else:
+        deq, codes, scales = quantize_weight(
+            w, scheme.bits, scheme.group_size, v=v, alpha=alpha, beta=beta,
+            init_scales=init_scales)
+    return deq, PackedWeights(codec_for(scheme), scheme.bits,
+                              scheme.group_size, shape, scales, codes)

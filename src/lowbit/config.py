@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -237,8 +238,9 @@ def load_config(path=None, sets=()) -> RunConfig:
 
     train_steps = _get(parser, "model", "train_steps", int, "model.train_steps")
     train_lr = _get(parser, "model", "train_lr", float, "model.train_lr")
-    if train_steps < 0 or train_lr <= 0:
-        raise ConfigError("model: need train_steps >= 0 and train_lr > 0")
+    if train_steps < 0 or not (math.isfinite(train_lr) and train_lr > 0):
+        raise ConfigError("model: need train_steps >= 0 and a finite "
+                          "train_lr > 0")
 
     return RunConfig(spec=spec, train_steps=train_steps, train_lr=train_lr,
                      family=family, options=options, group_size=group_size,

@@ -33,7 +33,6 @@ class ActChannelStats:
     """Per-layer, per-input-channel max absolute activation values."""
 
     layers: dict = field(default_factory=dict)  # name -> float64 vector
-    samples: int = 0
 
     def merge_batch(self, name: str, acts: np.ndarray) -> None:
         """Fold in one batch of layer inputs (..., channels)."""
@@ -68,7 +67,6 @@ def calibrate_act_stats(model, batches) -> ActChannelStats:
     taps = {i.name: recorder(i.name) for i in model.quantizable_layers()}
     for ids in batches:
         model.forward(ids, taps=taps)
-        stats.samples += ids.shape[0]
     return stats
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .codecs import QuantScheme, mx_qdq, mx_qdq_weight, quantize_weight, scheme_for_bits
+from .codecs import QuantScheme, mx_qdq, quantize_layer, scheme_for_bits
 from .errors import ContractError
 
 
@@ -36,11 +36,7 @@ def option_set(family: str, bits_list, group_size: int = 32) -> list:
 
 def rtn_weight(w: np.ndarray, scheme: QuantScheme) -> np.ndarray:
     """Round-to-nearest qdq of a whole layer, no learned parameters."""
-    if scheme.family == "none":
-        return np.array(w, dtype=np.float64)
-    if scheme.family == "mxfp":
-        return mx_qdq_weight(w, scheme.mx_format)[0]
-    return quantize_weight(w, scheme.bits, scheme.group_size)[0]
+    return quantize_layer(w, scheme)[0]
 
 
 def deviation_score(grad: np.ndarray, deviation: np.ndarray) -> float:

@@ -38,8 +38,8 @@ class TuneConfig:
             object.__setattr__(self, "lr", 1.0 / max(self.steps, 1))
         if self.steps < 0:
             raise ConfigError("steps must be >= 0 (0 disables tuning)")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError("lr must be positive and finite")
         if not 0.0 <= self.trim_fraction < 1.0:
             raise ConfigError("trim_fraction must lie in [0, 1)")
         if self.batch_size < 1:
@@ -109,8 +109,9 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
 
     ``inputs`` are the block's input activations, (samples, ...); the
     regression targets default to the full-precision block outputs on
-    those inputs. Microscaling layers in ``schemes`` ride along frozen
-    at their rounded values; 16-bit layers stay full precision.
+    those inputs. The other layers in ``schemes`` (microscaling and
+    16-bit) ride along frozen at their :func:`codecs.quantize_layer`
+    weights.
     """
     if cfg.steps < 1:
         raise ContractError("tuning needs at least one step")
@@ -125,11 +126,8 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
     if not tuned_names:
         raise ContractError(f"block {block} has no tunable layers")
 
-    frozen = {}
-    for n in names:
-        if schemes[n].family == "mxfp":
-            frozen[n] = codecs.mx_qdq_weight(model.params[n],
-                                             schemes[n].mx_format)[0]
+    frozen = {n: codecs.quantize_layer(model.params[n], schemes[n])[0]
+              for n in names if n not in tuned_names}
     if targets is None:
         targets = _block_apply(model, block, inputs)
     else:
@@ -208,25 +206,10 @@ def plan_from_assignment(names, bits, family: str,
 
 @dataclass
 class QuantizeResult:
-    plan: dict
     weights: dict       # name -> final dequantized weight
     packed: dict        # name -> PackedWeights
     tuned: list         # BlockTuneResult per tuned block
-    init_scales: dict   # name -> searched (n_groups, out) scales
     metrics: dict
-
-
-def _finalize_layer(w, scheme, tl: TunedLayer | None, s_init):
-    if scheme.family == "mxfp":
-        deq, codes, exps = codecs.mx_qdq_weight(w, scheme.mx_format)
-        return deq, codecs.pack_layer(deq, scheme, codes, exps)
-    deq, codes, scales = codecs.quantize_weight(
-        w, scheme.bits, scheme.group_size,
-        v=tl.v if tl else None,
-        alpha=tl.alpha if tl else 1.0,
-        beta=tl.beta if tl else 1.0,
-        init_scales=s_init)
-    return deq, codecs.pack_layer(deq, scheme, codes, scales)
 
 
 def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
@@ -235,25 +218,26 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
 
     Blocks containing integer-grid layers are tuned (unless steps is 0);
     layers outside any block, the head included, are quantized directly.
+    Initial scales are searched only for a tuning run (``use_scale_init``
+    and at least one step); at 0 steps every layer is round-to-nearest.
     When ``cfg.propagate_quantized`` is set, each block is tuned on
-    inputs produced by the already-quantized blocks before it.
+    inputs produced by the already-quantized blocks before it. Every plan
+    layer, 16-bit included, gets a weight and a payload.
     """
     for name, sch in plan.items():
         info = model.layer_info(name)
         if info.kind != "linear":
             raise ContractError(
                 f"layer {name!r} is {info.kind}; only linear layers quantize")
-    effective = {n: s for n, s in plan.items() if s.family != "none"}
+    int_sym = [n for n, s in plan.items() if s.family == "int-sym"]
 
     init_scales = {}
-    if cfg.use_scale_init and any(s.family == "int-sym"
-                                  for s in effective.values()):
+    if cfg.use_scale_init and cfg.steps >= 1 and int_sym:
         stats = scale_init.calibrate_act_stats(model, calib_batches)
-        for n, sch in effective.items():
-            if sch.family == "int-sym":
-                w = model.params[n]
-                init_scales[n] = scale_init.search_layer_scales(
-                    w, stats.get(n, w.shape[0]), sch.bits, sch.group_size)
+        for n in int_sym:
+            w, sch = model.params[n], plan[n]
+            init_scales[n] = scale_init.search_layer_scales(
+                w, stats.get(n, w.shape[0]), sch.bits, sch.group_size)
 
     weights = {}
     packed = {}
@@ -262,35 +246,36 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
     x = model.embed_forward(ids)
     covered = set()
     for block in model.block_ids():
-        bnames = [n for n in model.block_layer_names(block) if n in effective]
+        bnames = [n for n in model.block_layer_names(block) if n in plan]
         covered.update(model.block_layer_names(block))
-        tunable = [n for n in bnames if effective[n].family == "int-sym"]
-        tune_res = None
+        tunable = [n for n in bnames if n in int_sym]
+        by_name = {}
         if tunable and cfg.steps >= 1:
             sub = {n: init_scales[n] for n in tunable if n in init_scales}
             tune_res = tune_block(model, block, x,
-                                  {n: effective[n] for n in bnames}, cfg,
+                                  {n: plan[n] for n in bnames}, cfg,
                                   init_scales=sub or None)
             tuned.append(tune_res)
-        by_name = {lay.name: lay for lay in tune_res.layers} if tune_res else {}
+            by_name = {lay.name: lay for lay in tune_res.layers}
         for n in bnames:
-            weights[n], packed[n] = _finalize_layer(
-                model.params[n], effective[n], by_name.get(n),
-                init_scales.get(n))
+            tl = by_name.get(n)
+            learned = dict(v=tl.v, alpha=tl.alpha, beta=tl.beta) if tl else {}
+            weights[n], packed[n] = codecs.quantize_layer(
+                model.params[n], plan[n], init_scales=init_scales.get(n),
+                **learned)
         if cfg.propagate_quantized and bnames:
             x = _block_apply(model, block, x,
                              {n: weights[n] for n in bnames})
         else:
             x = _block_apply(model, block, x)
 
-    for n, sch in effective.items():
-        if n in covered:
-            continue
-        weights[n], packed[n] = _finalize_layer(model.params[n], sch, None,
-                                                init_scales.get(n))
+    for n, sch in plan.items():
+        if n not in covered:
+            weights[n], packed[n] = codecs.quantize_layer(
+                model.params[n], sch, init_scales=init_scales.get(n))
 
     metrics = {}
     if eval_batches is not None:
         metrics["quantized_loss"] = model.eval_loss(
             eval_batches, weights=weights or None)
-    return QuantizeResult(plan, weights, packed, tuned, init_scales, metrics)
+    return QuantizeResult(weights, packed, tuned, metrics)

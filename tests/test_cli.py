@@ -109,7 +109,10 @@ class TestConfig:
     @pytest.mark.parametrize("item", ["no-equals", "noscope=3", "a.b=1",
                                       "scheme.options=1,4",
                                       "scheme.group_size=-3",
-                                      "tuning.recipe=enhanced"])
+                                      "tuning.recipe=enhanced",
+                                      "tuning.lr=nan", "tuning.lr=inf",
+                                      "model.train_lr=nan",
+                                      "model.train_lr=inf"])
     def test_rejects_bad_override(self, item):
         with pytest.raises(ConfigError):
             load_config(None, [item])
@@ -141,8 +144,7 @@ class TestConfig:
 def demo_payload(rng, bits=4, target="4"):
     w = rng.normal(size=(8, 6))
     scheme = codecs.QuantScheme("int-sym", bits, 4)
-    deq, codes, scales = codecs.quantize_weight(w, bits, 4)
-    packed = {"lin": codecs.pack_layer(deq, scheme, codes, scales)}
+    packed = {"lin": codecs.quantize_layer(w, scheme)[1]}
     layers = [{"name": "lin", "params": 48, "bits": bits,
                "label": scheme.label, "shape": [8, 6]}]
     config = {"scheme": {"family": "int-sym", "group_size": 4,
@@ -164,11 +166,10 @@ def mx_payload(rng):
     """An mxfp artifact's parts: one 4-bit layer and one raw 16-bit head."""
     w = rng.normal(size=(40, 6))
     scheme = codecs.QuantScheme("mxfp", 4, 32)
-    deq, codes, exps = codecs.mx_qdq_weight(w, scheme.mx_format)
     head = rng.normal(size=(6, 3))
-    packed = {"lin": codecs.pack_layer(deq, scheme, codes, exps),
-              "head": codecs.pack_layer(head, codecs.scheme_for_bits(
-                  "mxfp", 16, 32))}
+    packed = {"lin": codecs.quantize_layer(w, scheme)[1],
+              "head": codecs.quantize_layer(head, codecs.scheme_for_bits(
+                  "mxfp", 16, 32))[1]}
     layers = [{"name": "lin", "params": 240, "bits": 4, "label": "mxfp4",
                "shape": [40, 6]},
               {"name": "head", "params": 18, "bits": 16, "label": "w16",
@@ -305,9 +306,8 @@ class TestArtifact:
         rng = np.random.default_rng(5)
         parts = demo_payload(rng)
         w = rng.normal(size=(6, 8))  # the table says (8, 6)
-        deq, codes, scales = codecs.quantize_weight(w, 4, 4)
-        packed = {"lin": codecs.pack_layer(
-            deq, codecs.QuantScheme("int-sym", 4, 4), codes, scales)}
+        packed = {"lin": codecs.quantize_layer(
+            w, codecs.QuantScheme("int-sym", 4, 4))[1]}
         path = tmp_path / "a.lbq"
         save_parts(path, parts, packed)
         assert any("packed shape (6, 8)" in p for p in art.verify_artifact(path))
@@ -315,10 +315,8 @@ class TestArtifact:
     def test_int_sym_group_size_must_match_scheme(self, tmp_path):
         rng = np.random.default_rng(5)
         parts = demo_payload(rng)  # scheme.group_size 4
-        deq, codes, scales = codecs.quantize_weight(rng.normal(size=(8, 6)),
-                                                    4, 8)
-        packed = {"lin": codecs.pack_layer(
-            deq, codecs.QuantScheme("int-sym", 4, 8), codes, scales)}
+        packed = {"lin": codecs.quantize_layer(
+            rng.normal(size=(8, 6)), codecs.QuantScheme("int-sym", 4, 8))[1]}
         path = tmp_path / "a.lbq"
         save_parts(path, parts, packed)
         assert art.verify_artifact(path) == [
@@ -517,6 +515,26 @@ class TestCliCommands:
         m = read_json(tmp_path / "metrics.json")
         for variant in ("rtn", "dl_only", "tuned"):
             assert abs(m["losses"][variant] - m["losses"]["fp"]) <= 1e-10
+
+    def test_16_bit_layers_in_a_tuned_block_ship_raw(self, tmp_path, capsys):
+        sets = TINY + ("model.arch=tiny-transformer", "scheme.options=2,4,16",
+                       "scheme.target_bits=8")
+        for command in ("sensitivity", "allocate", "quantize", "verify"):
+            assert run_cli(tmp_path, command, sets=sets) == 0, command
+        assert "OK " in capsys.readouterr().out
+        cfg = load_config(None, (*sets, f"run.out_dir={tmp_path}"))
+        model, _ = cli.cfglib.build_model(cfg)  # the cached fp model
+        tuned_blocks = {b["block"] for b in
+                        read_json(tmp_path / "tuned.json")["blocks"]}
+        wide = [l["name"] for l in read_json(tmp_path / "assignment.json")
+                ["layers"] if l["bits"] == 16]
+        assert any(model.layer_info(n).block in tuned_blocks for n in wide)
+        got = art.load_artifact(tmp_path / "artifact.lbq")
+        for n in wide:
+            pw = got.packed[n]
+            assert pw.codec == codecs.CODEC_RAW
+            np.testing.assert_array_equal(pw.dequantize().view(np.int64),
+                                          model.params[n].view(np.int64))
 
     def test_steps_zero_reproduces_dl_only(self, tmp_path):
         sets = TINY + ("tuning.steps=0",)
@@ -788,6 +806,14 @@ class TestCliErrors:
                                           body):
         (tmp_path / name).write_text(json.dumps(body))
         assert run_cli(tmp_path, command) == 0
+
+    @pytest.mark.parametrize("target", ["abc", "1/0"])
+    def test_bad_target_exits_config(self, tmp_path, capsys, target):
+        (tmp_path / "sensitivity.json").write_text(json.dumps(SCORES))
+        assert run_cli(tmp_path, "allocate", "--target", target) == 2
+        assert "--target" in capsys.readouterr().err
+        assert not (tmp_path / "assignment.json").exists()
+
     def test_missing_calibration_file_names_path(self, tmp_path, capsys):
         sets = TINY + ("data.source=/no/such/calib.npz",)
         assert run_cli(tmp_path, "sensitivity", sets=sets) == 2

@@ -353,10 +353,9 @@ class TestMxQdq:
         for bits in (4, 8):
             scheme = C.QuantScheme("mxfp", bits, 32)
             w = rng.normal(size=(128, 3)) * 3
-            deq, codes, exps = C.mx_qdq_weight(w, scheme.mx_format)
-            pw = C.pack_layer(deq, scheme, codes, exps)
+            deq, pw = C.quantize_layer(w, scheme)
             back = C.PackedWeights.from_bytes(pw.to_bytes())
-            np.testing.assert_array_equal(back.codes, codes)
+            np.testing.assert_array_equal(back.codes, pw.codes)
             # bit for bit, negative zeros included
             np.testing.assert_array_equal(back.dequantize().view(np.int64),
                                           deq.view(np.int64))
@@ -401,7 +400,7 @@ class TestPacking:
         rng = np.random.default_rng(47)
         w = rng.normal(size=(24, 6))
         deq, codes, scales = C.quantize_weight(w, bits=4, group_size=8)
-        pw = C.pack_layer(deq, C.QuantScheme("int-sym", 4, 8), codes, scales)
+        _, pw = C.quantize_layer(w, C.QuantScheme("int-sym", 4, 8))
         back = C.PackedWeights.from_bytes(pw.to_bytes())
         np.testing.assert_array_equal(back.codes, codes)
         np.testing.assert_array_equal(back.scales, scales)
@@ -411,9 +410,8 @@ class TestPacking:
         rng = np.random.default_rng(48)
         w = rng.normal(size=(16, 40))
         for scheme in (C.QuantScheme("mxfp", 4, 32), C.QuantScheme("mxfp", 8, 32)):
-            deq, codes, exps = C.mx_qdq_weight(w, scheme.mx_format)
-            assert codes.shape == w.shape and exps.shape == (1, 40)
-            pw = C.pack_layer(deq, scheme, codes, exps)
+            deq, pw = C.quantize_layer(w, scheme)
+            assert pw.codes.shape == w.shape and pw.scales.shape == (1, 40)
             back = C.PackedWeights.from_bytes(pw.to_bytes())
             assert back.shape == w.shape
             np.testing.assert_array_equal(back.dequantize(), deq)
@@ -421,20 +419,19 @@ class TestPacking:
     def test_packed_weights_raw_round_trip(self):
         rng = np.random.default_rng(49)
         w = rng.normal(size=(7, 5))
-        pw = C.pack_layer(w, C.QuantScheme("none", 16, 0))
+        _, pw = C.quantize_layer(w, C.QuantScheme("none", 16, 0))
         back = C.PackedWeights.from_bytes(pw.to_bytes())
         np.testing.assert_array_equal(back.dequantize(), w)
 
     def test_empty_payload_valid_header(self):
-        pw = C.pack_layer(np.zeros((0, 4)), C.QuantScheme("none", 16, 0))
+        _, pw = C.quantize_layer(np.zeros((0, 4)), C.QuantScheme("none", 16, 0))
         back = C.PackedWeights.from_bytes(pw.to_bytes())
         assert back.shape == (0, 4)
 
     def test_truncated_payload_raises(self):
         rng = np.random.default_rng(50)
         w = rng.normal(size=(8, 4))
-        deq, codes, scales = C.quantize_weight(w, bits=2, group_size=4)
-        buf = C.pack_layer(deq, C.QuantScheme("int-sym", 2, 4), codes, scales).to_bytes()
+        buf = C.quantize_layer(w, C.QuantScheme("int-sym", 2, 4))[1].to_bytes()
         with pytest.raises(PackError):
             C.PackedWeights.from_bytes(buf[:5])
         with pytest.raises(PackError):
@@ -450,3 +447,62 @@ class TestPacking:
         assert C.QuantScheme("mxfp", 4, 32).label == "mxfp4"
         assert C.scheme_for_bits("int-sym", 16, 32).label == "w16"
         assert C.scheme_for_bits("mxfp", 8, 32).quantizes_acts
+
+
+# ---------------------------------------------------------------------------
+# the per-scheme layer quantizer
+
+
+def _learned(w, group_size, keys):
+    """Tuned-looking offsets, multipliers and searched scales for ``w``."""
+    rng = np.random.default_rng(52)
+    n_g = len(C.group_segments(w.shape[0], group_size))
+    full = {"v": rng.uniform(-0.5, 0.5, size=w.shape),
+            "alpha": rng.uniform(0.5, 1.5, size=(n_g, w.shape[1])),
+            "beta": rng.uniform(0.5, 1.5, size=(n_g, w.shape[1])),
+            "init_scales": rng.uniform(0.05, 0.5, size=(n_g, w.shape[1]))}
+    return {k: full[k] for k in keys}
+
+
+TUNED = ("v", "alpha", "beta")
+
+
+class TestQuantizeLayer:
+    # (scheme, learned keywords, reference eval weight); the reference
+    # calls the family's own function
+    CASES = {
+        "none": (C.QuantScheme("none", 16, 0), (), lambda w, kw: w),
+        "int-sym": (C.QuantScheme("int-sym", 4, 8), (),
+                    lambda w, kw: C.quantize_weight(w, 4, 8)[0]),
+        "int-sym-tuned": (C.QuantScheme("int-sym", 2, 8), TUNED,
+                          lambda w, kw: C.quantize_weight(w, 2, 8, **kw)[0]),
+        "int-sym-searched": (C.QuantScheme("int-sym", 3, 16),
+                             TUNED + ("init_scales",),
+                             lambda w, kw: C.quantize_weight(w, 3, 16,
+                                                             **kw)[0]),
+        "mxfp4": (C.QuantScheme("mxfp", 4, 32), (),
+                  lambda w, kw: C.mx_qdq_weight(w, C.MXFP4)[0]),
+        "mxfp8": (C.QuantScheme("mxfp", 8, 32), (),
+                  lambda w, kw: C.mx_qdq_weight(w, C.MXFP8)[0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_payload_decodes_to_eval_weight(self, case):
+        scheme, keys, reference = self.CASES[case]
+        w = np.random.default_rng(51).normal(size=(40, 6))
+        # zeros of both signs, and a tiny negative that MX rounds to -0.0
+        w[0, 0], w[1, 1], w[2, 2] = 0.0, -0.0, -1e-30
+        kw = _learned(w, scheme.group_size, keys)
+        deq, pw = C.quantize_layer(w, scheme, **kw)
+        np.testing.assert_array_equal(deq.view(np.int64),
+                                      reference(w, kw).view(np.int64))
+        assert (pw.codec, pw.bits, tuple(pw.shape)) \
+            == (C.codec_for(scheme), scheme.bits, w.shape)
+        # bit for bit, negative zeros included, before and after bytes
+        back = C.PackedWeights.from_bytes(pw.to_bytes())
+        assert back.to_bytes() == pw.to_bytes()
+        for got in (pw.dequantize(), back.dequantize()):
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          deq.view(np.int64))
+        if scheme.family != "int-sym":  # int-sym decodes zero codes to +0.0
+            assert np.signbit(deq[1, 1]) and deq[1, 1] == 0.0

@@ -130,6 +130,7 @@ class TestTuneConfig:
         dict(steps=-1), dict(lr=0.0), dict(lr=-0.1),
         dict(trim_fraction=1.0), dict(trim_fraction=-0.01),
         dict(batch_size=0), dict(seed=-1),
+        dict(lr=float("nan")), dict(lr=float("inf")),
     ])
     def test_invalid_config(self, kw):
         with pytest.raises(ConfigError):
@@ -342,15 +343,23 @@ class TestQuantizeModel:
         names = [i.name for i in model.quantizable_layers()]
         plan = tuner.plan_from_assignment(names, [16] * len(names), "int-sym", 32)
         res = tuner.quantize_model(model, plan, cal, self.cfg(), eval_batches=ev)
-        assert res.weights == {}
+        assert res.tuned == []
+        for name in names:
+            np.testing.assert_array_equal(res.weights[name], model.params[name])
+            assert res.packed[name].codec == codecs.CODEC_RAW
+            np.testing.assert_array_equal(res.packed[name].dequantize(),
+                                          model.params[name])
         assert abs(res.metrics["quantized_loss"] - model.eval_loss(ev)) <= 1e-10
 
-    def test_steps_zero_no_init_is_plain_rtn(self):
+    @pytest.mark.parametrize("use_scale_init", [True, False])
+    def test_steps_zero_no_init_is_plain_rtn(self, use_scale_init):
+        # 0 steps search no scales, whatever use_scale_init says
         model, cal = small_model(seed=11)
         names = [i.name for i in model.quantizable_layers()]
         plan = tuner.plan_from_assignment(names, [4] * len(names), "int-sym", 32)
         res = tuner.quantize_model(model, plan, cal,
-                                   self.cfg(steps=0, use_scale_init=False))
+                                   self.cfg(steps=0,
+                                            use_scale_init=use_scale_init))
         assert res.tuned == []
         for name in names:
             expect, _, _ = codecs.quantize_weight(model.params[name], 4, 32)

@@ -1,13 +1,15 @@
 """Command-line pipeline: score, allocate, quantize, verify, report.
 
 Every subcommand reads the same INI config (plus ``--set section.key=value``
-overrides), writes fixed-name JSON outputs into the configured output
-directory, and embeds the config digest in everything it writes. All
-randomness flows from the single config seed, so rerunning an identical
-config reproduces every output byte for byte.
+overrides), which holds every run setting; it reads its inputs from and
+writes fixed-name JSON outputs into the configured output directory, and
+embeds the config digest in everything it writes. All randomness flows
+from the single config seed, so rerunning an identical config reproduces
+every output byte for byte.
 
 Exit codes: 0 success, 1 failed check or other toolkit error, 2 config
-error, 3 infeasible allocation, 4 numeric failure during tuning.
+error, 3 infeasible allocation, 4 numeric failure during training or
+tuning.
 """
 
 from __future__ import annotations
@@ -130,15 +132,9 @@ def cmd_sensitivity(cfg, args) -> int:
 
 
 def cmd_allocate(cfg, args) -> int:
-    rpath = Path(args.report) if args.report else cfg.out_dir / SENSITIVITY_FILE
-    _, report = _load_report(rpath)
-    try:
-        target = allocator.as_budget(args.target) if args.target \
-            else cfg.target_bits
-    except ContractError as e:
-        raise ConfigError(f"--target: {e}") from None
-    _check_target(target, [s.bits for s in report.options])
-    problem = allocator.AllocationProblem.from_report(report, target)
+    _, report = _load_report(cfg.out_dir / SENSITIVITY_FILE)
+    _check_target(cfg.target_bits, [s.bits for s in report.options])
+    problem = allocator.AllocationProblem.from_report(report, cfg.target_bits)
     if args.mode == "dp":
         asn = allocator.allocate_dp(problem)
     else:
@@ -151,17 +147,16 @@ def cmd_allocate(cfg, args) -> int:
     for name, lbl in zip(problem.names, asn.choices):
         print(f"{name}: {lbl}")
     print(f"solver {asn.solver}: avg bits {asn.avg_bits} "
-          f"(target {target}), objective {asn.objective:.6g}")
+          f"(target {cfg.target_bits}), objective {asn.objective:.6g}")
     print(f"wrote {cfg.out_dir / ASSIGNMENT_FILE}")
     return EXIT_OK
 
 
 def cmd_quantize(cfg, args) -> int:
-    model, cal = cfglib.build_model(cfg)
     ev = cfglib.eval_set(cfg)
-    apath = Path(args.assignment) if args.assignment \
-        else cfg.out_dir / ASSIGNMENT_FILE
-    asn_dict, asn, names, target = _load_assignment(apath, model)
+    model, cal = cfglib.build_model(cfg)
+    asn_dict, asn, names, target = _load_assignment(
+        cfg.out_dir / ASSIGNMENT_FILE, model)
     if target is None:
         target = cfg.target_bits
 
@@ -230,8 +225,8 @@ def cmd_report(cfg, args) -> int:
     if d.get("config_digest") != cfg.digest():
         raise ConfigError(f"{rpath} was scored under another config; "
                           f"run `lowbit sensitivity` with this one first")
-    model, cal = cfglib.build_model(cfg)
     ev = cfglib.eval_set(cfg)
+    model, cal = cfglib.build_model(cfg)
     problem = allocator.AllocationProblem.from_report(report, cfg.target_bits)
     names = list(problem.names)
 
@@ -289,17 +284,10 @@ def _parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("allocate", help="solve the bit-allocation problem")
     common(a)
-    a.add_argument("--report", metavar="PATH",
-                   help=f"sensitivity report (default OUT/{SENSITIVITY_FILE})")
     a.add_argument("--mode", choices=("dp", "head", "tail"), default="dp")
-    a.add_argument("--target", metavar="BITS",
-                   help="average bits budget, e.g. 8/3 (default from config)")
 
-    q = sub.add_parser("quantize",
-                       help="full pipeline: pack weights, compare variants")
-    common(q)
-    q.add_argument("--assignment", metavar="PATH",
-                   help=f"bit assignment (default OUT/{ASSIGNMENT_FILE})")
+    common(sub.add_parser("quantize",
+                          help="full pipeline: pack weights, compare variants"))
 
     v = sub.add_parser("verify", help="check an artifact's integrity")
     common(v)

@@ -2,14 +2,17 @@
 
 A run is fully described by one config file; every random choice in the
 pipeline derives from its single seed, so equal configs give
-byte-identical outputs. The canonical digest hashes the config's
-semantic content (the output directory is location, not semantics, and
-is excluded).
+byte-identical outputs. ``FIELDS`` declares every setting once, with
+its default text and its parser; ``load_config`` parses them all in one
+pass and then checks how they fit together. The canonical digest hashes
+the config's semantic content (the output directory is location, not
+semantics, and is excluded).
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import io
 import json
@@ -29,29 +32,55 @@ from .tuner import TuneConfig
 
 OUT_DIR_ENV = "LOWBIT_OUT_DIR"
 FP_MODEL_FILE = "fp_model.npz"
+GENERATED = ("synthetic", "markov")  # any other data.source is a token file
 _KEY, _DIGEST = "__key__", "__digest__"  # no parameter takes these names
 
-DEFAULTS = {
+
+def _bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _optional(parse):
+    """An empty value leaves the field to its TuneConfig default."""
+    return lambda raw: parse(raw) if raw.strip() else None
+
+
+def _options(raw: str) -> tuple:
+    return tuple(sorted({int(tok) for tok in raw.split(",") if tok.strip()}))
+
+
+# every run setting: section -> key -> (default text, parser of the text)
+FIELDS = {
     "model": {
-        "arch": "mlp", "hidden": "32", "n_blocks": "2", "vocab": "32",
-        "n_heads": "4", "ffn_mult": "2", "max_seq": "32",
-        "train_steps": "300", "train_lr": "0.5",
+        "arch": ("mlp", str), "hidden": ("32", int), "n_blocks": ("2", int),
+        "vocab": ("32", int), "n_heads": ("4", int), "ffn_mult": ("2", int),
+        "max_seq": ("32", int), "train_steps": ("300", int),
+        "train_lr": ("0.5", float),
     },
     "scheme": {
-        "family": "int-sym", "options": "2,4,8", "group_size": "32",
-        "target_bits": "8/3",
+        "family": ("int-sym", str), "options": ("2,4,8", _options),
+        "group_size": ("32", int), "target_bits": ("8/3", as_budget),
     },
     "tuning": {
-        "steps": "", "lr": "", "batch_size": "8",
-        "trim_fraction": "0.001", "use_scale_init": "true",
-        "propagate_quantized": "true",
+        "steps": ("", _optional(int)), "lr": ("", _optional(float)),
+        "batch_size": ("8", int), "trim_fraction": ("0.001", float),
+        "use_scale_init": ("true", _bool),
+        "propagate_quantized": ("true", _bool),
     },
     "data": {
-        "source": "markov", "calib_samples": "64", "seq_len": "32",
-        "batch_size": "8", "eval_samples": "16",
+        "source": ("markov", str), "calib_samples": ("64", int),
+        "seq_len": ("32", int), "batch_size": ("8", int),
+        "eval_samples": ("16", int),
     },
-    "run": {"seed": "21", "out_dir": ""},
+    "run": {"seed": ("21", int), "out_dir": ("", str)},
 }
+DEFAULTS = {section: {key: text for key, (text, _) in keys.items()}
+            for section, keys in FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -74,30 +103,25 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Semantic content as JSON-ready primitives (out_dir excluded)."""
-        s = self.spec
         return {
-            "model": {"arch": s.arch, "hidden": s.hidden,
-                      "n_blocks": s.n_blocks, "vocab": s.vocab,
-                      "n_heads": s.n_heads, "ffn_mult": s.ffn_mult,
-                      "max_seq": s.max_seq, "train_steps": self.train_steps,
+            "model": {**_unseeded(self.spec), "train_steps": self.train_steps,
                       "train_lr": self.train_lr},
             "scheme": {"family": self.family, "options": list(self.options),
                        "group_size": self.group_size,
                        "target_bits": str(self.target_bits)},
-            "tuning": {"steps": self.tune.steps, "lr": self.tune.lr,
-                       "batch_size": self.tune.batch_size,
-                       "trim_fraction": self.tune.trim_fraction,
-                       "use_scale_init": self.tune.use_scale_init,
-                       "propagate_quantized": self.tune.propagate_quantized},
-            "data": {"source": self.source,
-                     "calib_samples": self.calib_samples,
-                     "seq_len": self.seq_len, "batch_size": self.batch_size,
-                     "eval_samples": self.eval_samples},
+            "tuning": _unseeded(self.tune),
+            "data": {key: getattr(self, key) for key in FIELDS["data"]},
             "run": {"seed": self.seed},
         }
 
     def digest(self) -> str:
         return digest_of(self.to_dict())
+
+
+def _unseeded(obj) -> dict:
+    """A dataclass's fields but its seed, which the run section holds."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+            if f.name != "seed"}
 
 
 def canonical_json(obj) -> str:
@@ -108,23 +132,6 @@ def digest_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def _get(parser, section, key, conv, path):
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except (ValueError, ArithmeticError):
-        raise ConfigError(f"{path}: cannot parse {raw!r}") from None
-
-
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(raw)
-
-
 def apply_overrides(parser, sets) -> None:
     """Apply "section.key=value" strings on top of the parsed file."""
     for item in sets or ():
@@ -133,7 +140,7 @@ def apply_overrides(parser, sets) -> None:
             raise ConfigError(
                 f"override {item!r} is not of the form section.key=value")
         section, key = head.split(".", 1)
-        if section not in DEFAULTS or key not in DEFAULTS[section]:
+        if section not in FIELDS or key not in FIELDS[section]:
             raise ConfigError(f"unknown config field {section}.{key}")
         parser.set(section, key, value)
 
@@ -152,102 +159,68 @@ def load_config(path=None, sets=()) -> RunConfig:
         except configparser.Error as e:
             raise ConfigError(f"{p}: {e}") from None
         for section in parser.sections():
-            if section not in DEFAULTS:
+            if section not in FIELDS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key in parser.options(section):
-                if key not in DEFAULTS[section]:
+                if key not in FIELDS[section]:
                     raise ConfigError(f"unknown config field {section}.{key}")
     apply_overrides(parser, sets)
 
+    v = {section: {} for section in FIELDS}
+    for section, keys in FIELDS.items():
+        for key, (_, parse) in keys.items():
+            raw = parser.get(section, key)
+            try:
+                v[section][key] = parse(raw)
+            except (ValueError, ArithmeticError, ContractError):
+                raise ConfigError(
+                    f"{section}.{key}: cannot parse {raw!r}") from None
+    model, scheme, data = v["model"], v["scheme"], v["data"]
+    seed = v["run"]["seed"]
+
+    train_steps, train_lr = model.pop("train_steps"), model.pop("train_lr")
     try:
-        spec = models.ModelSpec(
-            arch=parser.get("model", "arch"),
-            hidden=_get(parser, "model", "hidden", int, "model.hidden"),
-            n_blocks=_get(parser, "model", "n_blocks", int, "model.n_blocks"),
-            vocab=_get(parser, "model", "vocab", int, "model.vocab"),
-            n_heads=_get(parser, "model", "n_heads", int, "model.n_heads"),
-            ffn_mult=_get(parser, "model", "ffn_mult", int, "model.ffn_mult"),
-            max_seq=_get(parser, "model", "max_seq", int, "model.max_seq"),
-            seed=_get(parser, "run", "seed", int, "run.seed"),
-        )
+        spec = models.ModelSpec(**model, seed=seed)
     except ConfigError as e:
         raise ConfigError(f"model: {e}") from None
-
-    family = parser.get("scheme", "family")
-    if family not in ("int-sym", "mxfp"):
-        raise ConfigError(f"scheme.family: unknown family {family!r}")
-    raw_opts = parser.get("scheme", "options")
-    try:
-        options = tuple(sorted({int(tok) for tok in raw_opts.split(",") if tok.strip()}))
-    except ValueError:
-        raise ConfigError(f"scheme.options: cannot parse {raw_opts!r}") from None
-    if not options:
-        raise ConfigError("scheme.options: need at least one option")
-    group_size = _get(parser, "scheme", "group_size", int, "scheme.group_size")
-    for b in options:
-        try:
-            codecs.scheme_for_bits(family, b, group_size)
-        except ContractError as e:
-            raise ConfigError(f"scheme: option {b}: {e}") from None
-
-    raw_t = parser.get("scheme", "target_bits")
-    try:
-        target = as_budget(raw_t)
-    except Exception:
-        raise ConfigError(
-            f"scheme.target_bits: cannot parse {raw_t!r} as a fraction") from None
-    if not options[0] <= target <= options[-1]:
-        raise ConfigError(
-            f"scheme.target_bits: {raw_t} outside option range "
-            f"[{options[0]}, {options[-1]}]")
-
-    source = parser.get("data", "source")
-    if source not in ("synthetic", "markov") and not Path(source).is_file():
-        raise ConfigError(f"data.source: path {source!r} does not exist")
-    calib_samples = _get(parser, "data", "calib_samples", int,
-                         "data.calib_samples")
-    seq_len = _get(parser, "data", "seq_len", int, "data.seq_len")
-    batch_size = _get(parser, "data", "batch_size", int, "data.batch_size")
-    eval_samples = _get(parser, "data", "eval_samples", int,
-                        "data.eval_samples")
-    if min(calib_samples, batch_size, eval_samples) < 1 or seq_len < 2:
-        raise ConfigError("data: sample counts must be >= 1 and seq_len >= 2")
-
-    tune_kw = dict(
-        batch_size=_get(parser, "tuning", "batch_size", int,
-                        "tuning.batch_size"),
-        trim_fraction=_get(parser, "tuning", "trim_fraction", float,
-                           "tuning.trim_fraction"),
-        use_scale_init=_get(parser, "tuning", "use_scale_init", _bool,
-                            "tuning.use_scale_init"),
-        propagate_quantized=_get(parser, "tuning", "propagate_quantized",
-                                 _bool, "tuning.propagate_quantized"),
-        seed=spec.seed,
-    )
-    if parser.get("tuning", "steps").strip():
-        tune_kw["steps"] = _get(parser, "tuning", "steps", int, "tuning.steps")
-    if parser.get("tuning", "lr").strip():
-        tune_kw["lr"] = _get(parser, "tuning", "lr", float, "tuning.lr")
-    try:
-        tune = TuneConfig(**tune_kw)
-    except ConfigError as e:
-        raise ConfigError(f"tuning: {e}") from None
-
-    out_raw = parser.get("run", "out_dir").strip()
-    out_dir = Path(out_raw or os.environ.get(OUT_DIR_ENV, "."))
-
-    train_steps = _get(parser, "model", "train_steps", int, "model.train_steps")
-    train_lr = _get(parser, "model", "train_lr", float, "model.train_lr")
     if train_steps < 0 or not (math.isfinite(train_lr) and train_lr > 0):
         raise ConfigError("model: need train_steps >= 0 and a finite "
                           "train_lr > 0")
 
+    options = scheme["options"]
+    if scheme["family"] not in ("int-sym", "mxfp"):
+        raise ConfigError(
+            f"scheme.family: unknown family {scheme['family']!r}")
+    if not options:
+        raise ConfigError("scheme.options: need at least one option")
+    for b in options:
+        try:
+            codecs.scheme_for_bits(scheme["family"], b, scheme["group_size"])
+        except ContractError as e:
+            raise ConfigError(f"scheme: option {b}: {e}") from None
+    if not options[0] <= scheme["target_bits"] <= options[-1]:
+        raise ConfigError(
+            f"scheme.target_bits: {scheme['target_bits']} outside option "
+            f"range [{options[0]}, {options[-1]}]")
+
+    if data["source"] not in GENERATED and not Path(data["source"]).is_file():
+        raise ConfigError(f"data.source: path {data['source']!r} does not exist")
+    if (min(data["calib_samples"], data["batch_size"], data["eval_samples"]) < 1
+            or data["seq_len"] < 2):
+        raise ConfigError("data: sample counts must be >= 1 and seq_len >= 2")
+    if spec.arch == models.ARCH_TT and data["seq_len"] > spec.max_seq:
+        raise ConfigError(f"data.seq_len {data['seq_len']} exceeds "
+                          f"model.max_seq {spec.max_seq}")
+
+    try:
+        tune = TuneConfig(**{k: x for k, x in v["tuning"].items()
+                             if x is not None}, seed=seed)
+    except ConfigError as e:
+        raise ConfigError(f"tuning: {e}") from None
+
+    out_dir = Path(v["run"]["out_dir"] or os.environ.get(OUT_DIR_ENV, "."))
     return RunConfig(spec=spec, train_steps=train_steps, train_lr=train_lr,
-                     family=family, options=options, group_size=group_size,
-                     target_bits=target, tune=tune, source=source,
-                     calib_samples=calib_samples, seq_len=seq_len,
-                     batch_size=batch_size, eval_samples=eval_samples,
-                     seed=spec.seed, out_dir=out_dir)
+                     **scheme, tune=tune, **data, seed=seed, out_dir=out_dir)
 
 
 def build_model(cfg: RunConfig):
@@ -348,6 +321,11 @@ def write_atomic(path: Path, data: bytes) -> None:
 
 
 def eval_set(cfg: RunConfig) -> list:
-    source = cfg.source if cfg.source in ("synthetic", "markov") else "synthetic"
-    return models.eval_batches(cfg.spec, cfg.eval_samples, cfg.seq_len,
-                               cfg.batch_size, cfg.seed, source=source)
+    """Held-out batches: a generated source's stream under a disjoint
+    seed, or a token file's rows after its calibration rows."""
+    if cfg.source in GENERATED:
+        return models.eval_batches(cfg.spec, cfg.eval_samples, cfg.seq_len,
+                                   cfg.batch_size, cfg.seed, source=cfg.source)
+    rows = models.read_token_file(cfg.source, cfg.spec.vocab, cfg.seq_len,
+                                  cfg.calib_samples + cfg.eval_samples)
+    return models.batched(rows[cfg.calib_samples:], cfg.batch_size)

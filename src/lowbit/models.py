@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, IngestionError
+from .errors import ConfigError, ContractError, IngestionError, NumericError
 
 ARCH_MLP = "mlp"
 ARCH_TT = "tiny-transformer"
@@ -47,7 +47,11 @@ class ModelSpec:
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if self.vocab < 2 or self.hidden < 2 or self.n_blocks < 1:
             raise ConfigError("model dimensions too small")
-        if self.arch == ARCH_TT and self.hidden % self.n_heads:
+        if self.arch != ARCH_TT:
+            return
+        if min(self.n_heads, self.ffn_mult, self.max_seq) < 1:
+            raise ConfigError("n_heads, ffn_mult and max_seq must be >= 1")
+        if self.hidden % self.n_heads:
             raise ConfigError(
                 f"hidden {self.hidden} not divisible by {self.n_heads} heads")
 
@@ -260,7 +264,8 @@ def train_model(model: ToyModel, batches, steps: int, lr: float) -> None:
     Toy models are built at random init, where quantizing a layer can
     genuinely lower the loss; the quantization pipeline presumes weights
     near a minimum. A short seeded training run puts them there. Updates
-    ``model.params`` in place.
+    ``model.params`` in place; a non-finite loss or parameter raises
+    NumericError naming the step.
     """
     if steps < 0 or lr <= 0:
         raise ContractError("need steps >= 0 and lr > 0")
@@ -272,6 +277,10 @@ def train_model(model: ToyModel, batches, steps: int, lr: float) -> None:
         grads = T.backward(loss, wrt=list(leaves.values()))
         for n in names:
             model.params[n] = model.params[n] - lr * grads[leaves[n]]
+        if not (math.isfinite(loss.item()) and all(
+                np.isfinite(model.params[n]).all() for n in names)):
+            raise NumericError(f"training diverged at step {step}: "
+                               f"non-finite loss or parameters (lr {lr})")
 
 
 def trained_toy(spec: ModelSpec, n_samples: int = 16, seq_len: int = 32,
@@ -294,6 +303,12 @@ def trained_toy(spec: ModelSpec, n_samples: int = 16, seq_len: int = 32,
 # calibration data
 
 
+def batched(rows: np.ndarray, batch_size: int) -> list:
+    """Consecutive ``batch_size`` chunks of rows; a smaller trailing
+    batch is kept."""
+    return [rows[i:i + batch_size] for i in range(0, len(rows), batch_size)]
+
+
 def zipf_probs(vocab: int, exponent: float = 1.1) -> np.ndarray:
     ranks = np.arange(1, vocab + 1, dtype=np.float64)
     p = ranks ** -exponent
@@ -313,7 +328,7 @@ def synthetic_batches(vocab: int, n_samples: int, seq_len: int,
     rng = np.random.default_rng(seed)
     perm = rng.permutation(vocab)
     rows = perm[rng.choice(vocab, size=(n_samples, seq_len), p=zipf_probs(vocab))]
-    return [rows[i:i + batch_size] for i in range(0, n_samples, batch_size)]
+    return batched(rows, batch_size)
 
 
 def markov_transition(vocab: int, chain_seed: int = 101) -> np.ndarray:
@@ -350,7 +365,7 @@ def markov_batches(vocab: int, n_samples: int, seq_len: int, batch_size: int,
     for t in range(1, seq_len):
         u = rng.random(n_samples)
         ids[:, t] = (cum[ids[:, t - 1]] > u[:, None]).argmax(axis=1)
-    return [ids[i:i + batch_size] for i in range(0, n_samples, batch_size)]
+    return batched(ids, batch_size)
 
 
 def read_token_file(path, vocab: int, seq_len: int, n_samples: int) -> np.ndarray:
@@ -389,8 +404,8 @@ def load_calibration(source: str, vocab: int, n_samples: int, seq_len: int,
         return synthetic_batches(vocab, n_samples, seq_len, batch_size, seed)
     if source == "markov":
         return markov_batches(vocab, n_samples, seq_len, batch_size, seed)
-    rows = read_token_file(source, vocab, seq_len, n_samples)
-    return [rows[i:i + batch_size] for i in range(0, n_samples, batch_size)]
+    return batched(read_token_file(source, vocab, seq_len, n_samples),
+                   batch_size)
 
 
 def eval_batches(spec: ModelSpec, n_samples: int, seq_len: int,

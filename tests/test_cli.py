@@ -14,6 +14,7 @@ import pytest
 import lowbit
 from lowbit import artifact as art
 from lowbit import cli, codecs, models
+from lowbit import config as cfglib
 from lowbit.config import canonical_json, digest_of, load_config
 from lowbit.errors import ConfigError, InfeasibleError, NumericError, PackError
 
@@ -112,7 +113,9 @@ class TestConfig:
                                       "tuning.recipe=enhanced",
                                       "tuning.lr=nan", "tuning.lr=inf",
                                       "model.train_lr=nan",
-                                      "model.train_lr=inf"])
+                                      "model.train_lr=inf",
+                                      "scheme.target_bits=abc",
+                                      "scheme.target_bits=1/0"])
     def test_rejects_bad_override(self, item):
         with pytest.raises(ConfigError):
             load_config(None, [item])
@@ -127,6 +130,42 @@ class TestConfig:
         reseeded = load_config(None, ["run.seed=22"])
         assert moved.digest() == base.digest()
         assert reseeded.digest() != base.digest()
+
+    def test_digest_payload_is_pinned(self):
+        # every output embeds the digest of this dict: a refactor that
+        # changes a key, a value or a type changes every output's bytes
+        want = {
+            "model": {"arch": "mlp", "hidden": 32, "n_blocks": 2,
+                      "vocab": 32, "n_heads": 4, "ffn_mult": 2,
+                      "max_seq": 32, "train_steps": 300, "train_lr": 0.5},
+            "scheme": {"family": "int-sym", "options": [2, 4, 8],
+                       "group_size": 32, "target_bits": "8/3"},
+            "tuning": {"steps": 200, "lr": 0.005, "batch_size": 8,
+                       "trim_fraction": 0.001, "use_scale_init": True,
+                       "propagate_quantized": True},
+            "data": {"source": "markov", "calib_samples": 64, "seq_len": 32,
+                     "batch_size": 8, "eval_samples": 16},
+            "run": {"seed": 21},
+        }
+        got = load_config().to_dict()
+        assert got == want
+        assert sum(len(keys) for keys in got.values()) == 25
+        for section, keys in want.items():
+            for key, value in keys.items():
+                assert type(got[section][key]) is type(value), (section, key)
+                if isinstance(value, list):
+                    assert [type(x) for x in got[section][key]] \
+                        == [type(x) for x in value]
+
+    def test_token_file_evaluates_on_rows_after_calibration(self, tmp_path):
+        tokens = tmp_path / "tokens.txt"
+        rows = np.random.default_rng(3).integers(0, 16, size=(13, 16))
+        tokens.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+        cfg = load_config(None, [*TINY, f"data.source={tokens}",
+                                 "data.eval_samples=5"])
+        ev = cfglib.eval_set(cfg)
+        assert [len(b) for b in ev] == [4, 1]
+        np.testing.assert_array_equal(np.concatenate(ev), rows[8:13])
 
     def test_digest_is_semantic(self):
         d = load_config().to_dict()
@@ -455,8 +494,9 @@ class TestCliCommands:
         assert Fraction(used, total) <= Fraction(asn["target_bits"])
 
     def test_target_max_picks_cheapest_option(self, tmp_path):
-        run_cli(tmp_path, "sensitivity")
-        assert run_cli(tmp_path, "allocate", "--target", "8") == 0
+        sets = TINY + ("scheme.target_bits=8",)
+        run_cli(tmp_path, "sensitivity", sets=sets)
+        assert run_cli(tmp_path, "allocate", sets=sets) == 0
         asn = read_json(tmp_path / "assignment.json")
         rep = read_json(tmp_path / "sensitivity.json")
         for row, scored in zip(asn["layers"], rep["layers"]):
@@ -473,8 +513,13 @@ class TestCliCommands:
         assert objectives["dp"] <= objectives["tail"]
 
     def test_allocate_target_out_of_range(self, tmp_path):
-        run_cli(tmp_path, "sensitivity")
-        assert run_cli(tmp_path, "allocate", "--target", "12") == 2
+        # the config's target loads, but the scores file offers no option
+        # above 4 bits
+        assert run_cli(tmp_path, "sensitivity",
+                       sets=TINY + ("scheme.options=2,4",)) == 0
+        assert run_cli(tmp_path, "allocate", sets=TINY + (
+            "scheme.options=2,4,8", "scheme.target_bits=6")) == 2
+        assert not (tmp_path / "assignment.json").exists()
 
     def test_quantize_pipeline(self, tmp_path):
         run_cli(tmp_path, "sensitivity")
@@ -807,12 +852,17 @@ class TestCliErrors:
         (tmp_path / name).write_text(json.dumps(body))
         assert run_cli(tmp_path, command) == 0
 
-    @pytest.mark.parametrize("target", ["abc", "1/0"])
-    def test_bad_target_exits_config(self, tmp_path, capsys, target):
+    @pytest.mark.parametrize("command,flag,value", [
+        ("allocate", "--target", "8"),
+        ("allocate", "--report", "sensitivity.json"),
+        ("quantize", "--assignment", "assignment.json")])
+    def test_flags_shadowing_config_fields_are_gone(self, tmp_path, capsys,
+                                                    command, flag, value):
+        # the budget is scheme.target_bits; inputs are read from run.out_dir
         (tmp_path / "sensitivity.json").write_text(json.dumps(SCORES))
-        assert run_cli(tmp_path, "allocate", "--target", target) == 2
-        assert "--target" in capsys.readouterr().err
-        assert not (tmp_path / "assignment.json").exists()
+        (tmp_path / "assignment.json").write_text(json.dumps(ASSIGNMENT))
+        assert run_cli(tmp_path, command, flag, str(tmp_path / value)) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_calibration_file_names_path(self, tmp_path, capsys):
         sets = TINY + ("data.source=/no/such/calib.npz",)
@@ -823,15 +873,43 @@ class TestCliErrors:
         assert run_cli(tmp_path, "sensitivity",
                        sets=TINY + ("model.nosuch=1",)) == 2
 
-    @pytest.mark.parametrize("item", ["scheme.options=1,4",
-                                      "scheme.group_size=-3"])
+    @pytest.mark.parametrize("items", [
+        *(pytest.param((item,), id=item)
+          for item in ("scheme.options=1,4", "scheme.group_size=-3")),
+        *(pytest.param(("model.arch=tiny-transformer", item), id=f"tt-{item}")
+          for item in ("model.n_heads=0", "model.ffn_mult=0",
+                       "model.n_heads=-4", "model.ffn_mult=-1",
+                       "model.max_seq=-3", "model.max_seq=0",
+                       "data.seq_len=64"))])
     def test_bad_scheme_exits_config_before_training(self, tmp_path,
-                                                     monkeypatch, item):
+                                                     monkeypatch, items):
         def no_training(cfg):
             raise AssertionError("model built for a rejected config")
         monkeypatch.setattr(cli.cfglib, "build_model", no_training)
-        assert run_cli(tmp_path, "sensitivity", sets=TINY + (item,)) == 2
+        assert run_cli(tmp_path, "sensitivity", sets=TINY + items) == 2
         assert not (tmp_path / "sensitivity.json").exists()
+
+    def test_diverged_training_exits_numeric_and_writes_nothing(
+            self, tmp_path, capsys):
+        sets = TINY + ("model.train_lr=1e6",)
+        assert run_cli(tmp_path, "sensitivity", sets=sets) == 4
+        assert "training diverged at step" in capsys.readouterr().err
+        assert not (tmp_path / "sensitivity.json").exists()
+        assert not (tmp_path / "fp_model.npz").exists()
+
+    def test_token_file_without_eval_rows_exits_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        tokens = tmp_path / "tokens.txt"
+        write_tokens(tokens, seed=1)  # 8 rows: calibration only
+        (tmp_path / "assignment.json").write_text(json.dumps(ASSIGNMENT))
+
+        def no_training(cfg):
+            raise AssertionError("model built before the eval rows were read")
+        monkeypatch.setattr(cli.cfglib, "build_model", no_training)
+        sets = TINY + (f"data.source={tokens}",)
+        assert run_cli(tmp_path, "quantize", sets=sets) == 2
+        assert str(tokens) in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2

@@ -6,7 +6,7 @@ import pytest
 from gradcheck import finite_diff_grad
 from lowbit import models as M
 from lowbit import tensor as T
-from lowbit.errors import ConfigError, ContractError, IngestionError
+from lowbit.errors import ConfigError, ContractError, IngestionError, NumericError
 from lowbit.scale_init import calibrate_act_stats
 
 
@@ -53,6 +53,14 @@ class TestBuildDeterminism:
             tiny_spec(arch="rnn")
         with pytest.raises(ConfigError):
             tiny_spec(vocab=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_heads", 0), ("n_heads", -4), ("ffn_mult", 0), ("ffn_mult", -1),
+        ("max_seq", 0), ("max_seq", -3)])
+    def test_transformer_sizes_must_be_positive(self, field, value):
+        with pytest.raises(ConfigError, match=">= 1"):
+            tiny_spec(**{field: value})
+        tiny_spec(arch=M.ARCH_MLP, **{field: value})  # the MLP reads none
 
     def test_transformer_layer_names(self):
         m = M.ToyModel.build(tiny_spec(n_blocks=2))
@@ -136,6 +144,15 @@ class TestForwardAndLoss:
         direct = m.loss(ids)[0].item()
         m.params[name] = saved
         assert tweaked.item() == pytest.approx(direct, rel=1e-12)
+
+
+class TestTraining:
+    def test_divergence_raises_naming_the_step(self):
+        spec = tiny_spec(arch=M.ARCH_MLP)
+        model = M.ToyModel.build(spec)
+        cal = M.synthetic_batches(spec.vocab, 4, 6, 2, seed=1)
+        with pytest.raises(NumericError, match="at step [0-9]+"):
+            M.train_model(model, cal, 30, 1e6)
 
 
 class TestGradients:

@@ -201,28 +201,20 @@ def load_artifact(path) -> Artifact:
 
 def _check_layer(lname, row, pw, family, group_size, assigned,
                  problems) -> None:
-    """Cross-check one layer's table row, packed header and assignment."""
+    """Cross-check one layer's table row, packed scheme and assignment."""
     bits = row["bits"]
-    if pw.bits != bits:
-        problems.append(f"layer {lname}: table has {bits} bits, "
-                        f"packed header {pw.bits}")
     if assigned.get(lname) != bits:
         problems.append(f"layer {lname}: table has {bits} bits, "
                         f"assignment {assigned.get(lname)}")
-    if family is not None:
+    if family is not None and group_size is not None:
         try:
-            # the codec does not depend on the group size
-            want = codecs.codec_for(codecs.scheme_for_bits(family, bits, 0))
+            want = codecs.scheme_for_bits(family, bits, group_size)
         except ContractError as e:
             problems.append(f"layer {lname}: {e}")
         else:
-            if pw.codec != want:
-                problems.append(f"layer {lname}: codec {pw.codec} for "
-                                f"{family} at {bits} bits, want {want}")
-    if (pw.codec == codecs.CODEC_INT_SYM and group_size is not None
-            and pw.group_size != group_size):
-        problems.append(f"layer {lname}: packed group size {pw.group_size}, "
-                        f"scheme.group_size {group_size}")
+            if pw.scheme != want:
+                problems.append(f"layer {lname}: packed as {pw.scheme}, "
+                                f"table and config say {want}")
     shape = tuple(row["shape"])
     if pw.shape != shape:
         problems.append(f"layer {lname}: packed shape {pw.shape}, want {shape}")
@@ -241,9 +233,9 @@ def verify_artifact(path) -> list:
 
     Never raises on a malformed file. Re-derives both digests, checks
     every section hash and byte-level round trip, cross-checks each
-    layer's bits, codec, group size and shape between the layer table,
-    its packed header, the assignment and the config's scheme, and
-    re-checks the bit budget exactly.
+    layer's packed scheme and shape against the layer table, the
+    assignment and the config's scheme, and re-checks the bit budget
+    exactly.
     """
     problems = []
     try:

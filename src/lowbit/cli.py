@@ -135,10 +135,7 @@ def cmd_allocate(cfg, args) -> int:
     _, report = _load_report(cfg.out_dir / SENSITIVITY_FILE)
     _check_target(cfg.target_bits, [s.bits for s in report.options])
     problem = allocator.AllocationProblem.from_report(report, cfg.target_bits)
-    if args.mode == "dp":
-        asn = allocator.allocate_dp(problem)
-    else:
-        asn = allocator.allocate_heuristic(problem, args.mode)
+    asn = allocator.allocate_dp(problem)
     allocator.validate_assignment(problem, asn)
     d = asn.to_dict(problem)
     d["config_digest"] = cfg.digest()
@@ -282,9 +279,8 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("sensitivity",
                           help="score every layer under every bit option"))
 
-    a = sub.add_parser("allocate", help="solve the bit-allocation problem")
-    common(a)
-    a.add_argument("--mode", choices=("dp", "head", "tail"), default="dp")
+    common(sub.add_parser("allocate",
+                          help="solve the bit-allocation problem"))
 
     common(sub.add_parser("quantize",
                           help="full pipeline: pack weights, compare variants"))

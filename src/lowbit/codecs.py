@@ -18,7 +18,10 @@ Two codec families:
 
 :func:`quantize_layer` is the only per-scheme entry point: it maps a
 :class:`QuantScheme` (``none`` included, a raw float64 layer) to the
-layer's eval weight and its :class:`PackedWeights` payload.
+layer's eval weight and its :class:`PackedWeights` payload. A payload
+carries that scheme, and every width, block length and format follows
+from it; codec ids (:data:`CODECS`) exist only in the payload's byte
+layout.
 
 Weights are laid out (in_features, out_features) everywhere in this
 package, packed payloads included. Int-sym groups and MX blocks both run
@@ -40,14 +43,16 @@ from .errors import ContractError, PackError, ShapeError
 
 SCALE_FLOOR = 1e-8
 
-CODEC_RAW = 0
-CODEC_INT_SYM = 1
-CODEC_MXFP4 = 2
-CODEC_MXFP8 = 3
+# a payload header's codec id indexes this table: (family, the bits it
+# fixes, or None when the header's bits field says)
+CODECS = (("none", None), ("int-sym", None), ("mxfp", 4), ("mxfp", 8))
 
 SCALES_NONE = 0
 SCALES_F64 = 1
 SCALES_E8M0 = 2
+# scale format id and dtype of each quantized family
+SCALE_LAYOUT = {"int-sym": (SCALES_F64, np.float64),
+                "mxfp": (SCALES_E8M0, np.int8)}
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +108,7 @@ def scheme_for_bits(family: str, bits: int, group_size: int) -> QuantScheme:
     if bits >= 16:
         return QuantScheme("none", bits, 0)
     if family == "mxfp":
-        return QuantScheme("mxfp", bits, group_size or 32)
+        return QuantScheme("mxfp", bits, group_size or MXFP4.block)
     return QuantScheme("int-sym", bits, group_size)
 
 
@@ -360,9 +365,10 @@ def pack_bits(values: np.ndarray, bits: int) -> bytes:
     v = np.asarray(values).reshape(-1)
     if v.size and (v.min() < 0 or v.max() >= (1 << bits)):
         raise PackError(f"code out of range for {bits}-bit packing")
-    stream = np.unpackbits(v.astype(np.uint8), bitorder="little")
-    return np.packbits(stream.reshape(-1, 8)[:, :bits],
-                       bitorder="little").tobytes()
+    # each code's low ``bits`` bits, one contiguous (n, bits) row apiece
+    stream = np.unpackbits(v.astype(np.uint8).reshape(-1, 1), axis=1,
+                           count=bits, bitorder="little")
+    return np.packbits(stream, bitorder="little").tobytes()
 
 
 def unpack_bits(buf: bytes, bits: int, count: int) -> np.ndarray:
@@ -395,50 +401,47 @@ def field_to_signed(fields: np.ndarray, bits: int) -> np.ndarray:
 # packed container
 
 
-def _code_layout(codec: int, bits: int) -> tuple:
-    """(code width, scale format, scale dtype) of a quantized payload."""
-    if codec == CODEC_INT_SYM:
-        return bits, SCALES_F64, np.float64
-    return (4 if codec == CODEC_MXFP4 else 8), SCALES_E8M0, np.int8
-
-
 @dataclass
 class PackedWeights:
-    """One layer's quantized payload plus enough metadata to decode it.
+    """One layer's quantized payload plus the scheme that decodes it.
 
-    Byte layout: codec id u8, bits u8, group size u32, shape rank u8 and
-    one u64 per dim, scale format u8, then the (n_groups, out) scale
-    array, then the packed code stream of the (in, out) weight in
-    row-major order. Counts are derived from the header, not stored.
+    Byte layout: codec id u8 (an index into :data:`CODECS`), bits u8,
+    group size u32, shape rank u8 and one u64 per dim, scale format u8,
+    then the (n_groups, out) scale array, then the packed code stream of
+    the (in, out) weight in row-major order, ``scheme.bits`` wide. Counts
+    are derived from the header, not stored.
     """
 
-    codec: int
-    bits: int
-    group_size: int
+    scheme: QuantScheme
     shape: tuple
     scales: np.ndarray | None  # f64 groups (int-sym) or int8 exponents (mx)
     codes: np.ndarray          # int8 (int-sym), uint8 (mx), f64 (raw)
 
     def to_bytes(self) -> bytes:
-        head = struct.pack("<BBIB", self.codec, self.bits, self.group_size,
+        s = self.scheme
+        codec = next(i for i, (family, bits) in enumerate(CODECS)
+                     if family == s.family and bits in (None, s.bits))
+        head = struct.pack("<BBIB", codec, s.bits, s.group_size,
                            len(self.shape))
         head += b"".join(struct.pack("<Q", d) for d in self.shape)
-        if self.codec == CODEC_RAW:
+        if s.family == "none":
             head += struct.pack("<B", SCALES_NONE)
             return head + np.asarray(self.codes, dtype=np.float64).tobytes()
-        width, scale_fmt, scale_dtype = _code_layout(self.codec, self.bits)
-        fields = signed_to_field(self.codes, self.bits) \
-            if self.codec == CODEC_INT_SYM else self.codes
+        scale_fmt, scale_dtype = SCALE_LAYOUT[s.family]
+        fields = signed_to_field(self.codes, s.bits) \
+            if s.family == "int-sym" else self.codes
         return (head + struct.pack("<B", scale_fmt)
                 + np.asarray(self.scales, dtype=scale_dtype).tobytes()
-                + pack_bits(fields, width))
+                + pack_bits(fields, s.bits))
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "PackedWeights":
         """Decode one payload; any malformed input raises :class:`PackError`.
 
-        Sizes are checked against the buffer before anything is
-        allocated, so a corrupt header cannot ask for a huge array.
+        The header's codec id, bits and group size must make a valid
+        :class:`QuantScheme`. Sizes are checked against the buffer before
+        anything is allocated, so a corrupt header cannot ask for a huge
+        array.
         """
         try:
             codec, bits, group_size, rank = struct.unpack_from("<BBIB", buf, 0)
@@ -446,11 +449,21 @@ class PackedWeights:
             (scale_fmt,) = struct.unpack_from("<B", buf, 7 + 8 * rank)
         except struct.error as e:
             raise PackError(f"truncated header: {e}") from e
+        if codec >= len(CODECS):
+            raise PackError(f"unknown codec id {codec}")
+        family, fixed_bits = CODECS[codec]
+        if fixed_bits not in (None, bits):
+            raise PackError(f"codec id {codec} is {family} at {fixed_bits} "
+                            f"bits, header says {bits}")
+        try:
+            scheme = QuantScheme(family, bits, group_size)
+        except ContractError as e:
+            raise PackError(str(e)) from None
         off = 8 + 8 * rank
         body = len(buf) - off
         size = math.prod(shape)
-        pw = cls(codec, bits, group_size, shape, None, np.empty(0))
-        if codec == CODEC_RAW:
+        pw = cls(scheme, shape, None, np.empty(0))
+        if family == "none":
             if scale_fmt != SCALES_NONE:
                 raise PackError("raw payload must not carry scales")
             if body < size * 8:
@@ -458,18 +471,12 @@ class PackedWeights:
             pw.codes = np.frombuffer(buf, dtype=np.float64, count=size,
                                      offset=off).reshape(shape).copy()
             return pw
-        if codec not in (CODEC_INT_SYM, CODEC_MXFP4, CODEC_MXFP8):
-            raise PackError(f"unknown codec id {codec}")
         if rank != 2 or size == 0:
             raise PackError(f"shape {shape} is not a non-empty 2-d weight")
-        if codec == CODEC_INT_SYM and not 2 <= bits <= 8:
-            raise PackError(f"int-sym bits {bits} outside [2, 8]")
-        if codec != CODEC_INT_SYM and group_size != MXFP4.block:
-            raise PackError(f"mx block size {group_size}, want {MXFP4.block}")
-        width, want_fmt, scale_dtype = _code_layout(codec, bits)
+        want_fmt, scale_dtype = SCALE_LAYOUT[family]
         if scale_fmt != want_fmt:
             raise PackError(f"scale format {scale_fmt}, want {want_fmt}")
-        code_bytes = -(-size * width // 8)
+        code_bytes = -(-size * bits // 8)
         if body < code_bytes:
             raise PackError("payload shorter than header promises")
         rows, cols = shape
@@ -480,30 +487,21 @@ class PackedWeights:
             raise PackError("payload shorter than header promises")
         pw.scales = np.frombuffer(buf, dtype=scale_dtype, count=n_scales,
                                   offset=off).reshape(scale_shape).copy()
-        codes = unpack_bits(buf[off + scale_bytes:], width, size).reshape(shape)
-        pw.codes = field_to_signed(codes, bits) if codec == CODEC_INT_SYM \
+        codes = unpack_bits(buf[off + scale_bytes:], bits, size).reshape(shape)
+        pw.codes = field_to_signed(codes, bits) if family == "int-sym" \
             else codes
         return pw
 
     def dequantize(self) -> np.ndarray:
-        if self.codec == CODEC_RAW:
+        s = self.scheme
+        if s.family == "none":
             return np.asarray(self.codes, dtype=np.float64)
-        if self.codec == CODEC_INT_SYM:
+        if s.family == "int-sym":
             values, scales = self.codes.astype(np.float64), self.scales
         else:
-            fmt = MXFP4 if self.codec == CODEC_MXFP4 else MXFP8
-            values = _decode_grid(self.codes, fmt)
+            values = _decode_grid(self.codes, s.mx_format)
             scales = np.ldexp(1.0, self.scales.astype(np.int64))
-        return group_decode(values, scales, self.group_size)
-
-
-def codec_for(scheme: QuantScheme) -> int:
-    """The payload codec id a scheme packs to."""
-    if scheme.family == "none":
-        return CODEC_RAW
-    if scheme.family == "int-sym":
-        return CODEC_INT_SYM
-    return CODEC_MXFP4 if scheme.bits == 4 else CODEC_MXFP8
+        return group_decode(values, scales, s.group_size)
 
 
 def quantize_layer(w: np.ndarray, scheme: QuantScheme, v=None, alpha=1.0,
@@ -521,12 +519,11 @@ def quantize_layer(w: np.ndarray, scheme: QuantScheme, v=None, alpha=1.0,
     w = np.asarray(w, dtype=np.float64)
     shape = tuple(w.shape)
     if scheme.family == "none":
-        return w, PackedWeights(CODEC_RAW, scheme.bits, 0, shape, None, w)
+        return w, PackedWeights(scheme, shape, None, w)
     if scheme.family == "mxfp":
         deq, codes, scales = mx_qdq_weight(w, scheme.mx_format)
     else:
         deq, codes, scales = quantize_weight(
             w, scheme.bits, scheme.group_size, v=v, alpha=alpha, beta=beta,
             init_scales=init_scales)
-    return deq, PackedWeights(codec_for(scheme), scheme.bits,
-                              scheme.group_size, shape, scales, codes)
+    return deq, PackedWeights(scheme, shape, scales, codes)

@@ -70,7 +70,6 @@ FIELDS = {
         "steps": ("", _optional(int)), "lr": ("", _optional(float)),
         "batch_size": ("8", int), "trim_fraction": ("0.001", float),
         "use_scale_init": ("true", _bool),
-        "propagate_quantized": ("true", _bool),
     },
     "data": {
         "source": ("markov", str), "calib_samples": ("64", int),
@@ -109,7 +108,9 @@ class RunConfig:
             "scheme": {"family": self.family, "options": list(self.options),
                        "group_size": self.group_size,
                        "target_bits": str(self.target_bits)},
-            "tuning": _unseeded(self.tune),
+            # blocks always tune on quantized inputs; the key that once
+            # switched that stays, so digests keep their bytes
+            "tuning": {**_unseeded(self.tune), "propagate_quantized": True},
             "data": {key: getattr(self, key) for key in FIELDS["data"]},
             "run": {"seed": self.seed},
         }

@@ -7,8 +7,10 @@ Parameters move by a fixed step in the direction opposite the gradient
 sign, clamped to their boxes, and the best iterate seen wins.
 
 ``quantize_model`` strings the blocks together: activation statistics,
-searched initial scales, per-block tuning with optional quantized-input
-propagation, head quantization, and packing.
+searched initial scales, and per-block tuning, each block on the outputs
+of the already-quantized blocks before it; then every layer is quantized
+and packed. A run that tunes nothing (0 steps, or no int-sym layer)
+touches no calibration data: every layer is round-to-nearest.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class TuneConfig:
     batch_size: int = 8
     trim_fraction: float = 0.001
     use_scale_init: bool = True
-    propagate_quantized: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -94,24 +95,14 @@ class BlockTuneResult:
     history: list = field(repr=False)
 
 
-def _block_apply(model, block, x, overrides=None, chunk=8):
-    outs = []
-    for i in range(0, x.shape[0], chunk):
-        outs.append(model.block_forward(block, x[i:i + chunk],
-                                        overrides=overrides).data)
-    return np.concatenate(outs, axis=0)
-
-
 def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
-               init_scales: dict | None = None,
-               targets=None) -> BlockTuneResult:
+               init_scales: dict | None = None) -> BlockTuneResult:
     """Tune one block's integer-grid layers against its fp outputs.
 
     ``inputs`` are the block's input activations, (samples, ...); the
-    regression targets default to the full-precision block outputs on
-    those inputs. The other layers in ``schemes`` (microscaling and
-    16-bit) ride along frozen at their :func:`codecs.quantize_layer`
-    weights.
+    regression targets are the full-precision block outputs on those
+    inputs. The other layers in ``schemes`` (microscaling and 16-bit)
+    ride along frozen at their :func:`codecs.quantize_layer` weights.
     """
     if cfg.steps < 1:
         raise ContractError("tuning needs at least one step")
@@ -128,10 +119,7 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
 
     frozen = {n: codecs.quantize_layer(model.params[n], schemes[n])[0]
               for n in names if n not in tuned_names}
-    if targets is None:
-        targets = _block_apply(model, block, inputs)
-    else:
-        targets = np.asarray(targets, dtype=np.float64)
+    targets = model.block_forward(block, inputs).data
 
     s_init = init_scales or {}
     theta = {}
@@ -216,13 +204,12 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
                    eval_batches=None) -> QuantizeResult:
     """Quantize a model per a layer->scheme plan.
 
-    Blocks containing integer-grid layers are tuned (unless steps is 0);
-    layers outside any block, the head included, are quantized directly.
-    Initial scales are searched only for a tuning run (``use_scale_init``
-    and at least one step); at 0 steps every layer is round-to-nearest.
-    When ``cfg.propagate_quantized`` is set, each block is tuned on
-    inputs produced by the already-quantized blocks before it. Every plan
-    layer, 16-bit included, gets a weight and a payload.
+    Blocks containing integer-grid layers are tuned when ``cfg.steps``
+    is at least 1, each on the calibration inputs as the quantized
+    blocks before it leave them; initial scales are searched for such a
+    run when ``use_scale_init`` is set. Otherwise the calibration batches
+    go unread and every layer is round-to-nearest. Every plan layer,
+    16-bit and the head included, gets a weight and a payload.
     """
     for name, sch in plan.items():
         info = model.layer_info(name)
@@ -230,49 +217,41 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
             raise ContractError(
                 f"layer {name!r} is {info.kind}; only linear layers quantize")
     int_sym = [n for n, s in plan.items() if s.family == "int-sym"]
+    tuning = cfg.steps >= 1 and bool(int_sym)
 
     init_scales = {}
-    if cfg.use_scale_init and cfg.steps >= 1 and int_sym:
+    if tuning and cfg.use_scale_init:
         stats = scale_init.calibrate_act_stats(model, calib_batches)
         for n in int_sym:
             w, sch = model.params[n], plan[n]
             init_scales[n] = scale_init.search_layer_scales(
                 w, stats.get(n, w.shape[0]), sch.bits, sch.group_size)
 
-    weights = {}
-    packed = {}
-    tuned = []
-    ids = np.concatenate([np.asarray(b) for b in calib_batches], axis=0)
-    x = model.embed_forward(ids)
-    covered = set()
-    for block in model.block_ids():
-        bnames = [n for n in model.block_layer_names(block) if n in plan]
-        covered.update(model.block_layer_names(block))
-        tunable = [n for n in bnames if n in int_sym]
-        by_name = {}
-        if tunable and cfg.steps >= 1:
-            sub = {n: init_scales[n] for n in tunable if n in init_scales}
-            tune_res = tune_block(model, block, x,
-                                  {n: plan[n] for n in bnames}, cfg,
-                                  init_scales=sub or None)
-            tuned.append(tune_res)
-            by_name = {lay.name: lay for lay in tune_res.layers}
-        for n in bnames:
-            tl = by_name.get(n)
-            learned = dict(v=tl.v, alpha=tl.alpha, beta=tl.beta) if tl else {}
+    weights, packed, learned, tuned = {}, {}, {}, []
+
+    def finish(names):
+        for n in names:
             weights[n], packed[n] = codecs.quantize_layer(
                 model.params[n], plan[n], init_scales=init_scales.get(n),
-                **learned)
-        if cfg.propagate_quantized and bnames:
-            x = _block_apply(model, block, x,
-                             {n: weights[n] for n in bnames})
-        else:
-            x = _block_apply(model, block, x)
+                **learned.get(n, {}))
 
-    for n, sch in plan.items():
-        if n not in covered:
-            weights[n], packed[n] = codecs.quantize_layer(
-                model.params[n], sch, init_scales=init_scales.get(n))
+    if tuning:
+        ids = np.concatenate([np.asarray(b) for b in calib_batches], axis=0)
+        x = model.embed_forward(ids)
+        for block in model.block_ids():
+            bnames = [n for n in model.block_layer_names(block) if n in plan]
+            if any(n in int_sym for n in bnames):
+                sub = {n: init_scales[n] for n in bnames if n in init_scales}
+                res = tune_block(model, block, x, {n: plan[n] for n in bnames},
+                                 cfg, init_scales=sub or None)
+                tuned.append(res)
+                learned.update({lay.name: dict(v=lay.v, alpha=lay.alpha,
+                                               beta=lay.beta)
+                                for lay in res.layers})
+            finish(bnames)
+            x = model.block_forward(
+                block, x, overrides={n: weights[n] for n in bnames}).data
+    finish([n for n in plan if n not in weights])
 
     metrics = {}
     if eval_batches is not None:

@@ -111,6 +111,7 @@ class TestConfig:
                                       "scheme.options=1,4",
                                       "scheme.group_size=-3",
                                       "tuning.recipe=enhanced",
+                                      "tuning.propagate_quantized=true",
                                       "tuning.lr=nan", "tuning.lr=inf",
                                       "model.train_lr=nan",
                                       "model.train_lr=inf",
@@ -328,18 +329,27 @@ class TestArtifact:
             h["layers"][0]["bits"] = 2
         rewrite_header(path, lower)
         problems = art.verify_artifact(path)
-        assert any("packed header 4" in p for p in problems)
+        assert f"layer lin: packed as {codecs.QuantScheme('int-sym', 4, 4)}, " \
+            f"table and config say {codecs.QuantScheme('int-sym', 2, 4)}" \
+            in problems
         assert any("assignment 4" in p for p in problems)
 
     def test_codec_must_match_family(self, tmp_path):
         path = tmp_path / "a.lbq"
-        save_demo(path, np.random.default_rng(5))
+        cases = [
+            # the demo's group size 4 names no mx scheme
+            ({"family": "mxfp"}, "mxfp blocks are 32 long, got group_size 4"),
+            ({"family": "mxfp", "group_size": 32},
+             f"packed as {codecs.QuantScheme('int-sym', 4, 4)}, "
+             f"table and config say {codecs.QuantScheme('mxfp', 4, 32)}")]
+        for edit, problem in cases:
+            save_demo(path, np.random.default_rng(5))
 
-        def to_mx(h):
-            h["config"]["scheme"]["family"] = "mxfp"
-            h["config_digest"] = digest_of(h["config"])
-        rewrite_header(path, to_mx)
-        assert any("codec" in p for p in art.verify_artifact(path))
+            def to_mx(h):
+                h["config"]["scheme"].update(edit)
+                h["config_digest"] = digest_of(h["config"])
+            rewrite_header(path, to_mx)
+            assert art.verify_artifact(path) == [f"layer lin: {problem}"]
 
     def test_transposed_int_sym_payload_flagged(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -359,7 +369,8 @@ class TestArtifact:
         path = tmp_path / "a.lbq"
         save_parts(path, parts, packed)
         assert art.verify_artifact(path) == [
-            "layer lin: packed group size 8, scheme.group_size 4"]
+            f"layer lin: packed as {codecs.QuantScheme('int-sym', 4, 8)}, "
+            f"table and config say {codecs.QuantScheme('int-sym', 4, 4)}"]
 
         def drop_group_size(h):
             del h["config"]["scheme"]["group_size"]
@@ -397,14 +408,15 @@ class TestArtifact:
     def test_crafted_packed_headers_are_problems(self, tmp_path):
         rng = np.random.default_rng(6)
         parts = mx_payload(rng)
-        mx = parts[3]["lin"]
-        mx.group_size = 0
+        mx = bytearray(parts[3]["lin"].to_bytes())
+        struct.pack_into("<I", mx, 2, 0)  # the header's group size field
+        int_sym = codecs.CODECS.index(("int-sym", None))
         crafted = {
-            "mx block 0": mx.to_bytes(),
-            "int-sym rank 3": struct.pack("<BBIB3QB", codecs.CODEC_INT_SYM, 4,
+            "mx block 0": bytes(mx),
+            "int-sym rank 3": struct.pack("<BBIB3QB", int_sym, 4,
                                           4, 3, 2, 2, 2, codecs.SCALES_F64)
             + bytes(64),
-            "huge shape": struct.pack("<BBIB2QB", codecs.CODEC_INT_SYM, 4, 4,
+            "huge shape": struct.pack("<BBIB2QB", int_sym, 4, 4,
                                       2, 2 ** 62, 2 ** 62, codecs.SCALES_F64),
         }
         for what, blob in crafted.items():
@@ -504,11 +516,11 @@ class TestCliCommands:
             assert row["option"] == cheapest
 
     def test_dp_beats_heuristics(self, tmp_path):
-        run_cli(tmp_path, "sensitivity")
-        objectives = {}
-        for mode in ("dp", "head", "tail"):
-            assert run_cli(tmp_path, "allocate", "--mode", mode) == 0
-            objectives[mode] = read_json(tmp_path / "assignment.json")["objective"]
+        sets = TINY + ("tuning.steps=0",)
+        run_cli(tmp_path, "sensitivity", sets=sets)
+        assert run_cli(tmp_path, "report", sets=sets) == 0
+        objectives = {mode: row["objective"] for mode, row in read_json(
+            tmp_path / "report.json")["allocations"].items()}
         assert objectives["dp"] <= objectives["head"]
         assert objectives["dp"] <= objectives["tail"]
 
@@ -540,7 +552,7 @@ class TestCliCommands:
         for command in ("sensitivity", "allocate", "quantize", "verify"):
             assert run_cli(tmp_path, command, sets=sets) == 0, command
         got = art.load_artifact(tmp_path / "artifact.lbq")
-        assert 3 in [pw.bits for pw in got.packed.values()]
+        assert 3 in [pw.scheme.bits for pw in got.packed.values()]
 
     def test_quantize_rerun_byte_identical(self, tmp_path):
         run_cli(tmp_path, "sensitivity")
@@ -577,7 +589,7 @@ class TestCliCommands:
         got = art.load_artifact(tmp_path / "artifact.lbq")
         for n in wide:
             pw = got.packed[n]
-            assert pw.codec == codecs.CODEC_RAW
+            assert pw.scheme == codecs.QuantScheme("none", 16, 0)
             np.testing.assert_array_equal(pw.dequantize().view(np.int64),
                                           model.params[n].view(np.int64))
 
@@ -855,6 +867,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("command,flag,value", [
         ("allocate", "--target", "8"),
         ("allocate", "--report", "sensitivity.json"),
+        ("allocate", "--mode", "head"),
         ("quantize", "--assignment", "assignment.json")])
     def test_flags_shadowing_config_fields_are_gone(self, tmp_path, capsys,
                                                     command, flag, value):

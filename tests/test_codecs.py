@@ -437,6 +437,16 @@ class TestPacking:
         with pytest.raises(PackError):
             C.PackedWeights.from_bytes(buf[:-3])
 
+    def test_codec_id_fixes_mx_width(self):
+        rng = np.random.default_rng(53)
+        buf = bytearray(C.quantize_layer(rng.normal(size=(32, 4)),
+                                         C.QuantScheme("mxfp", 4, 32))[1]
+                        .to_bytes())
+        assert buf[1] == 4  # the bits field, after the codec id
+        buf[1] = 8  # an MXFP4 codec id claiming 8-bit codes
+        with pytest.raises(PackError, match="header says 8"):
+            C.PackedWeights.from_bytes(bytes(buf))
+
     def test_mx_block_length_is_fixed(self):
         assert C.scheme_for_bits("mxfp", 4, 0).group_size == 32
         with pytest.raises(ContractError):
@@ -496,10 +506,10 @@ class TestQuantizeLayer:
         deq, pw = C.quantize_layer(w, scheme, **kw)
         np.testing.assert_array_equal(deq.view(np.int64),
                                       reference(w, kw).view(np.int64))
-        assert (pw.codec, pw.bits, tuple(pw.shape)) \
-            == (C.codec_for(scheme), scheme.bits, w.shape)
+        assert pw.scheme == scheme and tuple(pw.shape) == w.shape
         # bit for bit, negative zeros included, before and after bytes
         back = C.PackedWeights.from_bytes(pw.to_bytes())
+        assert back.scheme == scheme
         assert back.to_bytes() == pw.to_bytes()
         for got in (pw.dequantize(), back.dequantize()):
             np.testing.assert_array_equal(got.view(np.int64),

@@ -146,8 +146,7 @@ class TestTuneBlock:
         cfg = tuner.TuneConfig(steps=1, lr=0.05, batch_size=4, trim_fraction=0.0,
                                seed=9)
 
-        got = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg,
-                               targets=targets)
+        got = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
 
         # replay by hand: evaluate at theta0, update, evaluate at theta1
         w = model.params["layers.0"]
@@ -192,8 +191,7 @@ class TestTuneBlock:
         scheme = codecs.scheme_for_bits("int-sym", 2, 32)
         cfg = tuner.TuneConfig(steps=60, lr=0.02, batch_size=4, trim_fraction=0.0,
                                seed=seed)
-        res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg,
-                               targets=targets)
+        res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
 
         w = model.params["layers.0"]
         lay = res.layers[0]
@@ -217,8 +215,7 @@ class TestTuneBlock:
         # big steps overshoot, so late iterates are worse than the best one
         cfg = tuner.TuneConfig(steps=12, lr=0.3, batch_size=4, trim_fraction=0.0,
                                seed=1)
-        res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg,
-                               targets=targets)
+        res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
         assert res.final_loss == min(res.history)
         assert res.best_step == int(np.argmin(res.history))
         assert res.final_loss <= res.initial_loss
@@ -246,12 +243,10 @@ class TestTuneBlock:
         codes[1, :] = 1.0  # full span pins the minmax scale per column
         model.params["layers.0"] = codes * 0.125
         x = block_inputs(model, cal)
-        targets = model.block_forward(0, x).data
         scheme = codecs.scheme_for_bits("int-sym", 2, 32)
         cfg = tuner.TuneConfig(steps=5, lr=0.1, batch_size=4, trim_fraction=0.0,
                                seed=0)
-        res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg,
-                               targets=targets)
+        res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
         assert res.history == [0.0] * 6
         lay = res.layers[0]
         np.testing.assert_array_equal(lay.v, np.zeros_like(w))
@@ -346,7 +341,7 @@ class TestQuantizeModel:
         assert res.tuned == []
         for name in names:
             np.testing.assert_array_equal(res.weights[name], model.params[name])
-            assert res.packed[name].codec == codecs.CODEC_RAW
+            assert res.packed[name].scheme.family == "none"
             np.testing.assert_array_equal(res.packed[name].dequantize(),
                                           model.params[name])
         assert abs(res.metrics["quantized_loss"] - model.eval_loss(ev)) <= 1e-10
@@ -364,6 +359,26 @@ class TestQuantizeModel:
         for name in names:
             expect, _, _ = codecs.quantize_weight(model.params[name], 4, 32)
             np.testing.assert_array_equal(res.weights[name], expect)
+
+    @pytest.mark.parametrize("family,steps", [("int-sym", 0), ("mxfp", 2)])
+    def test_nothing_to_tune_runs_no_forward_pass(self, monkeypatch, family,
+                                                  steps):
+        # no weight depends on calibration data unless a block is tuned
+        model, cal = small_model(arch=models.ARCH_TT, seed=17)
+        names = [i.name for i in model.quantizable_layers()]
+        plan = tuner.plan_from_assignment(names, [4] * len(names), family, 32)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass over calibration data")
+        monkeypatch.setattr(models.ToyModel, "embed_forward", no_forward)
+        monkeypatch.setattr(models.ToyModel, "block_forward", no_forward)
+        res = tuner.quantize_model(model, plan, cal, self.cfg(steps=steps))
+        assert res.tuned == []
+        assert set(res.weights) == set(plan)
+        for name, scheme in plan.items():
+            w, pw = codecs.quantize_layer(model.params[name], scheme)
+            np.testing.assert_array_equal(res.weights[name], w)
+            assert res.packed[name].to_bytes() == pw.to_bytes()
 
     def test_head_quantized_but_not_block_tuned(self):
         model, cal = small_model(seed=12)
@@ -410,20 +425,6 @@ class TestQuantizeModel:
         assert r1.metrics == r2.metrics
         for name in names:
             assert r1.packed[name].to_bytes() == r2.packed[name].to_bytes()
-
-    def test_propagation_toggle_changes_tuning(self):
-        model, cal = small_model(seed=16, n_blocks=2)
-        names = [i.name for i in model.quantizable_layers()]
-        plan = tuner.plan_from_assignment(names, [2] * len(names), "int-sym", 32)
-        on = tuner.quantize_model(model, plan, cal,
-                                  self.cfg(propagate_quantized=True))
-        off = tuner.quantize_model(model, plan, cal,
-                                   self.cfg(propagate_quantized=False))
-        # block 0 sees identical inputs either way; block 1 must differ
-        same0 = np.array_equal(on.tuned[0].layers[0].v, off.tuned[0].layers[0].v)
-        assert same0
-        assert not np.array_equal(on.tuned[1].layers[0].v,
-                                  off.tuned[1].layers[0].v)
 
     def test_tuned_beats_rtn_on_trained_model(self):
         # markov-stream toy: trained weights generalize, so held-out loss

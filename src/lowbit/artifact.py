@@ -258,6 +258,16 @@ def verify_artifact(path) -> list:
         problems.append(
             f"config has no integer scheme.group_size: {group_size!r}")
         group_size = None
+    if family is not None and group_size is not None:
+        # both families have a 4-bit scheme, so a fault here lies in the
+        # config, not in any layer: report it once and compare no layer
+        try:
+            codecs.scheme_for_bits(family, 4, group_size)
+        except ContractError as e:
+            problems.append(f"config scheme.family {family!r} with "
+                            f"scheme.group_size {group_size} names no "
+                            f"scheme: {e}")
+            family = None
 
     layers = {row["name"]: row for row in _rows(
         header.get("layers", []), "layer table", LAYER_ROW, problems)}

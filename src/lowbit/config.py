@@ -178,6 +178,8 @@ def load_config(path=None, sets=()) -> RunConfig:
                     f"{section}.{key}: cannot parse {raw!r}") from None
     model, scheme, data = v["model"], v["scheme"], v["data"]
     seed = v["run"]["seed"]
+    if seed < 0:
+        raise ConfigError(f"run.seed: {seed} is negative; need seed >= 0")
 
     train_steps, train_lr = model.pop("train_steps"), model.pop("train_lr")
     try:

@@ -24,6 +24,7 @@ import numpy as np
 from . import tensor as T
 from .codecs import QuantScheme, mx_qdq, quantize_layer, scheme_for_bits
 from .errors import ContractError
+from .workers import map_ordered
 
 
 def option_set(family: str, bits_list, group_size: int = 32) -> list:
@@ -193,17 +194,25 @@ class SensitivityReport:
 
 
 def build_report(model, schemes: list, calib_batches) -> SensitivityReport:
-    """Score every quantizable layer under every option."""
+    """Score every quantizable layer under every option.
+
+    The probes are independent, so they run in worker processes
+    (:func:`workers.map_ordered`); each still averages its calibration
+    batches in batch order, so the scores keep their bits.
+    """
     if not schemes:
         raise ContractError("empty option set")
     family = next((s.family for s in schemes if s.family != "none"), "none")
     prefixes = fp_prefixes(model, calib_batches)
+    infos = model.quantizable_layers()
+    jobs = [(info.name, scheme) for info in infos for scheme in schemes]
+    scores = iter(map_ordered(
+        lambda job: _layer_score(model, *job, calib_batches, prefixes), jobs))
     layers = []
-    for info in model.quantizable_layers():
+    for info in infos:
         ls = LayerScore(info.name, info.n_params)
         for scheme in schemes:
-            ls.scores[scheme.label] = _layer_score(model, info.name, scheme,
-                                                   calib_batches, prefixes)
+            ls.scores[scheme.label] = next(scores)
         layers.append(ls)
     n_samples = sum(int(b.shape[0]) for b in calib_batches)
     seq_len = int(calib_batches[0].shape[1]) if calib_batches else 0

@@ -23,6 +23,7 @@ import numpy as np
 from . import codecs, scale_init
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .workers import map_ordered
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,10 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
     Blocks containing integer-grid layers are tuned when ``cfg.steps``
     is at least 1, each on the calibration inputs as the quantized
     blocks before it leave them; initial scales are searched for such a
-    run when ``use_scale_init`` is set. Otherwise the calibration batches
-    go unread and every layer is round-to-nearest. Every plan layer,
-    16-bit and the head included, gets a weight and a payload.
+    run when ``use_scale_init`` is set, one layer per job in worker
+    processes (:func:`workers.map_ordered`). Otherwise the calibration
+    batches go unread and every layer is round-to-nearest. Every plan
+    layer, 16-bit and the head included, gets a weight and a payload.
     """
     for name, sch in plan.items():
         info = model.layer_info(name)
@@ -222,10 +224,12 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
     init_scales = {}
     if tuning and cfg.use_scale_init:
         stats = scale_init.calibrate_act_stats(model, calib_batches)
-        for n in int_sym:
-            w, sch = model.params[n], plan[n]
-            init_scales[n] = scale_init.search_layer_scales(
-                w, stats.get(n, w.shape[0]), sch.bits, sch.group_size)
+
+        def search(n):
+            w = model.params[n]
+            return scale_init.search_layer_scales(
+                w, stats.get(n, w.shape[0]), plan[n].bits, plan[n].group_size)
+        init_scales = dict(zip(int_sym, map_ordered(search, int_sym)))
 
     weights, packed, learned, tuned = {}, {}, {}, []
 
@@ -238,6 +242,7 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
     if tuning:
         ids = np.concatenate([np.asarray(b) for b in calib_batches], axis=0)
         x = model.embed_forward(ids)
+        last = model.block_ids()[-1]
         for block in model.block_ids():
             bnames = [n for n in model.block_layer_names(block) if n in plan]
             if any(n in int_sym for n in bnames):
@@ -249,8 +254,9 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
                                                beta=lay.beta)
                                 for lay in res.layers})
             finish(bnames)
-            x = model.block_forward(
-                block, x, overrides={n: weights[n] for n in bnames}).data
+            if block != last:  # nothing reads the last block's output
+                x = model.block_forward(
+                    block, x, overrides={n: weights[n] for n in bnames}).data
     finish([n for n in plan if n not in weights])
 
     metrics = {}

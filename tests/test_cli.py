@@ -121,6 +121,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, [item])
 
+    def test_negative_seed_names_run_seed(self):
+        with pytest.raises(ConfigError, match=r"^run\.seed: -1 is negative"):
+            load_config(None, ["run.seed=-1"])
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(tmp_path / "absent.ini")
@@ -337,10 +341,13 @@ class TestArtifact:
     def test_codec_must_match_family(self, tmp_path):
         path = tmp_path / "a.lbq"
         cases = [
-            # the demo's group size 4 names no mx scheme
-            ({"family": "mxfp"}, "mxfp blocks are 32 long, got group_size 4"),
+            # the demo's group size 4 names no mx scheme: one line for
+            # the config, none per layer
+            ({"family": "mxfp"},
+             "config scheme.family 'mxfp' with scheme.group_size 4 names "
+             "no scheme: mxfp blocks are 32 long, got group_size 4"),
             ({"family": "mxfp", "group_size": 32},
-             f"packed as {codecs.QuantScheme('int-sym', 4, 4)}, "
+             f"layer lin: packed as {codecs.QuantScheme('int-sym', 4, 4)}, "
              f"table and config say {codecs.QuantScheme('mxfp', 4, 32)}")]
         for edit, problem in cases:
             save_demo(path, np.random.default_rng(5))
@@ -349,7 +356,7 @@ class TestArtifact:
                 h["config"]["scheme"].update(edit)
                 h["config_digest"] = digest_of(h["config"])
             rewrite_header(path, to_mx)
-            assert art.verify_artifact(path) == [f"layer lin: {problem}"]
+            assert art.verify_artifact(path) == [problem]
 
     def test_transposed_int_sym_payload_flagged(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -101,24 +101,21 @@ class BitAssignment:
     avg_bits: Fraction  # exact achieved average
     solver: str         # dp | brute | head | tail
 
-    def to_dict(self, problem: AllocationProblem | None = None) -> dict:
-        d = {
+    def to_dict(self, problem: AllocationProblem) -> dict:
+        return {
             "schema": "lowbit/assignment-v1",
             "solver": self.solver,
             "objective": self.objective,
             "avg_bits": str(self.avg_bits),
-            "layers": [{"option": c, "bits": b}
-                       for c, b in zip(self.choices, self.bits)],
+            "target_bits": str(problem.target),
+            "layers": [{"name": n, "option": c, "bits": b}
+                       for n, c, b in zip(problem.names, self.choices,
+                                          self.bits)],
         }
-        if problem is not None:
-            d["target_bits"] = str(problem.target)
-            for row, name in zip(d["layers"], problem.names):
-                row["name"] = name
-        return d
 
 
 def assignment_from_dict(d: dict):
-    """(assignment, layer names, target or None) from serialized form."""
+    """(assignment, layer names, target) from serialized form."""
     if d.get("schema") != "lowbit/assignment-v1":
         raise ContractError(f"not a bit assignment: {d.get('schema')!r}")
     a = BitAssignment(
@@ -127,9 +124,7 @@ def assignment_from_dict(d: dict):
         float(d["objective"]),
         Fraction(d["avg_bits"]),
         d["solver"])
-    names = [l.get("name") for l in d["layers"]]
-    target = Fraction(d["target_bits"]) if "target_bits" in d else None
-    return a, names, target
+    return a, [l["name"] for l in d["layers"]], Fraction(d["target_bits"])
 
 
 def canonical_objective(problem: AllocationProblem, picks) -> float:

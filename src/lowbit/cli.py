@@ -154,8 +154,6 @@ def cmd_quantize(cfg, args) -> int:
     model, cal = cfglib.build_model(cfg)
     asn_dict, asn, names, target = _load_assignment(
         cfg.out_dir / ASSIGNMENT_FILE, model)
-    if target is None:
-        target = cfg.target_bits
 
     fp_loss = model.eval_loss(ev)
     rtn_bits = _rtn_bits(cfg.options, target)

@@ -11,14 +11,16 @@ the squared per-input-channel activation maxima:
 
     obj(s) = mean_j ( (W_j - qdq(W_j; s)) * A_j^2 )^2
 
-and keeps the best scale per group. Ties resolve toward the smaller
-eps. The winner is handed to the tuner, which refines it with a
-learnable multiplier constrained to [0.5, 1.5].
+and keeps the best scale per group. One core runs the search for every
+caller: group-major, each row group scores all 180 candidates for all
+its output columns at once. A single group is the same search on one
+column with the whole axis as its group. Ties resolve toward the
+smaller eps; an all-zero group gets the scale floor. The winner is
+handed to the tuner, which refines it with a learnable multiplier
+constrained to [0.5, 1.5].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,40 +30,17 @@ from .errors import ShapeError
 EPS_GRID = (np.arange(180) - 90) * 0.01  # -0.90 .. 0.89, 0.0 exactly at index 90
 
 
-@dataclass
-class ActChannelStats:
-    """Per-layer, per-input-channel max absolute activation values."""
+def calibrate_act_stats(model, batches) -> dict:
+    """{layer name: per-input-channel max |input|} over ``batches``.
 
-    layers: dict = field(default_factory=dict)  # name -> float64 vector
-
-    def merge_batch(self, name: str, acts: np.ndarray) -> None:
-        """Fold in one batch of layer inputs (..., channels)."""
-        flat = np.abs(np.asarray(acts, dtype=np.float64)).reshape(-1, acts.shape[-1])
-        m = flat.max(axis=0)
-        cur = self.layers.get(name)
-        self.layers[name] = m if cur is None else np.maximum(cur, m)
-
-    def get(self, name: str, n_channels: int) -> np.ndarray:
-        """Stats for a layer; all-ones when the layer was never observed."""
-        v = self.layers.get(name)
-        if v is None:
-            return np.ones(n_channels)
-        if v.shape != (n_channels,):
-            raise ShapeError(
-                f"stats for {name} have {v.shape[0]} channels, layer has {n_channels}")
-        return v
-
-
-def calibrate_act_stats(model, batches) -> ActChannelStats:
-    """Run calibration batches through ``model``, recording layer inputs.
-
-    Monotone in data: merging more batches never decreases any entry.
+    Monotone in data: more batches never decrease any entry.
     """
-    stats = ActChannelStats()
+    stats = {}
 
     def recorder(name):
         def tap(x):
-            stats.merge_batch(name, x.data)
+            m = np.abs(x.data).reshape(-1, x.shape[-1]).max(axis=0)
+            stats[name] = np.maximum(stats[name], m) if name in stats else m
             return x
         return tap
     taps = {i.name: recorder(i.name) for i in model.quantizable_layers()}
@@ -70,43 +49,12 @@ def calibrate_act_stats(model, batches) -> ActChannelStats:
     return stats
 
 
-def candidate_scales(group: np.ndarray, bits: int) -> np.ndarray:
-    """Step-size candidates for one group; a single floor if all-zero."""
-    amax = np.abs(group).max() if np.asarray(group).size else 0.0
-    if amax <= 0:
-        return np.array([SCALE_FLOOR])
-    return np.maximum(amax / (2.0 ** (bits - 1) + EPS_GRID), SCALE_FLOOR)
+def _search(w, act_stats, bits: int, group_size: int):
+    """(scales, objectives) of the best candidate, each (n_groups, out).
 
-
-def search_scale(group: np.ndarray, act_stats: np.ndarray, bits: int):
-    """Best candidate scale for one weight group.
-
-    ``group`` and ``act_stats`` are 1-d and aligned (one stat per input
-    channel covered by the group). Returns (scale, objective). First
-    minimum wins, which is the smallest-eps candidate among ties.
-    """
-    g = np.asarray(group, dtype=np.float64)
-    a = np.asarray(act_stats, dtype=np.float64)
-    if g.shape != a.shape:
-        raise ShapeError(f"group {g.shape} vs stats {a.shape}")
-    lo, hi = grid_bounds(bits)
-    cands = candidate_scales(g, bits)
-    w2 = a * a
-    best_s, best_obj = None, None
-    for s in cands:
-        q = np.clip(np.rint(g / s), lo, hi) * s
-        obj = float(np.mean(((g - q) * w2) ** 2))
-        if best_obj is None or obj < best_obj:
-            best_s, best_obj = float(s), obj
-    return best_s, best_obj
-
-
-def search_layer_scales(w: np.ndarray, act_stats: np.ndarray, bits: int,
-                        group_size: int) -> np.ndarray:
-    """Vectorized per-group search over a whole (in, out) weight.
-
-    Returns scales shaped (n_groups, out). Exactly equivalent to calling
-    :func:`search_scale` on every (group rows, column) slice.
+    ``w`` is an (in, out) weight and ``act_stats`` holds one stat per
+    input row. First minimum wins, which is the smallest-eps candidate
+    among ties.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
@@ -115,24 +63,43 @@ def search_layer_scales(w: np.ndarray, act_stats: np.ndarray, bits: int,
     if a.shape != (w.shape[0],):
         raise ShapeError(f"stats shape {a.shape} does not match rows {w.shape[0]}")
     lo, hi = grid_bounds(bits)
-    segs = group_segments(w.shape[0], group_size)
     w2 = (a * a)[:, None]
-    best_s = np.empty((len(segs), w.shape[1]))
-    best_obj = np.full((len(segs), w.shape[1]), np.inf)
     wmax, wmin = group_extrema(w, group_size)
     amax = np.maximum(wmax, -wmin)  # max |W| per group, exactly
     denom = 2.0 ** (bits - 1) + EPS_GRID
-    for i in range(len(EPS_GRID)):
-        scales = np.maximum(amax / denom[i], SCALE_FLOOR)
-        for gi, (s0, e0) in enumerate(segs):
-            s = scales[gi]
-            blk = w[s0:e0]
+    best_s = np.empty_like(amax)
+    best_obj = np.full_like(amax, np.inf)
+    for gi, (s0, e0) in enumerate(group_segments(w.shape[0], group_size)):
+        blk, wt = w[s0:e0], w2[s0:e0]
+        g_max, g_s, g_obj = amax[gi], best_s[gi], best_obj[gi]
+        for d in denom:
+            s = np.maximum(g_max / d, SCALE_FLOOR)
             q = np.clip(np.rint(blk / s), lo, hi) * s
-            obj = np.mean(((blk - q) * w2[s0:e0]) ** 2, axis=0)
-            better = obj < best_obj[gi]
-            best_obj[gi][better] = obj[better]
-            best_s[gi][better] = s[better]
+            obj = np.mean(((blk - q) * wt) ** 2, axis=0)
+            better = obj < g_obj
+            g_obj[better] = obj[better]
+            g_s[better] = s[better]
     # all-zero groups hit the floor on every candidate; make that exact
-    zero = amax <= 0
-    best_s[zero] = SCALE_FLOOR
-    return best_s
+    best_s[amax <= 0] = SCALE_FLOOR
+    return best_s, best_obj
+
+
+def search_scale(group: np.ndarray, act_stats: np.ndarray, bits: int):
+    """Best candidate scale for one weight group: (scale, objective).
+
+    ``group`` and ``act_stats`` are 1-d and aligned (one stat per input
+    channel covered by the group).
+    """
+    g = np.asarray(group, dtype=np.float64)
+    a = np.asarray(act_stats, dtype=np.float64)
+    if g.shape != a.shape:
+        raise ShapeError(f"group {g.shape} vs stats {a.shape}")
+    s, obj = _search(g[:, None], a, bits, 0)
+    return float(s[0, 0]), float(obj[0, 0])
+
+
+def search_layer_scales(w: np.ndarray, act_stats: np.ndarray, bits: int,
+                        group_size: int) -> np.ndarray:
+    """Best scale per (row group, output column) of an (in, out) weight,
+    shaped (n_groups, out)."""
+    return _search(w, act_stats, bits, group_size)[0]

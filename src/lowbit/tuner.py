@@ -104,6 +104,8 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
     regression targets are the full-precision block outputs on those
     inputs. The other layers in ``schemes`` (microscaling and 16-bit)
     ride along frozen at their :func:`codecs.quantize_layer` weights.
+    ``init_scales`` maps layer names to searched scales; only this
+    block's layers are looked up.
     """
     if cfg.steps < 1:
         raise ContractError("tuning needs at least one step")
@@ -209,7 +211,8 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
     is at least 1, each on the calibration inputs as the quantized
     blocks before it leave them; initial scales are searched for such a
     run when ``use_scale_init`` is set, one layer per job in worker
-    processes (:func:`workers.map_ordered`). Otherwise the calibration
+    processes (:func:`workers.map_ordered`), into one layer -> scales map
+    that every block's tuning reads. Otherwise the calibration
     batches go unread and every layer is round-to-nearest. Every plan
     layer, 16-bit and the head included, gets a weight and a payload.
     """
@@ -226,9 +229,8 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
         stats = scale_init.calibrate_act_stats(model, calib_batches)
 
         def search(n):
-            w = model.params[n]
             return scale_init.search_layer_scales(
-                w, stats.get(n, w.shape[0]), plan[n].bits, plan[n].group_size)
+                model.params[n], stats[n], plan[n].bits, plan[n].group_size)
         init_scales = dict(zip(int_sym, map_ordered(search, int_sym)))
 
     weights, packed, learned, tuned = {}, {}, {}, []
@@ -246,9 +248,8 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
         for block in model.block_ids():
             bnames = [n for n in model.block_layer_names(block) if n in plan]
             if any(n in int_sym for n in bnames):
-                sub = {n: init_scales[n] for n in bnames if n in init_scales}
                 res = tune_block(model, block, x, {n: plan[n] for n in bnames},
-                                 cfg, init_scales=sub or None)
+                                 cfg, init_scales=init_scales)
                 tuned.append(res)
                 learned.update({lay.name: dict(v=lay.v, alpha=lay.alpha,
                                                beta=lay.beta)

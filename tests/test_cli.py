@@ -846,6 +846,9 @@ BAD_ASSIGNMENTS = {
                              lambda d: d["layers"][0].pop("option")),
     "zero_denominator": edited(ASSIGNMENT,
                                lambda d: d.update(avg_bits="1/0")),
+    # quantize reads the budget and layer names from the file alone
+    "missing_target": edited(ASSIGNMENT, lambda d: d.pop("target_bits")),
+    "missing_name": edited(ASSIGNMENT, lambda d: d["layers"][0].pop("name")),
 }
 MALFORMED = [
     *(pytest.param(c, "sensitivity.json", body, id=f"{c}-{n}")
@@ -862,6 +865,7 @@ class TestCliErrors:
         (tmp_path / name).write_text(json.dumps(body))
         assert run_cli(tmp_path, command) == 2
         assert name in capsys.readouterr().err
+        assert not (tmp_path / "artifact.lbq").exists()
 
     @pytest.mark.parametrize("command,name,body", [
         ("allocate", "sensitivity.json", SCORES),

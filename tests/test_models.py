@@ -228,7 +228,7 @@ class TestHooks:
         m = M.ToyModel.build(tiny_spec())
         batches = [np.array([[1, 2, 3]]), np.array([[4, 5, 6]])]
         stats = calibrate_act_stats(m, batches)
-        v = stats.get("blocks.0.attn.wq", 8)
+        v = stats["blocks.0.attn.wq"]
         assert v.shape == (8,)
         assert (v > 0).all()
         seen = [record_inputs(m, ids)[1]["blocks.0.attn.wq"] for ids in batches]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,6 +217,9 @@ def _check_layer(lname, row, pw, family, group_size, assigned,
                 problems.append(f"layer {lname}: packed as {pw.scheme}, "
                                 f"table and config say {want}")
     shape = tuple(row["shape"])
+    if row["params"] != math.prod(shape):
+        problems.append(f"layer {lname}: table has {row['params']} params, "
+                        f"shape {list(shape)} holds {math.prod(shape)}")
     if pw.shape != shape:
         problems.append(f"layer {lname}: packed shape {pw.shape}, want {shape}")
         return
@@ -235,7 +239,7 @@ def verify_artifact(path) -> list:
     every section hash and byte-level round trip, cross-checks each
     layer's packed scheme and shape against the layer table, the
     assignment and the config's scheme, and re-checks the bit budget
-    exactly.
+    exactly against the assignment's ``target_bits``.
     """
     problems = []
     try:
@@ -287,18 +291,17 @@ def verify_artifact(path) -> list:
         else:
             problems.append(f"layer {lname} has no packed section")
 
-    target = asn.get("target_bits") or scheme.get("target_bits")
-    if target and layers:
-        try:
-            t = Fraction(target)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            problems.append(f"target_bits {target!r} is not a fraction")
-            return problems
-        total = sum(row["params"] for row in layers.values())
-        used = sum(row["bits"] * row["params"] for row in layers.values())
-        # used/total <= t, cross-multiplied to integers
-        if used * t.denominator > t.numerator * total:
-            problems.append(
-                f"budget violated: {used} bit-params over {total} params "
-                f"exceeds target {target}")
+    target = asn.get("target_bits")
+    try:
+        t = Fraction(target)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        problems.append(f"assignment target_bits {target!r} is not a fraction")
+        return problems
+    total = sum(row["params"] for row in layers.values())
+    used = sum(row["bits"] * row["params"] for row in layers.values())
+    # used/total <= t, cross-multiplied to integers
+    if used * t.denominator > t.numerator * total:
+        problems.append(
+            f"budget violated: {used} bit-params over {total} params "
+            f"exceeds target {target}")
     return problems

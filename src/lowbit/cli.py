@@ -70,33 +70,23 @@ def _ingest(path: Path, what: str, made_by: str, parse) -> tuple:
             from None
 
 
-def _load_report(path: Path) -> tuple:
-    """(raw dict, SensitivityReport) read from ``path``."""
+def _load_report(path: Path, target) -> tuple:
+    """(raw dict, AllocationProblem) from the scores in ``path``."""
     return _ingest(path, "sensitivity report", "sensitivity",
-                   sensitivity.SensitivityReport.from_dict)
+                   lambda d: allocator.AllocationProblem.from_report(
+                       sensitivity.SensitivityReport.from_dict(d), target))
 
 
-def _check_target(target, options) -> None:
-    if not min(options) <= target <= max(options):
-        raise ConfigError(f"target_bits {target} outside option range "
-                          f"[{min(options)}, {max(options)}]")
+def _load_assignment(path: Path, cfg) -> tuple:
+    """(raw dict, (assignment, names, target, plan)) read from ``path``."""
+    def parse(d):
+        asn, names, target = allocator.assignment_from_dict(d)
+        return asn, names, target, _plan(cfg, names, asn.bits)
+    return _ingest(path, "assignment file", "allocate", parse)
 
 
-def _load_assignment(path: Path, model):
-    """(raw dict, assignment, names, target) checked against the model."""
-    d, (asn, names, target) = _ingest(path, "assignment file", "allocate",
-                                      allocator.assignment_from_dict)
-    want = [i.name for i in model.quantizable_layers()]
-    if names != want:
-        raise ContractError(
-            f"assignment layers {names} do not match the model's "
-            f"quantizable layers {want}")
-    return d, asn, names, target
-
-
-def _quantize(model, names, bits, cal, cfg, tune_cfg, ev):
-    plan = tuner.plan_from_assignment(names, bits, cfg.family, cfg.group_size)
-    return tuner.quantize_model(model, plan, cal, tune_cfg, eval_batches=ev)
+def _plan(cfg, names, bits) -> dict:
+    return tuner.plan_from_assignment(names, bits, cfg.family, cfg.group_size)
 
 
 def _rtn_bits(options, target) -> int:
@@ -132,9 +122,7 @@ def cmd_sensitivity(cfg, args) -> int:
 
 
 def cmd_allocate(cfg, args) -> int:
-    _, report = _load_report(cfg.out_dir / SENSITIVITY_FILE)
-    _check_target(cfg.target_bits, [s.bits for s in report.options])
-    problem = allocator.AllocationProblem.from_report(report, cfg.target_bits)
+    _, problem = _load_report(cfg.out_dir / SENSITIVITY_FILE, cfg.target_bits)
     asn = allocator.allocate_dp(problem)
     allocator.validate_assignment(problem, asn)
     d = asn.to_dict(problem)
@@ -151,16 +139,23 @@ def cmd_allocate(cfg, args) -> int:
 
 def cmd_quantize(cfg, args) -> int:
     ev = cfglib.eval_set(cfg)
+    asn_dict, (asn, names, target, plan) = _load_assignment(
+        cfg.out_dir / ASSIGNMENT_FILE, cfg)
     model, cal = cfglib.build_model(cfg)
-    asn_dict, asn, names, target = _load_assignment(
-        cfg.out_dir / ASSIGNMENT_FILE, model)
+    want = [i.name for i in model.quantizable_layers()]
+    if names != want:
+        raise ContractError(
+            f"assignment layers {names} do not match the model's "
+            f"quantizable layers {want}")
 
     fp_loss = model.eval_loss(ev)
     rtn_bits = _rtn_bits(cfg.options, target)
-    res_rtn = _quantize(model, names, [rtn_bits] * len(names), cal, cfg,
-                        PLAIN, ev)
-    res_dl = _quantize(model, names, asn.bits, cal, cfg, PLAIN, ev)
-    res_tuned = _quantize(model, names, asn.bits, cal, cfg, cfg.tune, ev)
+    res_rtn = tuner.quantize_model(
+        model, _plan(cfg, names, [rtn_bits] * len(names)), cal, PLAIN,
+        eval_batches=ev)
+    res_dl = tuner.quantize_model(model, plan, cal, PLAIN, eval_batches=ev)
+    res_tuned = tuner.quantize_model(model, plan, cal, cfg.tune,
+                                     eval_batches=ev)
 
     losses = {"fp": fp_loss,
               "rtn": res_rtn.metrics["quantized_loss"],
@@ -216,13 +211,12 @@ def cmd_report(cfg, args) -> int:
     # report.json stamps cfg's digest over these scores, so they must
     # have been scored under cfg
     rpath = cfg.out_dir / SENSITIVITY_FILE
-    d, report = _load_report(rpath)
+    d, problem = _load_report(rpath, cfg.target_bits)
     if d.get("config_digest") != cfg.digest():
         raise ConfigError(f"{rpath} was scored under another config; "
                           f"run `lowbit sensitivity` with this one first")
     ev = cfglib.eval_set(cfg)
     model, cal = cfglib.build_model(cfg)
-    problem = allocator.AllocationProblem.from_report(report, cfg.target_bits)
     names = list(problem.names)
 
     fp_loss = model.eval_loss(ev)
@@ -233,14 +227,16 @@ def cmd_report(cfg, args) -> int:
             asn = allocator.allocate_dp(problem)
         else:
             asn = allocator.allocate_heuristic(problem, mode)
-        res = _quantize(model, names, asn.bits, cal, cfg, PLAIN, ev)
+        res = tuner.quantize_model(model, _plan(cfg, names, asn.bits), cal,
+                                   PLAIN, eval_batches=ev)
         solved[mode] = asn
         rows[mode] = {"solver": asn.solver, "avg_bits": str(asn.avg_bits),
                       "objective": asn.objective, "bits": list(asn.bits),
                       "loss": res.metrics["quantized_loss"]}
     if cfg.tune.steps >= 1:
         asn = solved["dp"]
-        res = _quantize(model, names, asn.bits, cal, cfg, cfg.tune, ev)
+        res = tuner.quantize_model(model, _plan(cfg, names, asn.bits), cal,
+                                   cfg.tune, eval_batches=ev)
         rows["tuned"] = {"solver": "dp+tune", "avg_bits": str(asn.avg_bits),
                          "objective": asn.objective, "bits": list(asn.bits),
                          "loss": res.metrics["quantized_loss"]}

@@ -4,15 +4,17 @@ For each layer and each candidate bit option, estimate how much the
 task loss moves if that layer alone is quantized, using the gradient at
 the perturbed point folded with the perturbation itself:
 
-    weight-only option:  sum |g_w * (W_full - W_qdq)|
-    weight+act option:   sum |g_a * (A_full - A_qdq)|
+    sum |g_leaf * (leaf_full - leaf_qdq)|
 
-averaged over calibration batches. The gradient is always taken at the
-quantized point. One forward/backward per layer per option buys scores
-whose per-layer ranking tracks the true loss change, which is all the
-allocator consumes. Each probe's forward starts at the probed layer's
-block, from fp block inputs computed once per batch, and its backward
-computes a gradient only for the probed leaf.
+averaged over calibration batches. One probe serves every option: its
+leaf is the layer's weight, or for an MX option, which quantizes both
+matmul operands, the layer's input. The gradient is always taken at the
+quantized point, with the layer's weight quantized for either leaf.
+One forward/backward per layer per option buys scores whose per-layer
+ranking tracks the true loss change, which is all the allocator
+consumes. Each probe's forward starts at the probed layer's block, from
+fp block inputs computed once per batch, and its backward computes a
+gradient only for the probed leaf.
 """
 
 from __future__ import annotations
@@ -60,13 +62,6 @@ def fp_prefixes(model, calib_batches) -> list:
     return prefixes
 
 
-def _check_probe_target(model, layer_name):
-    info = model.layer_info(layer_name)
-    if info.kind != "linear":
-        raise ContractError(f"layer {layer_name!r} has no quantizable weight")
-    return info
-
-
 def _probe_loss(model, info, ids, xs, overrides, taps=None):
     """``model.loss`` with the overrides and taps on ``info``'s layer, run
     from the fp input ``xs`` of that layer's block (``head`` has none)."""
@@ -77,69 +72,48 @@ def _probe_loss(model, info, ids, xs, overrides, taps=None):
     return model.head_loss_from_hidden(x, ids, overrides=overrides, taps=taps)
 
 
-def delta_loss_weight_only(model, layer_name: str, scheme: QuantScheme,
-                           calib_batches, prefixes=None) -> float:
-    """Loss-impact score for a weight-only option on one layer.
+def delta_loss(model, layer_name: str, scheme: QuantScheme, calib_batches,
+               prefixes=None) -> float:
+    """Loss-impact score of quantizing one layer under ``scheme``.
 
+    Every probe runs with the layer's weight at its RTN value ``w_q``.
+    The leaf is ``w_q`` itself, scored against ``w - w_q``, or for an MX
+    scheme the layer's quantized input, scored against the fp input.
     ``prefixes`` is ``fp_prefixes(model, calib_batches)``, computed here
     when not given.
     """
-    info = _check_probe_target(model, layer_name)
-    w_f = model.params[layer_name]
-    w_q = rtn_weight(w_f, scheme)
-    dev = w_f - w_q
-    if not np.any(dev):
+    info = model.layer_info(layer_name)
+    if info.kind != "linear":
+        raise ContractError(f"layer {layer_name!r} has no quantizable weight")
+    w = model.params[layer_name]
+    w_q = rtn_weight(w, scheme)
+    acts = scheme.quantizes_acts
+    if not acts and not np.any(w - w_q):
         return 0.0
     if prefixes is None:
         prefixes = fp_prefixes(model, calib_batches)
     total = 0.0
     for ids, xs in zip(calib_batches, prefixes):
-        leaf = T.Tensor(w_q, requires_grad=True)
-        loss = _probe_loss(model, info, ids, xs, {layer_name: leaf})
-        g = T.backward(loss, wrt=[leaf])[leaf]
-        total += deviation_score(g, dev)
-    return total / len(calib_batches)
-
-
-def delta_loss_weight_act(model, layer_name: str, scheme: QuantScheme,
-                          calib_batches, prefixes=None) -> float:
-    """Loss-impact score for a weight+activation option on one layer.
-
-    The weight term is dropped; the score folds the activation gradient
-    with the activation's own qdq deviation. The probe forward still
-    runs with the layer's weight quantized so the gradient is taken in
-    a realistic operating point. ``prefixes`` is as for
-    :func:`delta_loss_weight_only`.
-    """
-    info = _check_probe_target(model, layer_name)
-    if not scheme.quantizes_acts:
-        raise ContractError(f"{scheme.label} does not quantize activations")
-    fmt = scheme.mx_format
-    overrides = {layer_name: T.Tensor(rtn_weight(model.params[layer_name], scheme))}
-    if prefixes is None:
-        prefixes = fp_prefixes(model, calib_batches)
-    total = 0.0
-    for ids, xs in zip(calib_batches, prefixes):
-        rec = {}
+        # the leaf is the quantized weight unless the tap swaps in the
+        # quantized input; "fp" is the value the leaf stands in for
+        probe = {"fp": w, "leaf": T.Tensor(w_q, requires_grad=not acts)}
 
         def tap(x):
-            rec["a_f"] = x.data
-            rec["leaf"] = T.Tensor(mx_qdq(x.data, fmt)[0], requires_grad=True)
-            return rec["leaf"]
+            probe["fp"] = x.data
+            probe["leaf"] = T.Tensor(mx_qdq(x.data, scheme.mx_format)[0],
+                                     requires_grad=True)
+            return probe["leaf"]
 
-        loss = _probe_loss(model, info, ids, xs, overrides, {layer_name: tap})
-        leaf = rec["leaf"]
+        loss = _probe_loss(model, info, ids, xs, {layer_name: probe["leaf"]},
+                           {layer_name: tap} if acts else None)
+        leaf = probe["leaf"]
         g = T.backward(loss, wrt=[leaf])[leaf]
-        total += deviation_score(g, rec["a_f"] - leaf.data)
+        total += deviation_score(g, probe["fp"] - leaf.data)
     return total / len(calib_batches)
 
 
-def _layer_score(model, layer_name, scheme, calib_batches, prefixes) -> float:
-    if scheme.family == "none":
-        return 0.0
-    score = (delta_loss_weight_act if scheme.quantizes_acts
-             else delta_loss_weight_only)
-    return score(model, layer_name, scheme, calib_batches, prefixes)
+# acceptance criterion 6 scores layers under this name
+delta_loss_weight_only = delta_loss
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +181,7 @@ def build_report(model, schemes: list, calib_batches) -> SensitivityReport:
     infos = model.quantizable_layers()
     jobs = [(info.name, scheme) for info in infos for scheme in schemes]
     scores = iter(map_ordered(
-        lambda job: _layer_score(model, *job, calib_batches, prefixes), jobs))
+        lambda job: delta_loss(model, *job, calib_batches, prefixes), jobs))
     layers = []
     for info in infos:
         ls = LayerScore(info.name, info.n_params)

@@ -325,6 +325,33 @@ class TestArtifact:
         save_demo(path, np.random.default_rng(5), bits=4, target="3")
         assert any("budget violated" in p for p in art.verify_artifact(path))
 
+    def test_table_params_must_match_shape(self, tmp_path):
+        # the budget is summed over the table's params, so an inflated
+        # row would dilute the other layers' bits
+        path = tmp_path / "a.lbq"
+        save_demo(path, np.random.default_rng(5))
+
+        def inflate(h):
+            h["layers"][0]["params"] = 1000000
+        rewrite_header(path, inflate)
+        assert art.verify_artifact(path) == [
+            "layer lin: table has 1000000 params, shape [8, 6] holds 48"]
+
+    def test_budget_is_read_from_the_assignment_alone(self, tmp_path):
+        path = tmp_path / "a.lbq"
+        for sections in (["assignment"], ["assignment", "config"]):
+            save_demo(path, np.random.default_rng(5))
+
+            def untarget(h):
+                h["assignment"].pop("target_bits")
+                h["assignment_digest"] = digest_of(h["assignment"])
+                if "config" in sections:
+                    h["config"]["scheme"].pop("target_bits")
+                    h["config_digest"] = digest_of(h["config"])
+            rewrite_header(path, untarget)
+            assert art.verify_artifact(path) == [
+                "assignment target_bits None is not a fraction"], sections
+
     def test_rewritten_layer_bits_flagged(self, tmp_path):
         path = tmp_path / "a.lbq"
         save_demo(path, np.random.default_rng(5), bits=4, target="4")
@@ -839,6 +866,12 @@ BAD_SCORES = {
     "missing_score": edited(
         SCORES, lambda d: d["layers"][0]["scores"].pop("w8g32")),
     "text_bits": edited(SCORES, lambda d: d["options"][0].update(bits="two")),
+    # the allocation problem is built as the file is read
+    "negative_score": edited(
+        SCORES, lambda d: d["layers"][0]["scores"].update(w2g32=-1.0)),
+    "nan_score": edited(
+        SCORES, lambda d: d["layers"][0]["scores"].update(w2g32=float("nan"))),
+    "zero_params": edited(SCORES, lambda d: d["layers"][0].update(params=0)),
 }
 BAD_ASSIGNMENTS = {
     "list": [],
@@ -849,6 +882,8 @@ BAD_ASSIGNMENTS = {
     # quantize reads the budget and layer names from the file alone
     "missing_target": edited(ASSIGNMENT, lambda d: d.pop("target_bits")),
     "missing_name": edited(ASSIGNMENT, lambda d: d["layers"][0].pop("name")),
+    # and so is the quantization plan
+    "bits_9": edited(ASSIGNMENT, lambda d: d["layers"][0].update(bits=9)),
 }
 MALFORMED = [
     *(pytest.param(c, "sensitivity.json", body, id=f"{c}-{n}")
@@ -866,6 +901,7 @@ class TestCliErrors:
         assert run_cli(tmp_path, command) == 2
         assert name in capsys.readouterr().err
         assert not (tmp_path / "artifact.lbq").exists()
+        assert not (tmp_path / "fp_model.npz").exists()
 
     @pytest.mark.parametrize("command,name,body", [
         ("allocate", "sensitivity.json", SCORES),

@@ -74,7 +74,7 @@ class TestWeightOnlyScore:
         m.params["layers.0"] = codes * 0.5
         scheme = sv.option_set("int-sym", [2], 0)[0]
         cal = [np.array([[1, 2, 3, 4]])]
-        assert sv.delta_loss_weight_only(m, "layers.0", scheme, cal) == 0.0
+        assert sv.delta_loss(m, "layers.0", scheme, cal) == 0.0
 
     def test_scales_linearly_with_deviation(self):
         rng = np.random.default_rng(1)
@@ -87,21 +87,21 @@ class TestWeightOnlyScore:
     def test_sixteen_bit_option_scores_zero(self):
         m, cal = trained_fixture(0)
         scheme = sv.option_set("int-sym", [16], 32)[0]
-        assert sv.delta_loss_weight_only(m, "head", scheme, cal) == 0.0
+        assert sv.delta_loss(m, "head", scheme, cal) == 0.0
 
     def test_non_linear_layer_rejected(self):
         m, cal = trained_fixture(0)
         scheme = sv.option_set("int-sym", [2], 32)[0]
         with pytest.raises(ContractError):
-            sv.delta_loss_weight_only(m, "blocks.0.norm1.g", scheme, cal)
+            sv.delta_loss(m, "blocks.0.norm1.g", scheme, cal)
         with pytest.raises(ContractError):
-            sv.delta_loss_weight_only(m, "embed", scheme, cal)
+            sv.delta_loss(m, "embed", scheme, cal)
 
     def test_rank_correlates_with_true_loss_delta(self):
         m, cal = trained_fixture(1)
         scheme = sv.option_set("int-sym", [2], 32)[0]
         names = [i.name for i in m.quantizable_layers()]
-        dl = [sv.delta_loss_weight_only(m, n, scheme, cal) for n in names]
+        dl = [sv.delta_loss(m, n, scheme, cal) for n in names]
         td = [true_delta_weight(m, cal, n, scheme) for n in names]
         rho = spearmanr(dl, td).statistic
         assert rho >= 0.8
@@ -109,7 +109,7 @@ class TestWeightOnlyScore:
     def test_layer_spread_exceeds_ten_x(self):
         m, cal = trained_fixture(1)
         scheme = sv.option_set("int-sym", [2], 32)[0]
-        scores = [sv.delta_loss_weight_only(m, i.name, scheme, cal)
+        scores = [sv.delta_loss(m, i.name, scheme, cal)
                   for i in m.quantizable_layers()]
         assert max(scores) / min(scores) > 10
 
@@ -126,13 +126,7 @@ class TestWeightActScore:
                                        size=(11, 8))
         scheme = sv.option_set("mxfp", [4])[0]
         cal = [np.array([[1, 2, 3, 4]])]
-        assert sv.delta_loss_weight_act(m, "layers.0", scheme, cal) == 0.0
-
-    def test_rejects_weight_only_scheme(self):
-        m, cal = trained_fixture(0)
-        scheme = sv.option_set("int-sym", [4], 32)[0]
-        with pytest.raises(ContractError):
-            sv.delta_loss_weight_act(m, "head", scheme, cal)
+        assert sv.delta_loss(m, "layers.0", scheme, cal) == 0.0
 
     def test_eight_bit_scores_below_four_bit(self):
         hits = trials = 0
@@ -140,8 +134,8 @@ class TestWeightActScore:
             m, cal = trained_fixture(seed)
             s4, s8 = sv.option_set("mxfp", [4, 8])
             for name in ("blocks.0.mlp.up", "blocks.1.attn.wo", "head"):
-                a4 = sv.delta_loss_weight_act(m, name, s4, cal[:1])
-                a8 = sv.delta_loss_weight_act(m, name, s8, cal[:1])
+                a4 = sv.delta_loss(m, name, s4, cal[:1])
+                a8 = sv.delta_loss(m, name, s8, cal[:1])
                 trials += 1
                 hits += a8 <= a4
         assert hits / trials >= 0.95
@@ -150,7 +144,7 @@ class TestWeightActScore:
         m, cal = trained_fixture(11)
         scheme = sv.option_set("mxfp", [4])[0]
         names = [i.name for i in m.quantizable_layers()]
-        dl = [sv.delta_loss_weight_act(m, n, scheme, cal) for n in names]
+        dl = [sv.delta_loss(m, n, scheme, cal) for n in names]
         td = [true_delta_weight_act(m, cal, n, scheme) for n in names]
         assert spearmanr(dl, td).statistic >= 0.8
 
@@ -205,17 +199,15 @@ class TestPrefixProbe:
                                       T.backward(loss_full, wrt=[full])[full])
 
     @pytest.mark.parametrize("family,bits", [("int-sym", [2, 4, 16]),
-                                             ("mxfp", [4, 8])])
+                                             ("mxfp", [4, 8, 16])])
     def test_report_equals_probes_without_prefixes(self, family, bits):
         m, cal = untrained_fixture(M.ARCH_TT)
         schemes = sv.option_set(family, bits, 32)
         rep = sv.build_report(m, schemes, cal).to_dict()
-        score = (sv.delta_loss_weight_act if family == "mxfp"
-                 else sv.delta_loss_weight_only)
         for layer in rep["layers"]:
             assert layer["scores"] == {
-                s.label: 0.0 if s.family == "none"
-                else score(m, layer["name"], s, cal) for s in schemes}
+                s.label: sv.delta_loss(m, layer["name"], s, cal)
+                for s in schemes}
 
 
 class TestReport:

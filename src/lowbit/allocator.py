@@ -150,14 +150,14 @@ def validate_assignment(problem: AllocationProblem, a: BitAssignment) -> None:
         if by_label.get(lbl) != b:
             raise ContractError(f"option {lbl!r}/{b} not in the problem")
     t = problem.target
-    lhs = sum(b * p for b, p in zip(a.bits, problem.params)) * t.denominator
-    rhs = t.numerator * sum(problem.params)
-    if lhs > rhs:
-        raise ContractError(
-            f"budget violated: {lhs} > {rhs} (x{t.denominator} weighted bits)")
-    if a.avg_bits != Fraction(sum(b * p for b, p in zip(a.bits, problem.params)),
-                              sum(problem.params)):
-        raise ContractError("stated average bits disagrees with choices")
+    used = sum(b * p for b, p in zip(a.bits, problem.params))
+    total = sum(problem.params)
+    if used * t.denominator > t.numerator * total:
+        raise ContractError(f"budget violated: {used} bit-params over "
+                            f"{total} params exceeds target {t}")
+    if a.avg_bits != Fraction(used, total):
+        raise ContractError(f"stated average bits {a.avg_bits} disagrees "
+                            f"with choices ({Fraction(used, total)})")
 
 
 # ---------------------------------------------------------------------------

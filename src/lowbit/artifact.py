@@ -238,8 +238,9 @@ def verify_artifact(path) -> list:
     Never raises on a malformed file. Re-derives both digests, checks
     every section hash and byte-level round trip, cross-checks each
     layer's packed scheme and shape against the layer table, the
-    assignment and the config's scheme, and re-checks the bit budget
-    exactly against the assignment's ``target_bits``.
+    assignment and the config's scheme, and re-checks exactly that the
+    table's average bits equal the assignment's ``avg_bits`` and fit its
+    ``target_bits``.
     """
     problems = []
     try:
@@ -291,17 +292,26 @@ def verify_artifact(path) -> list:
         else:
             problems.append(f"layer {lname} has no packed section")
 
-    target = asn.get("target_bits")
-    try:
-        t = Fraction(target)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        problems.append(f"assignment target_bits {target!r} is not a fraction")
-        return problems
     total = sum(row["params"] for row in layers.values())
     used = sum(row["bits"] * row["params"] for row in layers.values())
+    avg = _fraction(asn, "avg_bits", problems)
+    if avg is not None and (not total or avg != Fraction(used, total)):
+        problems.append(f"assignment avg_bits {avg} disagrees with the layer "
+                        f"table's {used} bit-params over {total} params")
+    t = _fraction(asn, "target_bits", problems)
     # used/total <= t, cross-multiplied to integers
-    if used * t.denominator > t.numerator * total:
+    if t is not None and used * t.denominator > t.numerator * total:
         problems.append(
             f"budget violated: {used} bit-params over {total} params "
-            f"exceeds target {target}")
+            f"exceeds target {asn['target_bits']}")
     return problems
+
+
+def _fraction(asn: dict, key: str, problems: list):
+    """The assignment's ``key`` as a Fraction, or None and a problem."""
+    value = asn.get(key)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        problems.append(f"assignment {key} {value!r} is not a fraction")
+        return None

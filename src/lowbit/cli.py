@@ -78,24 +78,21 @@ def _load_report(path: Path, target) -> tuple:
 
 
 def _load_assignment(path: Path, cfg) -> tuple:
-    """(raw dict, (assignment, names, target, plan)) read from ``path``."""
+    """(raw dict, (assignment, names, target, plan, rtn bits)) read from
+    ``path``; the rtn bits are the uniform-precision baseline, the widest
+    option that fits the file's target."""
     def parse(d):
         asn, names, target = allocator.assignment_from_dict(d)
-        return asn, names, target, _plan(cfg, names, asn.bits)
+        fit = [b for b in cfg.options if b <= target]
+        if not fit:
+            raise ContractError(f"no option in {list(cfg.options)} fits "
+                                f"target {target}")
+        return asn, names, target, _plan(cfg, names, asn.bits), max(fit)
     return _ingest(path, "assignment file", "allocate", parse)
 
 
 def _plan(cfg, names, bits) -> dict:
     return tuner.plan_from_assignment(names, bits, cfg.family, cfg.group_size)
-
-
-def _rtn_bits(options, target) -> int:
-    """Uniform-precision baseline: widest option that fits the budget."""
-    fit = [b for b in options if b <= target]
-    if not fit:
-        raise InfeasibleError(f"no option in {list(options)} fits "
-                              f"target {target}")
-    return max(fit)
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +136,27 @@ def cmd_allocate(cfg, args) -> int:
 
 def cmd_quantize(cfg, args) -> int:
     ev = cfglib.eval_set(cfg)
-    asn_dict, (asn, names, target, plan) = _load_assignment(
-        cfg.out_dir / ASSIGNMENT_FILE, cfg)
+    apath = cfg.out_dir / ASSIGNMENT_FILE
+    asn_dict, (asn, names, target, plan, rtn_bits) = _load_assignment(
+        apath, cfg)
     model, cal = cfglib.build_model(cfg)
     want = [i.name for i in model.quantizable_layers()]
     if names != want:
         raise ContractError(
             f"assignment layers {names} do not match the model's "
             f"quantizable layers {want}")
+    # labels, avg_bits and budget, now that the layer sizes are known;
+    # the check reads no costs
+    options = [(s.label, s.bits) for s in sensitivity.option_set(
+        cfg.family, cfg.options, cfg.group_size)]
+    try:
+        allocator.validate_assignment(allocator.AllocationProblem.build(
+            names, [model.layer_info(n).n_params for n in names], options,
+            [[0.0] * len(options)] * len(names), target), asn)
+    except ContractError as e:
+        raise IngestionError(f"assignment file {apath}: {e}") from None
 
     fp_loss = model.eval_loss(ev)
-    rtn_bits = _rtn_bits(cfg.options, target)
     res_rtn = tuner.quantize_model(
         model, _plan(cfg, names, [rtn_bits] * len(names)), cal, PLAIN,
         eval_batches=ev)

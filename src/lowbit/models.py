@@ -58,8 +58,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class LayerInfo:
+    """A quantizable (linear) layer; ``block`` is None for the head.
+    Embeddings and norm gains are in ``ToyModel.params`` only."""
+
     name: str
-    kind: str  # "embedding" | "linear" | "gain"
     shape: tuple
     block: int | None = None
 
@@ -86,13 +88,11 @@ class ToyModel:
 
         def linear(name, fan_in, fan_out, block=None):
             p[name] = rng.normal(0.0, fan_in ** -0.5, size=(fan_in, fan_out))
-            infos.append(LayerInfo(name, "linear", (fan_in, fan_out), block))
+            infos.append(LayerInfo(name, (fan_in, fan_out), block))
 
         p["embed"] = rng.normal(0.0, 1.0, size=(v, d))
-        infos.append(LayerInfo("embed", "embedding", (v, d)))
         if spec.arch == ARCH_TT:
             p["pos_embed"] = rng.normal(0.0, 0.3, size=(spec.max_seq, d))
-            infos.append(LayerInfo("pos_embed", "embedding", (spec.max_seq, d)))
             f = d * spec.ffn_mult
             for b in range(spec.n_blocks):
                 for proj in ("wq", "wk", "wv", "wo"):
@@ -101,9 +101,7 @@ class ToyModel:
                 linear(f"blocks.{b}.mlp.down", f, d, block=b)
                 for g in ("norm1", "norm2"):
                     p[f"blocks.{b}.{g}.g"] = np.ones(d)
-                    infos.append(LayerInfo(f"blocks.{b}.{g}.g", "gain", (d,), b))
             p["final_norm.g"] = np.ones(d)
-            infos.append(LayerInfo("final_norm.g", "gain", (d,)))
         else:
             for b in range(spec.n_blocks):
                 linear(f"layers.{b}", d, d, block=b)
@@ -113,24 +111,20 @@ class ToyModel:
     # ------------------------------------------------------------------
     # structure queries
 
-    def layers(self) -> list:
-        return list(self._infos)
-
     def quantizable_layers(self) -> list:
-        return [i for i in self._infos if i.kind == "linear"]
+        return list(self._infos)
 
     def layer_info(self, name: str) -> LayerInfo:
         for i in self._infos:
             if i.name == name:
                 return i
-        raise ContractError(f"no layer named {name!r}")
+        raise ContractError(f"no quantizable layer named {name!r}")
 
     def block_ids(self) -> list:
         return list(range(self.spec.n_blocks))
 
     def block_layer_names(self, block: int) -> list:
-        return [i.name for i in self._infos
-                if i.block == block and i.kind == "linear"]
+        return [i.name for i in self._infos if i.block == block]
 
     # ------------------------------------------------------------------
     # forward
@@ -144,7 +138,6 @@ class ToyModel:
     def _apply_linear(self, name, x, ctx):
         if ctx["taps"] and name in ctx["taps"]:
             x = ctx["taps"][name](x)
-            ctx["tap_nodes"][name] = x
         return T.matmul(x, self._w(name, ctx["overrides"]))
 
     def _rmsnorm(self, x, gain_name, ctx):
@@ -198,29 +191,33 @@ class ToyModel:
 
     @staticmethod
     def _ctx(overrides=None, taps=None):
-        return {"overrides": overrides or {}, "taps": taps or {},
-                "tap_nodes": {}}
+        return {"overrides": overrides or {}, "taps": taps or {}}
 
-    def forward(self, ids, overrides=None, taps=None):
-        """Logits for a (batch, seq) id array.
+    def forward(self, ids, overrides=None, taps=None, start=0, x=None):
+        """Logits Tensor for a (batch, seq) id array.
 
-        Returns (logits, info). ``overrides`` maps layer name to a
-        replacement weight (Tensor or array); ``taps`` maps layer name
-        to a callable rewriting that layer's input tensor, with the
-        rewritten node reported in info["tap_nodes"]. A tap that
-        returns its input unchanged just records it.
+        ``overrides`` maps parameter name to a replacement weight
+        (Tensor or array); ``taps`` maps layer name to a callable
+        rewriting that layer's input tensor (a tap that returns its input
+        unchanged just records it). With ``x`` (array or Tensor) given,
+        the pass skips the embedding and starts at block ``start``'s
+        input, ``start == n_blocks`` being the head's; blocks before
+        ``start`` and ``ids`` go unread.
         """
         ctx = self._ctx(overrides, taps)
-        x = self._embed(ids, ctx)
-        for b in range(self.spec.n_blocks):
+        if x is None:
+            x = self._embed(ids, ctx)
+        elif not isinstance(x, T.Tensor):
+            x = T.Tensor(x)
+        for b in range(start, self.spec.n_blocks):
             x = self._block(b, x, ctx)
-        logits = self._head(x, ctx)
-        return logits, {"tap_nodes": ctx["tap_nodes"]}
+        return self._head(x, ctx)
 
-    def loss(self, ids, overrides=None, taps=None):
-        """Mean next-token cross-entropy over the batch."""
-        logits, info = self.forward(ids, overrides=overrides, taps=taps)
-        return _next_token_loss(logits, ids), info
+    def loss(self, ids, overrides=None, taps=None, start=0, x=None):
+        """(mean next-token cross-entropy over the batch, logits); the
+        arguments are ``forward``'s."""
+        logits = self.forward(ids, overrides, taps, start, x)
+        return _next_token_loss(logits, ids), logits
 
     def eval_loss(self, batches, weights=None) -> float:
         """Mean loss over batches with optional plain-array overrides."""
@@ -231,8 +228,9 @@ class ToyModel:
         return total / len(batches)
 
     # ------------------------------------------------------------------
-    # block-level entry points for the tuner and the sensitivity probes;
-    # chained, they run the same ops on the same inputs as ``loss``
+    # block-level entry points for the tuner and the fp prefixes that
+    # ``forward(..., start, x)`` resumes from; chained, they run the same
+    # ops on the same inputs as ``forward``
 
     def embed_forward(self, ids) -> np.ndarray:
         return self._embed(ids, self._ctx()).data
@@ -241,12 +239,6 @@ class ToyModel:
         if not isinstance(x, T.Tensor):
             x = T.Tensor(x)
         return self._block(block, x, self._ctx(overrides, taps))
-
-    def head_loss_from_hidden(self, x, ids, overrides=None, taps=None):
-        """``loss`` given the last block's output."""
-        if not isinstance(x, T.Tensor):
-            x = T.Tensor(x)
-        return _next_token_loss(self._head(x, self._ctx(overrides, taps)), ids)
 
 
 def _next_token_loss(logits: T.Tensor, ids) -> T.Tensor:

@@ -62,16 +62,6 @@ def fp_prefixes(model, calib_batches) -> list:
     return prefixes
 
 
-def _probe_loss(model, info, ids, xs, overrides, taps=None):
-    """``model.loss`` with the overrides and taps on ``info``'s layer, run
-    from the fp input ``xs`` of that layer's block (``head`` has none)."""
-    start = model.spec.n_blocks if info.block is None else info.block
-    x = xs[start]
-    for b in range(start, model.spec.n_blocks):
-        x = model.block_forward(b, x, overrides=overrides, taps=taps)
-    return model.head_loss_from_hidden(x, ids, overrides=overrides, taps=taps)
-
-
 def delta_loss(model, layer_name: str, scheme: QuantScheme, calib_batches,
                prefixes=None) -> float:
     """Loss-impact score of quantizing one layer under ``scheme``.
@@ -82,9 +72,8 @@ def delta_loss(model, layer_name: str, scheme: QuantScheme, calib_batches,
     ``prefixes`` is ``fp_prefixes(model, calib_batches)``, computed here
     when not given.
     """
-    info = model.layer_info(layer_name)
-    if info.kind != "linear":
-        raise ContractError(f"layer {layer_name!r} has no quantizable weight")
+    block = model.layer_info(layer_name).block  # None: the head's input
+    start = model.spec.n_blocks if block is None else block
     w = model.params[layer_name]
     w_q = rtn_weight(w, scheme)
     acts = scheme.quantizes_acts
@@ -104,8 +93,9 @@ def delta_loss(model, layer_name: str, scheme: QuantScheme, calib_batches,
                                      requires_grad=True)
             return probe["leaf"]
 
-        loss = _probe_loss(model, info, ids, xs, {layer_name: probe["leaf"]},
-                           {layer_name: tap} if acts else None)
+        loss, _ = model.loss(ids, {layer_name: probe["leaf"]},
+                             {layer_name: tap} if acts else None,
+                             start, xs[start])
         leaf = probe["leaf"]
         g = T.backward(loss, wrt=[leaf])[leaf]
         total += deviation_score(g, probe["fp"] - leaf.data)

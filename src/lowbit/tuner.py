@@ -216,11 +216,8 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
     batches go unread and every layer is round-to-nearest. Every plan
     layer, 16-bit and the head included, gets a weight and a payload.
     """
-    for name, sch in plan.items():
-        info = model.layer_info(name)
-        if info.kind != "linear":
-            raise ContractError(
-                f"layer {name!r} is {info.kind}; only linear layers quantize")
+    for name in plan:
+        model.layer_info(name)  # raises for a layer that does not quantize
     int_sym = [n for n, s in plan.items() if s.family == "int-sym"]
     tuning = cfg.steps >= 1 and bool(int_sym)
 

@@ -194,7 +194,7 @@ def demo_payload(rng, bits=4, target="4"):
     config = {"scheme": {"family": "int-sym", "group_size": 4,
                          "target_bits": target},
               "run": {"seed": 0}}
-    assignment = {"target_bits": target,
+    assignment = {"target_bits": target, "avg_bits": str(bits),
                   "layers": [{"name": "lin", "bits": bits}]}
     return config, assignment, layers, packed
 
@@ -221,7 +221,8 @@ def mx_payload(rng):
     config = {"scheme": {"family": "mxfp", "group_size": 32,
                          "target_bits": "16"},
               "run": {"seed": 0}}
-    assignment = {"target_bits": "16",
+    # (240 * 4 + 18 * 16) / 258 average bits
+    assignment = {"target_bits": "16", "avg_bits": "208/43",
                   "layers": [{"name": "lin", "bits": 4},
                              {"name": "head", "bits": 16}]}
     return config, assignment, layers, packed
@@ -351,6 +352,25 @@ class TestArtifact:
             rewrite_header(path, untarget)
             assert art.verify_artifact(path) == [
                 "assignment target_bits None is not a fraction"], sections
+
+    @pytest.mark.parametrize("avg,problem", [
+        pytest.param("2", "assignment avg_bits 2 disagrees with the layer "
+                     "table's 192 bit-params over 48 params", id="wrong"),
+        pytest.param(None, "assignment avg_bits None is not a fraction",
+                     id="null"),
+        pytest.param("1/0", "assignment avg_bits '1/0' is not a fraction",
+                     id="zero_denominator")])
+    def test_assignment_avg_bits_checked(self, tmp_path, capsys, avg,
+                                         problem):
+        path = tmp_path / "a.lbq"
+        save_demo(path, np.random.default_rng(5), bits=4, target="4")
+
+        def restate(h):
+            h["assignment"]["avg_bits"] = avg
+            h["assignment_digest"] = digest_of(h["assignment"])
+        rewrite_header(path, restate)
+        assert run_cli(tmp_path, "verify", "--artifact", str(path)) == 1
+        assert capsys.readouterr().out.splitlines() == [f"FAIL {problem}"]
 
     def test_rewritten_layer_bits_flagged(self, tmp_path):
         path = tmp_path / "a.lbq"
@@ -884,6 +904,15 @@ BAD_ASSIGNMENTS = {
     "missing_name": edited(ASSIGNMENT, lambda d: d["layers"][0].pop("name")),
     # and so is the quantization plan
     "bits_9": edited(ASSIGNMENT, lambda d: d["layers"][0].update(bits=9)),
+    # and the rtn baseline's width, the widest option within the target
+    "target_1": edited(ASSIGNMENT, lambda d: d.update(target_bits="1")),
+}
+# read whole, but checkable only once the model gives the layer sizes
+UNFIT_ASSIGNMENTS = {
+    "over_budget": edited(ASSIGNMENT, lambda d: d.update(target_bits="4")),
+    "wrong_avg_bits": edited(ASSIGNMENT, lambda d: d.update(avg_bits="2")),
+    "label_bits_mismatch": edited(
+        ASSIGNMENT, lambda d: d["layers"][0].update(option="w2g32")),
 }
 MALFORMED = [
     *(pytest.param(c, "sensitivity.json", body, id=f"{c}-{n}")
@@ -902,6 +931,16 @@ class TestCliErrors:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "artifact.lbq").exists()
         assert not (tmp_path / "fp_model.npz").exists()
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(body, id=n) for n, body in UNFIT_ASSIGNMENTS.items()])
+    def test_unfit_assignment_exits_config_before_quantizing(
+            self, tmp_path, capsys, body):
+        (tmp_path / "assignment.json").write_text(json.dumps(body))
+        assert run_cli(tmp_path, "quantize") == 2
+        assert "assignment.json" in capsys.readouterr().err
+        for name in ("artifact.lbq", "metrics.json", "tuned.json"):
+            assert not (tmp_path / name).exists()
 
     @pytest.mark.parametrize("command,name,body", [
         ("allocate", "sensitivity.json", SCORES),

@@ -64,16 +64,16 @@ class TestBuildDeterminism:
 
     def test_transformer_layer_names(self):
         m = M.ToyModel.build(tiny_spec(n_blocks=2))
-        names = [li.name for li in m.layers()]
-        assert "embed" in names
-        assert "blocks.0.attn.wq" in names
-        assert "blocks.1.mlp.down" in names
-        assert "head" in names
         quant = [li.name for li in m.quantizable_layers()]
-        assert "embed" not in quant
-        assert "pos_embed" not in quant
-        assert "blocks.0.norm1.g" not in quant
+        assert "blocks.0.attn.wq" in quant
+        assert "blocks.1.mlp.down" in quant
         assert "head" in quant
+        # embeddings and gains are parameters, not quantizable layers
+        for name in ("embed", "pos_embed", "blocks.0.norm1.g"):
+            assert name in m.params
+            assert name not in quant
+            with pytest.raises(ContractError, match="no quantizable layer"):
+                m.layer_info(name)
 
     def test_block_layer_names_cover_all_non_head(self):
         m = M.ToyModel.build(tiny_spec(n_blocks=3))
@@ -89,7 +89,7 @@ class TestForwardAndLoss:
     def test_logits_shape_and_finite(self, arch):
         m = M.ToyModel.build(tiny_spec(arch=arch))
         ids = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
-        logits, _ = m.forward(ids)
+        logits = m.forward(ids)
         assert logits.data.shape == (2, 4, 11)
         assert np.isfinite(logits.data).all()
 
@@ -98,7 +98,7 @@ class TestForwardAndLoss:
         m = M.ToyModel.build(tiny_spec(arch=arch))
         rng = np.random.default_rng(0)
         ids = rng.integers(0, 11, size=(3, 5))
-        logits, _ = m.forward(ids)
+        logits = m.forward(ids)
         loss, _ = m.loss(ids)
         assert loss.item() == pytest.approx(
             next_token_loss_ref(logits.data, ids), rel=1e-9
@@ -119,8 +119,8 @@ class TestForwardAndLoss:
         m = M.ToyModel.build(tiny_spec())
         a = np.array([[1, 2, 3, 4]])
         b = np.array([[1, 2, 3, 9]])
-        la, _ = m.forward(a)
-        lb, _ = m.forward(b)
+        la = m.forward(a)
+        lb = m.forward(b)
         np.testing.assert_allclose(
             la.data[0, :3], lb.data[0, :3], rtol=0, atol=1e-12
         )
@@ -196,8 +196,8 @@ def record_inputs(model, ids):
             seen[name] = x.data
             return x
         return tap
-    logits, _ = model.forward(ids, taps={i.name: recorder(i.name)
-                                         for i in model.quantizable_layers()})
+    logits = model.forward(ids, taps={i.name: recorder(i.name)
+                                      for i in model.quantizable_layers()})
     return logits, seen
 
 
@@ -210,19 +210,24 @@ class TestHooks:
         assert "head" in caps
         assert caps["blocks.0.attn.wq"].shape == (1, 3, 8)
         # recording leaves the forward as it is
-        np.testing.assert_array_equal(logits.data, m.forward(ids)[0].data)
+        np.testing.assert_array_equal(logits.data, m.forward(ids).data)
 
     def test_tap_rewrites_layer_input(self):
         m = M.ToyModel.build(tiny_spec())
         ids = np.array([[1, 2, 3]])
         x = record_inputs(m, ids)[1]["blocks.0.mlp.up"]
 
-        def double(t):
-            return T.Tensor(t.data * 2.0, requires_grad=True)
+        nodes = []
 
-        _, info = m.forward(ids, taps={"blocks.0.mlp.up": double})
-        node = info["tap_nodes"]["blocks.0.mlp.up"]
+        def double(t):
+            nodes.append(T.Tensor(t.data * 2.0, requires_grad=True))
+            return nodes[-1]
+
+        loss, _ = m.loss(ids, taps={"blocks.0.mlp.up": double})
+        (node,) = nodes
         np.testing.assert_allclose(node.data, x * 2.0, rtol=1e-12)
+        # the rewritten input is the node the pass runs on
+        assert np.abs(T.backward(loss, wrt=[node])[node]).max() > 0
 
     def test_calibrate_act_stats_aggregates_batches(self):
         m = M.ToyModel.build(tiny_spec())
@@ -241,7 +246,7 @@ class TestHooks:
         x = m.embed_forward(ids)
         for b in m.block_ids():
             x = m.block_forward(b, x)
-        loss_comp = m.head_loss_from_hidden(x, ids)
+        loss_comp, _ = m.loss(ids, start=m.spec.n_blocks, x=x)
         loss_full, _ = m.loss(ids)
         assert loss_comp.item() == loss_full.item()
 

@@ -155,6 +155,11 @@ def untrained_fixture(arch):
     return M.ToyModel.build(spec), M.synthetic_batches(64, 6, 16, 3, seed=4)
 
 
+def probe_start(model, info):
+    """The block whose fp input a probe of ``info``'s layer starts from."""
+    return model.spec.n_blocks if info.block is None else info.block
+
+
 class TestPrefixProbe:
     """A probe started from the shared fp block inputs is the full-forward
     probe, bit for bit."""
@@ -167,9 +172,10 @@ class TestPrefixProbe:
         for info in m.quantizable_layers():
             w_q = sv.rtn_weight(m.params[info.name],
                                 sv.option_set("int-sym", [2], 32)[0])
+            start = probe_start(m, info)
             for ids, xs in zip(cal, prefixes):
                 fast = T.Tensor(w_q, requires_grad=True)
-                loss = sv._probe_loss(m, info, ids, xs, {info.name: fast})
+                loss, _ = m.loss(ids, {info.name: fast}, None, start, xs[start])
                 full = T.Tensor(w_q, requires_grad=True)
                 loss_full, _ = m.loss(ids, overrides={info.name: full})
                 assert loss.item() == loss_full.item()
@@ -182,6 +188,7 @@ class TestPrefixProbe:
         prefixes = sv.fp_prefixes(m, cal)
         fmt = sv.option_set("mxfp", [4])[0].mx_format
         for info in m.quantizable_layers():
+            start = probe_start(m, info)
             for ids, xs in zip(cal, prefixes):
                 leaves = []
 
@@ -190,7 +197,7 @@ class TestPrefixProbe:
                                            requires_grad=True))
                     return leaves[-1]
 
-                loss = sv._probe_loss(m, info, ids, xs, {}, {info.name: tap})
+                loss, _ = m.loss(ids, {}, {info.name: tap}, start, xs[start])
                 loss_full, _ = m.loss(ids, taps={info.name: tap})
                 fast, full = leaves
                 assert np.array_equal(fast.data, full.data)

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import allocator, sensitivity, tuner
+from . import allocator, models, sensitivity, tuner
 from . import config as cfglib
 from .artifact import save_artifact, verify_artifact
 from .errors import (ConfigError, ContractError, InfeasibleError,
@@ -70,24 +70,45 @@ def _ingest(path: Path, what: str, made_by: str, parse) -> tuple:
             from None
 
 
-def _load_report(path: Path, target) -> tuple:
-    """(raw dict, AllocationProblem) from the scores in ``path``."""
-    return _ingest(path, "sensitivity report", "sensitivity",
-                   lambda d: allocator.AllocationProblem.from_report(
-                       sensitivity.SensitivityReport.from_dict(d), target))
+def _match_layers(got: list, want: list) -> None:
+    if got != want:
+        raise ContractError(f"layers {got} do not match the model's "
+                            f"quantizable layers {want}")
+
+
+def _load_report(path: Path, cfg) -> tuple:
+    """(raw dict, AllocationProblem under ``cfg``'s target) from the
+    scores in ``path``, which must list the (name, params) of every
+    quantizable layer of ``cfg``'s model, in order."""
+    def parse(d):
+        report = sensitivity.SensitivityReport.from_dict(d)
+        _match_layers([(l.name, l.params) for l in report.layers],
+                      [(i.name, i.n_params)
+                       for i in models.layer_table(cfg.spec)])
+        return allocator.AllocationProblem.from_report(report,
+                                                       cfg.target_bits)
+    return _ingest(path, "sensitivity report", "sensitivity", parse)
 
 
 def _load_assignment(path: Path, cfg) -> tuple:
     """(raw dict, (assignment, names, target, plan, rtn bits)) read from
-    ``path``; the rtn bits are the uniform-precision baseline, the widest
-    option that fits the file's target."""
+    ``path`` and checked whole before any model is built: the layers are
+    those of ``cfg``'s model, and the choices are options of ``cfg`` that
+    fit the file's target and give its ``avg_bits`` on the layer sizes
+    of ``models.layer_table`` (no costs are read). The rtn bits are the
+    uniform-precision baseline, the widest option within the target."""
     def parse(d):
         asn, names, target = allocator.assignment_from_dict(d)
-        fit = [b for b in cfg.options if b <= target]
-        if not fit:
-            raise ContractError(f"no option in {list(cfg.options)} fits "
-                                f"target {target}")
-        return asn, names, target, _plan(cfg, names, asn.bits), max(fit)
+        table = models.layer_table(cfg.spec)
+        _match_layers(names, [i.name for i in table])
+        options = [(s.label, s.bits) for s in sensitivity.option_set(
+            cfg.family, cfg.options, cfg.group_size)]
+        # the problem holds the target within the options, so one fits
+        allocator.validate_assignment(allocator.AllocationProblem.build(
+            names, [i.n_params for i in table], options,
+            [[0.0] * len(options)] * len(names), target), asn)
+        rtn_bits = max(b for b in cfg.options if b <= target)
+        return asn, names, target, _plan(cfg, names, asn.bits), rtn_bits
     return _ingest(path, "assignment file", "allocate", parse)
 
 
@@ -119,7 +140,7 @@ def cmd_sensitivity(cfg, args) -> int:
 
 
 def cmd_allocate(cfg, args) -> int:
-    _, problem = _load_report(cfg.out_dir / SENSITIVITY_FILE, cfg.target_bits)
+    _, problem = _load_report(cfg.out_dir / SENSITIVITY_FILE, cfg)
     asn = allocator.allocate_dp(problem)
     allocator.validate_assignment(problem, asn)
     d = asn.to_dict(problem)
@@ -136,59 +157,36 @@ def cmd_allocate(cfg, args) -> int:
 
 def cmd_quantize(cfg, args) -> int:
     ev = cfglib.eval_set(cfg)
-    apath = cfg.out_dir / ASSIGNMENT_FILE
     asn_dict, (asn, names, target, plan, rtn_bits) = _load_assignment(
-        apath, cfg)
+        cfg.out_dir / ASSIGNMENT_FILE, cfg)
     model, cal = cfglib.build_model(cfg)
-    want = [i.name for i in model.quantizable_layers()]
-    if names != want:
-        raise ContractError(
-            f"assignment layers {names} do not match the model's "
-            f"quantizable layers {want}")
-    # labels, avg_bits and budget, now that the layer sizes are known;
-    # the check reads no costs
-    options = [(s.label, s.bits) for s in sensitivity.option_set(
-        cfg.family, cfg.options, cfg.group_size)]
-    try:
-        allocator.validate_assignment(allocator.AllocationProblem.build(
-            names, [model.layer_info(n).n_params for n in names], options,
-            [[0.0] * len(options)] * len(names), target), asn)
-    except ContractError as e:
-        raise IngestionError(f"assignment file {apath}: {e}") from None
 
-    fp_loss = model.eval_loss(ev)
-    res_rtn = tuner.quantize_model(
-        model, _plan(cfg, names, [rtn_bits] * len(names)), cal, PLAIN,
-        eval_batches=ev)
-    res_dl = tuner.quantize_model(model, plan, cal, PLAIN, eval_batches=ev)
-    res_tuned = tuner.quantize_model(model, plan, cal, cfg.tune,
-                                     eval_batches=ev)
-
-    losses = {"fp": fp_loss,
-              "rtn": res_rtn.metrics["quantized_loss"],
-              "dl_only": res_dl.metrics["quantized_loss"],
-              "tuned": res_tuned.metrics["quantized_loss"]}
+    losses = {"fp": model.eval_loss(ev)}
+    for key, variant, tune in (
+            ("rtn", _plan(cfg, names, [rtn_bits] * len(names)), PLAIN),
+            ("dl_only", plan, PLAIN), ("tuned", plan, cfg.tune)):
+        res = None  # the last variant's weights go before this one runs
+        res = tuner.quantize_model(model, variant, cal, tune,
+                                   eval_batches=ev)
+        losses[key] = res.metrics["quantized_loss"]
     budget = {"target_bits": str(target), "avg_bits": str(asn.avg_bits),
               "rtn_uniform_bits": rtn_bits}
     summary = [{"block": b.block, "layers": [l.name for l in b.layers],
                 "initial_loss": b.initial_loss, "final_loss": b.final_loss,
-                "best_step": b.best_step} for b in res_tuned.tuned]
+                "best_step": b.best_step} for b in res.tuned]
     metrics = {"format": "lowbit/metrics-v1", "config_digest": cfg.digest(),
                "budget": budget, "losses": losses, "tuning": summary}
 
-    layers = []
-    for name, lbl, bits in zip(names, asn.choices, asn.bits):
-        info = model.layer_info(name)
-        layers.append({"name": name, "params": info.n_params,
-                       "bits": bits, "label": lbl,
-                       "shape": list(info.shape)})
+    layers = [{"name": i.name, "params": i.n_params, "bits": bits,
+               "label": lbl, "shape": list(i.shape)} for i, lbl, bits in
+              zip(model.quantizable_layers(), asn.choices, asn.bits)]
     save_artifact(cfg.out_dir / ARTIFACT_FILE, cfg.to_dict(), asn_dict,
                   layers, {"losses": losses, "budget": budget}, summary,
-                  res_tuned.packed)
+                  res.packed)
     _write_json(cfg.out_dir / METRICS_FILE, metrics)
     # the loss curves, in new dicts so that metrics.json stays without them
     curves = [dict(b, history=full.history)
-              for b, full in zip(summary, res_tuned.tuned)]
+              for b, full in zip(summary, res.tuned)]
     _write_json(cfg.out_dir / TUNED_FILE,
                 {"schema": "lowbit/tuning-v1", "config_digest": cfg.digest(),
                  "blocks": curves})
@@ -218,35 +216,29 @@ def cmd_report(cfg, args) -> int:
     # report.json stamps cfg's digest over these scores, so they must
     # have been scored under cfg
     rpath = cfg.out_dir / SENSITIVITY_FILE
-    d, problem = _load_report(rpath, cfg.target_bits)
+    d, problem = _load_report(rpath, cfg)
     if d.get("config_digest") != cfg.digest():
         raise ConfigError(f"{rpath} was scored under another config; "
                           f"run `lowbit sensitivity` with this one first")
     ev = cfglib.eval_set(cfg)
     model, cal = cfglib.build_model(cfg)
     names = list(problem.names)
+    dp = allocator.allocate_dp(problem)
+    runs = [("dp", dp, PLAIN),
+            *((mode, allocator.allocate_heuristic(problem, mode), PLAIN)
+              for mode in ("head", "tail"))]
+    if cfg.tune.steps >= 1:
+        runs.append(("tuned", dp, cfg.tune))
 
     fp_loss = model.eval_loss(ev)
     rows = {}
-    solved = {}
-    for mode in ("dp", "head", "tail"):
-        if mode == "dp":
-            asn = allocator.allocate_dp(problem)
-        else:
-            asn = allocator.allocate_heuristic(problem, mode)
-        res = tuner.quantize_model(model, _plan(cfg, names, asn.bits), cal,
-                                   PLAIN, eval_batches=ev)
-        solved[mode] = asn
-        rows[mode] = {"solver": asn.solver, "avg_bits": str(asn.avg_bits),
+    for mode, asn, tune in runs:
+        rows[mode] = {"solver": asn.solver + ("+tune" if tune.steps else ""),
+                      "avg_bits": str(asn.avg_bits),
                       "objective": asn.objective, "bits": list(asn.bits),
-                      "loss": res.metrics["quantized_loss"]}
-    if cfg.tune.steps >= 1:
-        asn = solved["dp"]
-        res = tuner.quantize_model(model, _plan(cfg, names, asn.bits), cal,
-                                   cfg.tune, eval_batches=ev)
-        rows["tuned"] = {"solver": "dp+tune", "avg_bits": str(asn.avg_bits),
-                         "objective": asn.objective, "bits": list(asn.bits),
-                         "loss": res.metrics["quantized_loss"]}
+                      "loss": tuner.quantize_model(
+                          model, _plan(cfg, names, asn.bits), cal, tune,
+                          eval_batches=ev).metrics["quantized_loss"]}
 
     d = {"format": "lowbit/report-v1", "config_digest": cfg.digest(),
          "target_bits": str(cfg.target_bits), "fp_loss": fp_loss,

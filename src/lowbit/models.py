@@ -70,43 +70,50 @@ class LayerInfo:
         return int(np.prod(self.shape))
 
 
+def layer_table(spec: ModelSpec) -> list:
+    """The quantizable layers of the model ``spec`` builds, in model
+    order with the head last. It draws no parameters, so the layer sizes
+    are known before a model is built or trained."""
+    d, f = spec.hidden, spec.hidden * spec.ffn_mult
+    if spec.arch == ARCH_TT:
+        shapes = [(f"attn.{p}", (d, d)) for p in ("wq", "wk", "wv", "wo")]
+        shapes += [("mlp.up", (d, f)), ("mlp.down", (f, d))]
+        rows = [LayerInfo(f"blocks.{b}.{name}", shape, b)
+                for b in range(spec.n_blocks) for name, shape in shapes]
+    else:
+        rows = [LayerInfo(f"layers.{b}", (d, d), b)
+                for b in range(spec.n_blocks)]
+    return rows + [LayerInfo("head", (d, spec.vocab))]
+
+
 class ToyModel:
-    def __init__(self, spec: ModelSpec, params: dict, infos: list):
+    def __init__(self, spec: ModelSpec, params: dict):
         self.spec = spec
         self.params = params
-        self._infos = infos
+        self._infos = layer_table(spec)
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
     def build(cls, spec: ModelSpec) -> "ToyModel":
+        """Seeded parameters: the embeddings, then one draw per
+        ``layer_table`` row in table order. The norm gains are ones; in
+        ``params``, a block's follow its linears, the last precedes the head."""
         rng = np.random.default_rng(spec.seed)
-        p: dict[str, np.ndarray] = {}
-        infos: list[LayerInfo] = []
-        d, v = spec.hidden, spec.vocab
-
-        def linear(name, fan_in, fan_out, block=None):
-            p[name] = rng.normal(0.0, fan_in ** -0.5, size=(fan_in, fan_out))
-            infos.append(LayerInfo(name, (fan_in, fan_out), block))
-
-        p["embed"] = rng.normal(0.0, 1.0, size=(v, d))
-        if spec.arch == ARCH_TT:
+        tt = spec.arch == ARCH_TT
+        d = spec.hidden
+        p = {"embed": rng.normal(0.0, 1.0, size=(spec.vocab, d))}
+        if tt:
             p["pos_embed"] = rng.normal(0.0, 0.3, size=(spec.max_seq, d))
-            f = d * spec.ffn_mult
-            for b in range(spec.n_blocks):
-                for proj in ("wq", "wk", "wv", "wo"):
-                    linear(f"blocks.{b}.attn.{proj}", d, d, block=b)
-                linear(f"blocks.{b}.mlp.up", d, f, block=b)
-                linear(f"blocks.{b}.mlp.down", f, d, block=b)
+        for info in layer_table(spec):
+            if tt and info.block is None:
+                p["final_norm.g"] = np.ones(d)
+            p[info.name] = rng.normal(0.0, info.shape[0] ** -0.5, info.shape)
+            if tt and info.name.endswith(".mlp.down"):
                 for g in ("norm1", "norm2"):
-                    p[f"blocks.{b}.{g}.g"] = np.ones(d)
-            p["final_norm.g"] = np.ones(d)
-        else:
-            for b in range(spec.n_blocks):
-                linear(f"layers.{b}", d, d, block=b)
-        linear("head", d, v)
-        return cls(spec, p, infos)
+                    p[f"blocks.{info.block}.{g}.g"] = np.ones(d)
+        return cls(spec, p)
 
     # ------------------------------------------------------------------
     # structure queries

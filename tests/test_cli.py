@@ -1,10 +1,12 @@
 """Config, artifact container, and end-to-end command-line tests."""
 
+import gc
 import json
 import os
 import struct
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -673,6 +675,23 @@ class TestCliCommands:
         assert [{k: v for k, v in b.items() if k != "history"}
                 for b in d["blocks"]] == m["tuning"]
 
+    def test_one_quantized_model_at_a_time(self, tmp_path, monkeypatch):
+        # quantize reads only the rtn and dl_only losses, so their
+        # results are gone before the next variant runs
+        (tmp_path / "assignment.json").write_text(json.dumps(ASSIGNMENT))
+        real = cli.tuner.quantize_model
+        refs, alive = [], []
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            alive.append([r() is not None for r in refs])
+            res = real(*args, **kwargs)
+            refs.append(weakref.ref(res))
+            return res
+        monkeypatch.setattr(cli.tuner, "quantize_model", tracked)
+        assert run_cli(tmp_path, "quantize") == 0
+        assert alive == [[], [False], [False, False]]
+
     def test_tune_command_is_gone(self, tmp_path, capsys):
         # quantize writes tuned.json; no second command tunes
         assert run_cli(tmp_path, "tune") == 2
@@ -907,12 +926,14 @@ BAD_ASSIGNMENTS = {
     # and the rtn baseline's width, the widest option within the target
     "target_1": edited(ASSIGNMENT, lambda d: d.update(target_bits="1")),
 }
-# read whole, but checkable only once the model gives the layer sizes
+# read whole, but checkable only against the config's layer table
 UNFIT_ASSIGNMENTS = {
     "over_budget": edited(ASSIGNMENT, lambda d: d.update(target_bits="4")),
     "wrong_avg_bits": edited(ASSIGNMENT, lambda d: d.update(avg_bits="2")),
     "label_bits_mismatch": edited(
         ASSIGNMENT, lambda d: d["layers"][0].update(option="w2g32")),
+    "other_layers": edited(
+        ASSIGNMENT, lambda d: d["layers"][0].update(name="layers.1")),
 }
 MALFORMED = [
     *(pytest.param(c, "sensitivity.json", body, id=f"{c}-{n}")
@@ -935,11 +956,17 @@ class TestCliErrors:
     @pytest.mark.parametrize("body", [
         pytest.param(body, id=n) for n, body in UNFIT_ASSIGNMENTS.items()])
     def test_unfit_assignment_exits_config_before_quantizing(
-            self, tmp_path, capsys, body):
+            self, tmp_path, monkeypatch, capsys, body):
         (tmp_path / "assignment.json").write_text(json.dumps(body))
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built for an unfit assignment")
+        monkeypatch.setattr(cli.cfglib, "build_model", no_model)
+        monkeypatch.setattr(models, "train_model", no_model)
         assert run_cli(tmp_path, "quantize") == 2
         assert "assignment.json" in capsys.readouterr().err
-        for name in ("artifact.lbq", "metrics.json", "tuned.json"):
+        for name in ("artifact.lbq", "metrics.json", "tuned.json",
+                     "fp_model.npz"):
             assert not (tmp_path / name).exists()
 
     @pytest.mark.parametrize("command,name,body", [
@@ -1016,11 +1043,33 @@ class TestCliErrors:
     def test_quantize_without_assignment(self, tmp_path):
         assert run_cli(tmp_path, "quantize") == 2
 
-    def test_assignment_model_mismatch(self, tmp_path):
+    def test_assignment_model_mismatch(self, tmp_path, monkeypatch, capsys):
+        # a file fault, found as the file is read
         run_cli(tmp_path, "sensitivity")
         run_cli(tmp_path, "allocate")
+        capsys.readouterr()
+
+        def no_model(cfg):
+            raise AssertionError("model built for another model's assignment")
+        monkeypatch.setattr(cli.cfglib, "build_model", no_model)
         wrong = TINY[1:] + ("model.hidden=16", "model.n_blocks=2")
-        assert run_cli(tmp_path, "quantize", sets=wrong) == 1
+        assert run_cli(tmp_path, "quantize", sets=wrong) == 2
+        assert "assignment.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["allocate", "report"])
+    def test_scores_of_another_model_exit_config(self, tmp_path, monkeypatch,
+                                                 capsys, command):
+        run_cli(tmp_path, "sensitivity")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+
+        def no_model(cfg):
+            raise AssertionError("model built for another model's scores")
+        monkeypatch.setattr(cli.cfglib, "build_model", no_model)
+        assert run_cli(tmp_path, command,
+                       sets=TINY[1:] + ("model.hidden=8",)) == 2
+        assert "sensitivity.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("exc,code", [
         (ConfigError("x"), 2),

@@ -1,5 +1,8 @@
 """Toy-model zoo tests: determinism, loss semantics, gradients, hooks."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,29 @@ class TestBuildDeterminism:
             assert name not in quant
             with pytest.raises(ContractError, match="no quantizable layer"):
                 m.layer_info(name)
+
+    @pytest.mark.parametrize("arch", [M.ARCH_MLP, M.ARCH_TT])
+    def test_layer_table_is_the_built_models(self, arch):
+        spec = tiny_spec(arch=arch, n_blocks=2, ffn_mult=3)
+        table = M.layer_table(spec)
+        assert table == M.ToyModel.build(spec).quantizable_layers()
+        assert table[-1] == M.LayerInfo("head", (8, 11))
+
+    # sha256 over each parameter's name, dtype, shape and bytes, in key
+    # order: the draws, their order and the key order that training and
+    # the fp cache read must not move
+    @pytest.mark.parametrize("arch,digest", [
+        (M.ARCH_MLP, "ccadd808cc9cc9aab28bb4c942dd37af"
+                     "1bac33711624a0aa776dd2416c75093e"),
+        (M.ARCH_TT, "8ed39f1f00ca6ab75001ad4f858a7771"
+                    "e1e61f7a2414cacc53e9f0d02b2f2574")])
+    def test_build_parameters_are_pinned(self, arch, digest):
+        h = hashlib.sha256()
+        for name, a in M.ToyModel.build(tiny_spec(arch=arch,
+                                                  n_blocks=2)).params.items():
+            h.update(json.dumps([name, a.dtype.str, list(a.shape)]).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
 
     def test_block_layer_names_cover_all_non_head(self):
         m = M.ToyModel.build(tiny_spec(n_blocks=3))

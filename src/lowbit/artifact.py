@@ -43,18 +43,6 @@ class Artifact:
     header: dict
     packed: dict    # layer name -> PackedWeights
 
-    @property
-    def config(self) -> dict:
-        return self.header["config"]
-
-    @property
-    def assignment(self) -> dict:
-        return self.header["assignment"]
-
-    @property
-    def metrics(self) -> dict:
-        return self.header["metrics"]
-
 
 def save_artifact(path, config_dict: dict, assignment_dict: dict,
                   layers: list, metrics: dict, tuning: list,

@@ -91,11 +91,11 @@ def _load_report(path: Path, cfg) -> tuple:
 
 
 def _load_assignment(path: Path, cfg) -> tuple:
-    """(raw dict, (assignment, names, target, plan, rtn bits)) read from
-    ``path`` and checked whole before any model is built: the layers are
-    those of ``cfg``'s model, and the choices are options of ``cfg`` that
-    fit the file's target and give its ``avg_bits`` on the layer sizes
-    of ``models.layer_table`` (no costs are read). The rtn bits are the
+    """(raw dict, (assignment, target, rtn bits)) read from ``path`` and
+    checked whole before any model is built: the layers are those of
+    ``cfg``'s model, and the choices are options of ``cfg`` that fit the
+    file's target and give its ``avg_bits`` on the layer sizes of
+    ``models.layer_table`` (no costs are read). The rtn bits are the
     uniform-precision baseline, the widest option within the target."""
     def parse(d):
         asn, names, target = allocator.assignment_from_dict(d)
@@ -108,12 +108,28 @@ def _load_assignment(path: Path, cfg) -> tuple:
             names, [i.n_params for i in table], options,
             [[0.0] * len(options)] * len(names), target), asn)
         rtn_bits = max(b for b in cfg.options if b <= target)
-        return asn, names, target, _plan(cfg, names, asn.bits), rtn_bits
+        return asn, target, rtn_bits
     return _ingest(path, "assignment file", "allocate", parse)
 
 
-def _plan(cfg, names, bits) -> dict:
-    return tuner.plan_from_assignment(names, bits, cfg.family, cfg.group_size)
+def _run_variants(cfg, variants) -> tuple:
+    """(losses, last variant's QuantizeResult) of one run of ``cfg``'s
+    model: the held-out loss of the fp model under ``"fp"``, then of each
+    ``(name, per-layer bits, TuneConfig)`` variant in turn, quantized by
+    :func:`tuner.quantize_model`. ``quantize`` and ``report`` both run
+    here, so equal variants give them equal losses. Only the losses
+    outlive each variant's run, except the last variant's result."""
+    ev = cfglib.eval_set(cfg)
+    model, cal = cfglib.build_model(cfg)
+    names = [i.name for i in model.quantizable_layers()]
+    losses = {"fp": model.eval_loss(ev)}
+    for name, bits, tune in variants:
+        res = None  # the last variant's weights go before this one runs
+        plan = tuner.plan_from_assignment(names, bits, cfg.family,
+                                          cfg.group_size)
+        res = tuner.quantize_model(model, plan, cal, tune, eval_batches=ev)
+        losses[name] = res.metrics["quantized_loss"]
+    return losses, res
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +172,15 @@ def cmd_allocate(cfg, args) -> int:
 
 
 def cmd_quantize(cfg, args) -> int:
-    ev = cfglib.eval_set(cfg)
-    asn_dict, (asn, names, target, plan, rtn_bits) = _load_assignment(
+    asn_dict, (asn, target, rtn_bits) = _load_assignment(
         cfg.out_dir / ASSIGNMENT_FILE, cfg)
-    model, cal = cfglib.build_model(cfg)
-
-    losses = {"fp": model.eval_loss(ev)}
-    for key, variant, tune in (
-            ("rtn", _plan(cfg, names, [rtn_bits] * len(names)), PLAIN),
-            ("dl_only", plan, PLAIN), ("tuned", plan, cfg.tune)):
-        res = None  # the last variant's weights go before this one runs
-        res = tuner.quantize_model(model, variant, cal, tune,
-                                   eval_batches=ev)
-        losses[key] = res.metrics["quantized_loss"]
+    table = models.layer_table(cfg.spec)
+    losses, res = _run_variants(cfg, [
+        ("rtn", [rtn_bits] * len(table), PLAIN),
+        ("dl_only", asn.bits, PLAIN), ("tuned", asn.bits, cfg.tune)])
     budget = {"target_bits": str(target), "avg_bits": str(asn.avg_bits),
               "rtn_uniform_bits": rtn_bits}
-    summary = [{"block": b.block, "layers": [l.name for l in b.layers],
+    summary = [{"block": b.block, "layers": list(b.learned),
                 "initial_loss": b.initial_loss, "final_loss": b.final_loss,
                 "best_step": b.best_step} for b in res.tuned]
     metrics = {"format": "lowbit/metrics-v1", "config_digest": cfg.digest(),
@@ -179,7 +188,7 @@ def cmd_quantize(cfg, args) -> int:
 
     layers = [{"name": i.name, "params": i.n_params, "bits": bits,
                "label": lbl, "shape": list(i.shape)} for i, lbl, bits in
-              zip(model.quantizable_layers(), asn.choices, asn.bits)]
+              zip(table, asn.choices, asn.bits)]
     save_artifact(cfg.out_dir / ARTIFACT_FILE, cfg.to_dict(), asn_dict,
                   layers, {"losses": losses, "budget": budget}, summary,
                   res.packed)
@@ -220,25 +229,20 @@ def cmd_report(cfg, args) -> int:
     if d.get("config_digest") != cfg.digest():
         raise ConfigError(f"{rpath} was scored under another config; "
                           f"run `lowbit sensitivity` with this one first")
-    ev = cfglib.eval_set(cfg)
-    model, cal = cfglib.build_model(cfg)
-    names = list(problem.names)
     dp = allocator.allocate_dp(problem)
-    runs = [("dp", dp, PLAIN),
-            *((mode, allocator.allocate_heuristic(problem, mode), PLAIN)
-              for mode in ("head", "tail"))]
+    runs = {"dp": (dp, PLAIN),
+            **{mode: (allocator.allocate_heuristic(problem, mode), PLAIN)
+               for mode in ("head", "tail")}}
     if cfg.tune.steps >= 1:
-        runs.append(("tuned", dp, cfg.tune))
-
-    fp_loss = model.eval_loss(ev)
-    rows = {}
-    for mode, asn, tune in runs:
-        rows[mode] = {"solver": asn.solver + ("+tune" if tune.steps else ""),
-                      "avg_bits": str(asn.avg_bits),
-                      "objective": asn.objective, "bits": list(asn.bits),
-                      "loss": tuner.quantize_model(
-                          model, _plan(cfg, names, asn.bits), cal, tune,
-                          eval_batches=ev).metrics["quantized_loss"]}
+        runs["tuned"] = (dp, cfg.tune)
+    losses, _ = _run_variants(cfg, [(mode, asn.bits, tune)
+                                    for mode, (asn, tune) in runs.items()])
+    fp_loss = losses["fp"]
+    rows = {mode: {"solver": asn.solver + ("+tune" if tune.steps else ""),
+                   "avg_bits": str(asn.avg_bits),
+                   "objective": asn.objective, "bits": list(asn.bits),
+                   "loss": losses[mode]}
+            for mode, (asn, tune) in runs.items()}
 
     d = {"format": "lowbit/report-v1", "config_digest": cfg.digest(),
          "target_bits": str(cfg.target_bits), "fp_loss": fp_loss,

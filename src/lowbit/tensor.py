@@ -14,8 +14,6 @@ assume.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import ContractError, ShapeError
@@ -24,19 +22,15 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-_uid = itertools.count()
-
-
 class Tensor:
     """A dense array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "requires_grad", "uid", "_op", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_op", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, *,
                  _op: str = "leaf", _parents: tuple = (), _vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.uid = next(_uid)
         self._op = _op
         self._parents = _parents
         self._vjp = _vjp
@@ -364,9 +358,9 @@ def build_tape(root: Tensor) -> list:
         if expanded:
             order.append(node)
             continue
-        if node.uid in visited or not node.requires_grad:
+        if node in visited or not node.requires_grad:
             continue
-        visited.add(node.uid)
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
@@ -385,20 +379,20 @@ def backward(loss: Tensor, wrt=None) -> dict:
     if not loss.requires_grad:
         raise ContractError("loss does not depend on any gradient-requiring tensor")
     tape = build_tape(loss)
-    grads = {loss.uid: np.ones_like(loss.data)}
+    grads = {loss: np.ones_like(loss.data)}
     for node in reversed(tape):
-        g = grads.get(node.uid)
+        g = grads.get(node)
         if g is None:
             continue
         if node._vjp is not None:
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                acc = grads.get(parent.uid)
-                grads[parent.uid] = pg if acc is None else acc + pg
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
     result = {}
     for node in tape:
-        g = grads.get(node.uid)
+        g = grads.get(node)
         if g is None:
             g = np.zeros_like(node.data)
         result[node] = g

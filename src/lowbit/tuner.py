@@ -7,10 +7,11 @@ Parameters move by a fixed step in the direction opposite the gradient
 sign, clamped to their boxes, and the best iterate seen wins.
 
 ``quantize_model`` strings the blocks together: activation statistics,
-searched initial scales, and per-block tuning, each block on the outputs
-of the already-quantized blocks before it; then every layer is quantized
-and packed. A run that tunes nothing (0 steps, or no int-sym layer)
-touches no calibration data: every layer is round-to-nearest.
+searched initial scales, then one walk over the blocks and the head that
+tunes each block on the outputs of the already-quantized blocks before
+it and quantizes and packs its layers. A run that tunes nothing (0
+steps, or no int-sym layer) touches no calibration data: every layer is
+round-to-nearest.
 """
 
 from __future__ import annotations
@@ -79,17 +80,17 @@ def trimmed_mse(pred: T.Tensor, target, trim_fraction: float = 0.0) -> T.Tensor:
 
 
 @dataclass
-class TunedLayer:
-    name: str
-    v: np.ndarray      # per-element rounding offset in [-0.5, 0.5]
-    alpha: np.ndarray  # per-group scale multiplier in [0.5, 1.5]
-    beta: np.ndarray   # minmax-mode lower-range multiplier; ones when inert
-
-
-@dataclass
 class BlockTuneResult:
+    """One block's tuning run.
+
+    ``learned`` maps each tuned layer, in block order, to the best
+    iterate's :func:`codecs.quantize_layer` arguments: ``v``, the
+    per-element rounding offset in [-0.5, 0.5]; ``alpha``, the per-group
+    scale multiplier in [0.5, 1.5]; and ``beta``, the minmax-mode
+    lower-range multiplier, ones when inert.
+    """
     block: int
-    layers: list
+    learned: dict
     initial_loss: float
     final_loss: float
     best_step: int
@@ -178,10 +179,8 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
                                  0.5, 1.5)
 
     best_loss, best_step, best_theta = best
-    layers = [TunedLayer(n, best_theta[n]["v"], best_theta[n]["alpha"],
-                         best_theta[n]["beta"]) for n in tuned_names]
-    return BlockTuneResult(block, layers, history[0], best_loss, best_step,
-                           history)
+    return BlockTuneResult(block, best_theta, history[0], best_loss,
+                           best_step, history)
 
 
 def plan_from_assignment(names, bits, family: str,
@@ -207,14 +206,17 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
                    eval_batches=None) -> QuantizeResult:
     """Quantize a model per a layer->scheme plan.
 
-    Blocks containing integer-grid layers are tuned when ``cfg.steps``
-    is at least 1, each on the calibration inputs as the quantized
-    blocks before it leave them; initial scales are searched for such a
-    run when ``use_scale_init`` is set, one layer per job in worker
-    processes (:func:`workers.map_ordered`), into one layer -> scales map
-    that every block's tuning reads. Otherwise the calibration
-    batches go unread and every layer is round-to-nearest. Every plan
-    layer, 16-bit and the head included, gets a weight and a payload.
+    One walk visits the blocks in order and then the head. Each block
+    containing integer-grid layers is tuned when ``cfg.steps`` is at
+    least 1, on the calibration inputs as the quantized blocks before it
+    leave them; initial scales are searched for such a run when
+    ``use_scale_init`` is set, one layer per job in worker processes
+    (:func:`workers.map_ordered`), into one layer -> scales map that
+    every block's tuning reads. Otherwise the calibration batches go
+    unread and every layer is round-to-nearest. Every plan layer, 16-bit
+    and the head included, then gets its weight and payload from one
+    :func:`codecs.quantize_layer` call, with the block's learned
+    parameters when it was tuned; the head is never tuned.
     """
     for name in plan:
         model.layer_info(name)  # raises for a layer that does not quantize
@@ -230,32 +232,26 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
                 model.params[n], stats[n], plan[n].bits, plan[n].group_size)
         init_scales = dict(zip(int_sym, map_ordered(search, int_sym)))
 
-    weights, packed, learned, tuned = {}, {}, {}, []
-
-    def finish(names):
-        for n in names:
-            weights[n], packed[n] = codecs.quantize_layer(
-                model.params[n], plan[n], init_scales=init_scales.get(n),
-                **learned.get(n, {}))
-
+    weights, packed, tuned = {}, {}, []
+    blocks = model.block_ids()
     if tuning:
         ids = np.concatenate([np.asarray(b) for b in calib_batches], axis=0)
         x = model.embed_forward(ids)
-        last = model.block_ids()[-1]
-        for block in model.block_ids():
-            bnames = [n for n in model.block_layer_names(block) if n in plan]
-            if any(n in int_sym for n in bnames):
-                res = tune_block(model, block, x, {n: plan[n] for n in bnames},
-                                 cfg, init_scales=init_scales)
-                tuned.append(res)
-                learned.update({lay.name: dict(v=lay.v, alpha=lay.alpha,
-                                               beta=lay.beta)
-                                for lay in res.layers})
-            finish(bnames)
-            if block != last:  # nothing reads the last block's output
-                x = model.block_forward(
-                    block, x, overrides={n: weights[n] for n in bnames}).data
-    finish([n for n in plan if n not in weights])
+    for block in [*blocks, None]:  # None is the head
+        bnames = [n for n in model.block_layer_names(block) if n in plan]
+        learned = {}
+        if tuning and block is not None and any(n in int_sym for n in bnames):
+            res = tune_block(model, block, x, {n: plan[n] for n in bnames},
+                             cfg, init_scales=init_scales)
+            tuned.append(res)
+            learned = res.learned
+        for n in bnames:
+            weights[n], packed[n] = codecs.quantize_layer(
+                model.params[n], plan[n], init_scales=init_scales.get(n),
+                **learned.get(n, {}))
+        if tuning and block in blocks[:-1]:  # nothing reads the last output
+            x = model.block_forward(
+                block, x, overrides={n: weights[n] for n in bnames}).data
 
     metrics = {}
     if eval_batches is not None:

@@ -277,7 +277,7 @@ class TestArtifact:
         assert got.header["format"] == "lowbit/artifact-v2"
         assert [r["name"] for r in got.header["sections"]] == ["packed:lin"]
         assert got.packed["lin"].to_bytes() == packed["lin"].to_bytes()
-        assert got.config["scheme"]["target_bits"] == "4"
+        assert got.header["config"]["scheme"]["target_bits"] == "4"
         assert art.verify_artifact(path) == []
 
         def to_v1(h):
@@ -674,6 +674,30 @@ class TestCliCommands:
         m = read_json(tmp_path / "metrics.json")
         assert [{k: v for k, v in b.items() if k != "history"}
                 for b in d["blocks"]] == m["tuning"]
+
+    @pytest.mark.parametrize("sets", [
+        TINY,
+        TINY + ("model.arch=tiny-transformer", "scheme.family=mxfp",
+                "scheme.options=4,8", "scheme.target_bits=5")],
+        ids=["int-sym", "mx"])
+    def test_artifact_reproduces_its_own_metrics(self, tmp_path, sets):
+        for command in ("sensitivity", "allocate", "quantize"):
+            assert run_cli(tmp_path, command, sets=sets) == 0, command
+        cfg = load_config(None, (*sets, f"run.out_dir={tmp_path}"))
+        model, _ = cfglib.build_model(cfg)  # the cached fp model
+        got = art.load_artifact(tmp_path / "artifact.lbq")
+        weights = {n: pw.dequantize() for n, pw in got.packed.items()}
+        loss = model.eval_loss(cfglib.eval_set(cfg), weights=weights)
+        assert loss == read_json(tmp_path / "metrics.json")["losses"]["tuned"]
+
+    def test_report_and_quantize_give_the_same_losses(self, tmp_path):
+        for command in ("sensitivity", "allocate", "quantize", "report"):
+            assert run_cli(tmp_path, command) == 0, command
+        losses = read_json(tmp_path / "metrics.json")["losses"]
+        rep = read_json(tmp_path / "report.json")
+        assert rep["fp_loss"] == losses["fp"]
+        assert rep["allocations"]["dp"]["loss"] == losses["dl_only"]
+        assert rep["allocations"]["tuned"]["loss"] == losses["tuned"]
 
     def test_one_quantized_model_at_a_time(self, tmp_path, monkeypatch):
         # quantize reads only the rtn and dl_only losses, so their

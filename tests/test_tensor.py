@@ -230,12 +230,12 @@ class TestMachinery:
         y = T.mul(x, x)
         z = T.sum_(T.add(y, x))
         tape = T.build_tape(z)
-        pos = {n.uid: i for i, n in enumerate(tape)}
-        assert set(pos) >= {x.uid, y.uid, z.uid}
+        pos = {n: i for i, n in enumerate(tape)}
+        assert set(pos) >= {x, y, z}
         for node in tape:
             for p in node._parents:
-                if p.uid in pos:
-                    assert pos[p.uid] < pos[node.uid]
+                if p in pos:
+                    assert pos[p] < pos[node]
 
     def test_grad_accumulates_across_reuse(self):
         x = T.Tensor(np.array([3.0]), requires_grad=True)

@@ -172,14 +172,14 @@ class TestTuneBlock:
 
         assert got.history == [l0, l1]
         assert got.initial_loss == l0
-        lay = got.layers[0]
+        lay = got.learned["layers.0"]
         if l1 < l0:
-            np.testing.assert_array_equal(lay.v, v1)
-            np.testing.assert_array_equal(lay.alpha, a1)
-            np.testing.assert_array_equal(lay.beta, b1)
+            np.testing.assert_array_equal(lay["v"], v1)
+            np.testing.assert_array_equal(lay["alpha"], a1)
+            np.testing.assert_array_equal(lay["beta"], b1)
             assert got.best_step == 1
         else:
-            np.testing.assert_array_equal(lay.v, np.zeros_like(w))
+            np.testing.assert_array_equal(lay["v"], np.zeros_like(w))
             assert got.best_step == 0
         assert not np.array_equal(v1, np.zeros_like(w))  # the update moved
 
@@ -194,9 +194,9 @@ class TestTuneBlock:
         res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
 
         w = model.params["layers.0"]
-        lay = res.layers[0]
-        tuned_w, _, _ = codecs.quantize_weight(w, 2, 32, v=lay.v,
-                                               alpha=lay.alpha, beta=lay.beta)
+        lay = res.learned["layers.0"]
+        tuned_w, _, _ = codecs.quantize_weight(
+            w, 2, 32, v=lay["v"], alpha=lay["alpha"], beta=lay["beta"])
         rtn_w, _, _ = codecs.quantize_weight(w, 2, 32)
         tuned_err = trimmed_ref(
             model.block_forward(0, x, overrides={"layers.0": tuned_w}).data,
@@ -225,10 +225,10 @@ class TestTuneBlock:
         batches = [rng.choice(x.shape[0], size=4, replace=False)
                    for _ in range(cfg.steps + 1)]
         idx = batches[res.best_step]
-        lay = res.layers[0]
+        lay = res.learned["layers.0"]
         w = model.params["layers.0"]
-        qw, _, _ = codecs.quantize_weight(w, 2, 32, v=lay.v, alpha=lay.alpha,
-                                          beta=lay.beta)
+        qw, _, _ = codecs.quantize_weight(
+            w, 2, 32, v=lay["v"], alpha=lay["alpha"], beta=lay["beta"])
         replay = trimmed_ref(
             model.block_forward(0, x[idx], overrides={"layers.0": qw}).data,
             targets[idx], 0.0)
@@ -248,10 +248,10 @@ class TestTuneBlock:
                                seed=0)
         res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
         assert res.history == [0.0] * 6
-        lay = res.layers[0]
-        np.testing.assert_array_equal(lay.v, np.zeros_like(w))
-        np.testing.assert_array_equal(lay.alpha, np.ones_like(lay.alpha))
-        np.testing.assert_array_equal(lay.beta, np.ones_like(lay.beta))
+        lay = res.learned["layers.0"]
+        np.testing.assert_array_equal(lay["v"], np.zeros_like(w))
+        np.testing.assert_array_equal(lay["alpha"], np.ones_like(lay["alpha"]))
+        np.testing.assert_array_equal(lay["beta"], np.ones_like(lay["beta"]))
 
     def test_deterministic(self):
         model, cal = small_model(seed=4)
@@ -261,8 +261,10 @@ class TestTuneBlock:
         a = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
         b = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
         assert a.history == b.history
-        np.testing.assert_array_equal(a.layers[0].v, b.layers[0].v)
-        np.testing.assert_array_equal(a.layers[0].alpha, b.layers[0].alpha)
+        np.testing.assert_array_equal(a.learned["layers.0"]["v"],
+                                      b.learned["layers.0"]["v"])
+        np.testing.assert_array_equal(a.learned["layers.0"]["alpha"],
+                                      b.learned["layers.0"]["alpha"])
 
     def test_init_scales_mode_keeps_beta_inert(self):
         model, cal = small_model(seed=6)
@@ -273,9 +275,9 @@ class TestTuneBlock:
         cfg = tuner.TuneConfig(steps=10, lr=0.05, batch_size=4, seed=2)
         res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg,
                                init_scales={"layers.0": s0})
-        lay = res.layers[0]
-        np.testing.assert_array_equal(lay.beta, np.ones_like(lay.beta))
-        assert not np.array_equal(lay.alpha, np.ones_like(lay.alpha))
+        lay = res.learned["layers.0"]
+        np.testing.assert_array_equal(lay["beta"], np.ones_like(lay["beta"]))
+        assert not np.array_equal(lay["alpha"], np.ones_like(lay["alpha"]))
 
     def test_non_finite_loss_names_step_and_block(self):
         model, cal = small_model(seed=1)
@@ -295,7 +297,7 @@ class TestTuneBlock:
         }
         cfg = tuner.TuneConfig(steps=3, lr=0.05, batch_size=4, seed=0)
         res = tuner.tune_block(model, 0, x, schemes, cfg)
-        assert [lay.name for lay in res.layers] == ["blocks.0.attn.wq"]
+        assert list(res.learned) == ["blocks.0.attn.wq"]
 
     def test_contracts(self):
         model, cal = small_model()
@@ -386,7 +388,7 @@ class TestQuantizeModel:
         plan = tuner.plan_from_assignment(names, [4] * len(names), "int-sym", 32)
         res = tuner.quantize_model(model, plan, cal,
                                    self.cfg(use_scale_init=False))
-        tuned_names = {lay.name for blk in res.tuned for lay in blk.layers}
+        tuned_names = {n for blk in res.tuned for n in blk.learned}
         assert "head" not in tuned_names
         assert "head" in res.weights
         expect, _, _ = codecs.quantize_weight(model.params["head"], 4, 32)

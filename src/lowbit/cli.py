@@ -76,17 +76,32 @@ def _match_layers(got: list, want: list) -> None:
                             f"quantizable layers {want}")
 
 
+def _options(cfg) -> list:
+    """(label, bits) of each of ``cfg``'s options, ascending bits."""
+    return [(s.label, s.bits) for s in sensitivity.option_set(
+        cfg.family, cfg.options, cfg.group_size)]
+
+
 def _load_report(path: Path, cfg) -> tuple:
-    """(raw dict, AllocationProblem under ``cfg``'s target) from the
-    scores in ``path``, which must list the (name, params) of every
-    quantizable layer of ``cfg``'s model, in order."""
+    """(raw dict, AllocationProblem over ``cfg``'s options and target)
+    from the scores in ``path``, which must list the (name, params) of
+    every quantizable layer of ``cfg``'s model, in order, and score each
+    of ``cfg``'s options. Scored options that ``cfg`` lacks are left out."""
     def parse(d):
         report = sensitivity.SensitivityReport.from_dict(d)
         _match_layers([(l.name, l.params) for l in report.layers],
                       [(i.name, i.n_params)
                        for i in models.layer_table(cfg.spec)])
-        return allocator.AllocationProblem.from_report(report,
-                                                       cfg.target_bits)
+        options = _options(cfg)
+        for label, _ in options:
+            if label not in report.option_labels():
+                raise ConfigError(f"{path} holds no scores for option "
+                                  f"{label}; run `lowbit sensitivity` with "
+                                  f"this config first")
+        return allocator.AllocationProblem.build(
+            [l.name for l in report.layers], [l.params for l in report.layers],
+            options, [[l.scores[lb] for lb, _ in options]
+                      for l in report.layers], cfg.target_bits)
     return _ingest(path, "sensitivity report", "sensitivity", parse)
 
 
@@ -101,8 +116,7 @@ def _load_assignment(path: Path, cfg) -> tuple:
         asn, names, target = allocator.assignment_from_dict(d)
         table = models.layer_table(cfg.spec)
         _match_layers(names, [i.name for i in table])
-        options = [(s.label, s.bits) for s in sensitivity.option_set(
-            cfg.family, cfg.options, cfg.group_size)]
+        options = _options(cfg)
         # the problem holds the target within the options, so one fits
         allocator.validate_assignment(allocator.AllocationProblem.build(
             names, [i.n_params for i in table], options,
@@ -137,6 +151,7 @@ def _run_variants(cfg, variants) -> tuple:
 
 
 def cmd_sensitivity(cfg, args) -> int:
+    """score every layer under every bit option"""
     model, cal = cfglib.build_model(cfg)
     schemes = sensitivity.option_set(cfg.family, cfg.options, cfg.group_size)
     report = sensitivity.build_report(model, schemes, cal)
@@ -156,6 +171,7 @@ def cmd_sensitivity(cfg, args) -> int:
 
 
 def cmd_allocate(cfg, args) -> int:
+    """solve the bit-allocation problem"""
     _, problem = _load_report(cfg.out_dir / SENSITIVITY_FILE, cfg)
     asn = allocator.allocate_dp(problem)
     allocator.validate_assignment(problem, asn)
@@ -172,6 +188,7 @@ def cmd_allocate(cfg, args) -> int:
 
 
 def cmd_quantize(cfg, args) -> int:
+    """full pipeline: pack weights, compare variants"""
     asn_dict, (asn, target, rtn_bits) = _load_assignment(
         cfg.out_dir / ASSIGNMENT_FILE, cfg)
     table = models.layer_table(cfg.spec)
@@ -209,6 +226,7 @@ def cmd_quantize(cfg, args) -> int:
 
 
 def cmd_verify(cfg, args) -> int:
+    """check an artifact's integrity"""
     path = Path(args.artifact) if args.artifact else cfg.out_dir / ARTIFACT_FILE
     if not path.is_file():
         raise ConfigError(f"artifact {path} does not exist")
@@ -222,6 +240,7 @@ def cmd_verify(cfg, args) -> int:
 
 
 def cmd_report(cfg, args) -> int:
+    """compare allocation strategies end to end"""
     # report.json stamps cfg's digest over these scores, so they must
     # have been scored under cfg
     rpath = cfg.out_dir / SENSITIVITY_FILE
@@ -266,29 +285,15 @@ def _parser() -> argparse.ArgumentParser:
         prog="lowbit",
         description="mixed-precision quantization pipeline for toy models")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.__doc__)
         sp.add_argument("--config", metavar="PATH",
                         help="INI config file (defaults apply without one)")
         sp.add_argument("--set", action="append", default=[], metavar="S.K=V",
                         dest="overrides", help="override a config field")
-
-    common(sub.add_parser("sensitivity",
-                          help="score every layer under every bit option"))
-
-    common(sub.add_parser("allocate",
-                          help="solve the bit-allocation problem"))
-
-    common(sub.add_parser("quantize",
-                          help="full pipeline: pack weights, compare variants"))
-
-    v = sub.add_parser("verify", help="check an artifact's integrity")
-    common(v)
-    v.add_argument("--artifact", metavar="PATH",
-                   help=f"artifact file (default OUT/{ARTIFACT_FILE})")
-
-    common(sub.add_parser("report",
-                          help="compare allocation strategies end to end"))
+    sub.choices["verify"].add_argument(
+        "--artifact", metavar="PATH",
+        help=f"artifact file (default OUT/{ARTIFACT_FILE})")
     return p
 
 
@@ -308,7 +313,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code else EXIT_OK
     try:
         cfg = cfglib.load_config(args.config, args.overrides)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"run.out_dir {cfg.out_dir} cannot be a "
+                              f"directory: {e}") from None
         return COMMANDS[args.command](cfg, args)
     except (ConfigError, IngestionError) as e:
         print(f"error: {e}", file=sys.stderr)

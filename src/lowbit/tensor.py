@@ -25,13 +25,12 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 class Tensor:
     """A dense array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "requires_grad", "_op", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, *,
-                 _op: str = "leaf", _parents: tuple = (), _vjp=None):
+                 _parents: tuple = (), _vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self._op = _op
         self._parents = _parents
         self._vjp = _vjp
 
@@ -54,17 +53,17 @@ class Tensor:
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, op={self._op}{flag})"
+        return f"Tensor(shape={self.shape}{flag})"
 
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, op, parents, vjp) -> Tensor:
+def _make(data, parents, vjp) -> Tensor:
     if any(p.requires_grad for p in parents):
-        return Tensor(data, True, _op=op, _parents=tuple(parents), _vjp=vjp)
-    return Tensor(data, False, _op=op)
+        return Tensor(data, True, _parents=tuple(parents), _vjp=vjp)
+    return Tensor(data, False)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -98,26 +97,26 @@ def _binary_vjp(a: Tensor, b: Tensor, da, db):
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     vjp = _binary_vjp(a, b, lambda g: g, lambda g: g)
-    return _make(a.data + b.data, "add", (a, b), vjp)
+    return _make(a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     vjp = _binary_vjp(a, b, lambda g: g, lambda g: -g)
-    return _make(a.data - b.data, "sub", (a, b), vjp)
+    return _make(a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     vjp = _binary_vjp(a, b, lambda g: g * b.data, lambda g: g * a.data)
-    return _make(a.data * b.data, "mul", (a, b), vjp)
+    return _make(a.data * b.data, (a, b), vjp)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     vjp = _binary_vjp(a, b, lambda g: g / b.data,
                       lambda g: -g * a.data / (b.data * b.data))
-    return _make(a.data / b.data, "div", (a, b), vjp)
+    return _make(a.data / b.data, (a, b), vjp)
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -128,7 +127,7 @@ def power(a: Tensor, p: float) -> Tensor:
     def vjp(g):
         return (g * p * a.data ** (p - 1.0),)
 
-    return _make(out, "power", (a,), vjp)
+    return _make(out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def gelu(a: Tensor) -> Tensor:
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
         return (g * (cdf + x * pdf),)
 
-    return _make(out, "gelu", (a,), vjp)
+    return _make(out, (a,), vjp)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -164,7 +163,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
-    return _make(y, "softmax", (a,), vjp)
+    return _make(y, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -186,44 +185,38 @@ def clip(a: Tensor, lo=None, hi=None) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _make(out, "clip", (a,), vjp)
+    return _make(out, (a,), vjp)
 
 
 def round_ste(a: Tensor) -> Tensor:
     """Round half to even; backward is the straight-through identity."""
     a = _lift(a)
-    return _make(np.rint(a.data), "round_ste", (a,), lambda g: (g,))
+    return _make(np.rint(a.data), (a,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
 
+def _spread(g, a: Tensor, axis, keepdims) -> tuple:
+    """VJP of a reduction of ``a`` over ``axis``: the upstream gradient
+    copied back over the reduced axis (or over all of ``a``)."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),)
+
+
 def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).astype(a.data.dtype, copy=True),)
-
-    return _make(out, "sum", (a,), vjp)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: _spread(g, a, axis, keepdims))
 
 
 def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.data.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).astype(a.data.dtype, copy=True),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, a.shape).astype(a.data.dtype, copy=True),)
-
-    return _make(out, "mean", (a,), vjp)
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: _spread(g / count, a, axis, keepdims))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +231,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(a.shape),)
 
-    return _make(out, "reshape", (a,), vjp)
+    return _make(out, (a,), vjp)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -256,7 +249,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         grad[sl] = g
         return (grad,)
 
-    return _make(a.data[sl], "narrow", (a,), vjp)
+    return _make(a.data[sl], (a,), vjp)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -267,7 +260,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     def vjp(g):
         return (g.transpose(inv),)
 
-    return _make(a.data.transpose(axes), "transpose", (a,), vjp)
+    return _make(a.data.transpose(axes), (a,), vjp)
 
 
 def take(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -292,7 +285,7 @@ def take(a: Tensor, indices: np.ndarray) -> Tensor:
         np.add.at(grad, idx.reshape(-1), g.reshape(idx.size, *a.shape[1:]))
         return (grad,)
 
-    return _make(out, "take", (a,), vjp)
+    return _make(out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +300,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     vjp = _binary_vjp(a, b, lambda g: g @ np.swapaxes(b.data, -1, -2),
                       lambda g: np.swapaxes(a.data, -1, -2) @ g)
-    return _make(a.data @ b.data, "matmul", (a, b), vjp)
+    return _make(a.data @ b.data, (a, b), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -337,7 +330,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         p[np.arange(n), t] -= 1.0
         return (g * p / n,)
 
-    return _make(out, "cross_entropy", (logits,), vjp)
+    return _make(out, (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -373,32 +366,26 @@ def backward(loss: Tensor, wrt=None) -> dict:
     Returns a map from Tensor to gradient ndarray covering every
     gradient-requiring node reached from the root; tensors passed in
     ``wrt`` are always present, with zeros if unreached.
+
+    Every tape node holds a gradient by the time the reverse loop reaches
+    it: the root starts with one, and each of its consumers, visited
+    earlier, gives an array to every parent that requires a gradient
+    (``_binary_vjp`` gives None only for a constant operand, and a unary
+    op enters the graph only when its operand requires a gradient).
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not depend on any gradient-requiring tensor")
-    tape = build_tape(loss)
     grads = {loss: np.ones_like(loss.data)}
-    for node in reversed(tape):
-        g = grads.get(node)
-        if g is None:
-            continue
+    for node in reversed(build_tape(loss)):
         if node._vjp is not None:
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
+            for parent, pg in zip(node._parents, node._vjp(grads[node])):
+                if pg is None:
                     continue
                 acc = grads.get(parent)
                 grads[parent] = pg if acc is None else acc + pg
-    result = {}
-    for node in tape:
-        g = grads.get(node)
-        if g is None:
-            g = np.zeros_like(node.data)
-        result[node] = g
-    if wrt is not None:
-        for t in wrt:
-            if t not in result:
-                result[t] = np.zeros_like(t.data)
-    return result
-
+    for t in wrt or ():
+        if t not in grads:
+            grads[t] = np.zeros_like(t.data)
+    return grads

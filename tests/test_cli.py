@@ -915,9 +915,10 @@ def edited(base, edit):
 SCORES = {"schema": "lowbit/sensitivity-v1", "family": "int-sym",
           "calib": {"samples": 8, "seq_len": 16},
           "options": [{"label": "w2g32", "bits": 2, "group_size": 32},
+                      {"label": "w4g32", "bits": 4, "group_size": 32},
                       {"label": "w8g32", "bits": 8, "group_size": 32}],
           "layers": [{"name": n, "params": 256,
-                      "scores": {"w2g32": 1.0, "w8g32": 0.0}}
+                      "scores": {"w2g32": 1.0, "w4g32": 0.5, "w8g32": 0.0}}
                      for n in ("layers.0", "head")]}
 ASSIGNMENT = {"schema": "lowbit/assignment-v1", "solver": "dp",
               "objective": 0.0, "avg_bits": "8", "target_bits": "8",
@@ -1080,9 +1081,15 @@ class TestCliErrors:
         assert run_cli(tmp_path, "quantize", sets=wrong) == 2
         assert "assignment.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["allocate", "report"])
+    @pytest.mark.parametrize("command,sets,named", [
+        *(pytest.param(c, TINY[1:] + ("model.hidden=8",), "sensitivity.json",
+                       id=c) for c in ("allocate", "report")),
+        # int-sym scores offer no MX option
+        *(pytest.param(c, TINY + ("scheme.family=mxfp", "scheme.options=4,8",
+                                  "scheme.target_bits=4"), "mxfp4",
+                       id=f"{c}-mx-options") for c in ("allocate", "report"))])
     def test_scores_of_another_model_exit_config(self, tmp_path, monkeypatch,
-                                                 capsys, command):
+                                                 capsys, command, sets, named):
         run_cli(tmp_path, "sensitivity")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         capsys.readouterr()
@@ -1090,10 +1097,31 @@ class TestCliErrors:
         def no_model(cfg):
             raise AssertionError("model built for another model's scores")
         monkeypatch.setattr(cli.cfglib, "build_model", no_model)
-        assert run_cli(tmp_path, command,
-                       sets=TINY[1:] + ("model.hidden=8",)) == 2
-        assert "sensitivity.json" in capsys.readouterr().err
+        assert run_cli(tmp_path, command, sets=sets) == 2
+        err = capsys.readouterr().err
+        assert "sensitivity.json" in err and named in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_allocate_leaves_out_options_the_config_lacks(self, tmp_path):
+        # at 3 bits the scores favour one w4g32 layer, which 2,8 lacks
+        (tmp_path / "sensitivity.json").write_text(json.dumps(SCORES))
+        for options, labels in (("2,4,8", {"w2g32", "w4g32"}),
+                                ("2,8", {"w2g32"})):
+            assert run_cli(tmp_path, "allocate", sets=TINY + (
+                f"scheme.options={options}", "scheme.target_bits=3")) == 0
+            asn = read_json(tmp_path / "assignment.json")
+            assert {l["option"] for l in asn["layers"]} == labels
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("beneath", [False, True],
+                             ids=["file", "beneath-file"])
+    def test_out_dir_that_cannot_be_a_directory_exits_config(
+            self, tmp_path, capsys, command, beneath):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(taken / "out" if beneath else taken, command) == 2
+        err = capsys.readouterr().err
+        assert "run.out_dir" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("exc,code", [
         (ConfigError("x"), 2),

@@ -249,6 +249,31 @@ class TestMachinery:
         grads = T.backward(T.sum_(x), wrt=[other])
         np.testing.assert_array_equal(grads[other], np.zeros(4))
 
+    def test_gradient_map_covers_exactly_the_tape(self):
+        # backward returns the map its one reverse pass fills, so every
+        # tape node must get a gradient there and nothing else may
+        rng = np.random.default_rng(23)
+        x = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        h = T.add(T.matmul(x, T.Tensor(rng.normal(size=(3, 3)))),
+                  T.Tensor(np.ones(3)))
+        y = T.mul(h, h)  # h is used twice
+        c = T.clip(T.narrow(T.take(w, np.array([0, 0, 2])), 1, 1, 3), -1, 1)
+        terms = [T.mean(y, axis=0),
+                 T.sum_(T.mul(c, T.Tensor(2.0)), axis=1),
+                 T.sum_(T.mean(c, axis=1, keepdims=True)),
+                 T.sum_(T.sum_(y, axis=0, keepdims=True))]
+        loss = T.sum_(T.add(T.add(terms[0], terms[1]),
+                            T.add(terms[2], terms[3])))
+        tape = T.build_tape(loss)
+        grads = T.backward(loss)
+        assert set(grads) == set(tape)
+        assert {x, w, h, y, c} <= set(grads)
+        for node in tape:
+            assert grads[node].shape == node.shape
+        other = T.Tensor(np.ones(2), requires_grad=True)
+        assert set(T.backward(loss, wrt=[other])) == set(tape) | {other}
+
     def test_backward_bit_identical_on_repeat(self):
         rng = np.random.default_rng(20)
         a = rng.normal(size=(6, 6))

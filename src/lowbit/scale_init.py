@@ -13,11 +13,15 @@ the squared per-input-channel activation maxima:
 
 and keeps the best scale per group. One core runs the search for every
 caller: group-major, each row group scores all 180 candidates for all
-its output columns at once. A single group is the same search on one
-column with the whole axis as its group. Ties resolve toward the
-smaller eps; an all-zero group gets the scale floor. The winner is
-handed to the tuner, which refines it with a learnable multiplier
-constrained to [0.5, 1.5].
+its output columns at once. It allocates its buffers once per row group
+and scores every candidate in place with the same ufuncs, in the same
+order, as the plain expression, so each objective has the expression's
+bits. A single group is the same search on one column with the whole
+axis as its group. Ties resolve toward the smaller eps; an all-zero
+group gets the scale floor. A column whose every objective is inf or
+nan (overflowing or nan activation stats) keeps candidate 0, eps = -0.9,
+with objective inf. The winner is handed to the tuner, which refines it
+with a learnable multiplier constrained to [0.5, 1.5].
 """
 
 from __future__ import annotations
@@ -56,31 +60,44 @@ def _search(w, act_stats, bits: int, group_size: int):
     input row. First minimum wins, which is the smallest-eps candidate
     among ties.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)  # fixes the sum order
     if w.ndim != 2:
         raise ShapeError(f"expected 2-d weight, got {w.shape}")
     a = np.asarray(act_stats, dtype=np.float64)
     if a.shape != (w.shape[0],):
         raise ShapeError(f"stats shape {a.shape} does not match rows {w.shape[0]}")
     lo, hi = grid_bounds(bits)
-    w2 = (a * a)[:, None]
+    w2 = a * a
     wmax, wmin = group_extrema(w, group_size)
     amax = np.maximum(wmax, -wmin)  # max |W| per group, exactly
     denom = 2.0 ** (bits - 1) + EPS_GRID
-    best_s = np.empty_like(amax)
+    # candidate 0 stands until a finite objective beats +inf
+    best_s = np.maximum(amax / denom[0], SCALE_FLOOR)
     best_obj = np.full_like(amax, np.inf)
+    s, obj = np.empty(w.shape[1]), np.empty(w.shape[1])
+    better = np.empty(w.shape[1], dtype=bool)
     for gi, (s0, e0) in enumerate(group_segments(w.shape[0], group_size)):
-        blk, wt = w[s0:e0], w2[s0:e0]
+        blk = w[s0:e0]
+        buf = np.empty(blk.shape)
+        wt = np.repeat(w2[s0:e0, None], blk.shape[1], axis=1)
         g_max, g_s, g_obj = amax[gi], best_s[gi], best_obj[gi]
         for d in denom:
-            s = np.maximum(g_max / d, SCALE_FLOOR)
-            q = np.clip(np.rint(blk / s), lo, hi) * s
-            obj = np.mean(((blk - q) * wt) ** 2, axis=0)
-            better = obj < g_obj
-            g_obj[better] = obj[better]
-            g_s[better] = s[better]
-    # all-zero groups hit the floor on every candidate; make that exact
-    best_s[amax <= 0] = SCALE_FLOOR
+            # obj = mean(((blk - clip(rint(blk / s), lo, hi) * s) * wt) ** 2)
+            # in place, one ufunc per operation in the expression's order
+            np.divide(g_max, d, out=s)
+            np.maximum(s, SCALE_FLOOR, out=s)
+            np.divide(blk, s, out=buf)
+            np.rint(buf, out=buf)
+            np.clip(buf, lo, hi, out=buf)
+            np.multiply(buf, s, out=buf)
+            np.subtract(blk, buf, out=buf)
+            np.multiply(buf, wt, out=buf)
+            np.square(buf, out=buf)
+            np.add.reduce(buf, axis=0, out=obj)
+            np.divide(obj, e0 - s0, out=obj)  # np.mean, bit for bit
+            np.less(obj, g_obj, out=better)
+            np.copyto(g_obj, obj, where=better)
+            np.copyto(g_s, s, where=better)
     return best_s, best_obj
 
 

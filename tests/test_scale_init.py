@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lowbit import scale_init as S
+from lowbit.codecs import SCALE_FLOOR, grid_bounds, group_extrema, group_segments
 from lowbit.errors import ShapeError
 
 
@@ -23,6 +24,40 @@ def search_ref(group, stats, bits):
         if best is None or obj < best[1]:
             best = (s, obj)
     return best
+
+
+def search_loop_ref(w, act_stats, bits, group_size):
+    """The allocating group-major loop that the in-place kernel replaced.
+
+    Reduces axis 0 in the same order as the kernel, so it pins the
+    kernel's bits on multi-row groups, where a 1-d scan sums pairwise.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    a = np.asarray(act_stats, dtype=np.float64)
+    lo, hi = grid_bounds(bits)
+    w2 = (a * a)[:, None]
+    wmax, wmin = group_extrema(w, group_size)
+    amax = np.maximum(wmax, -wmin)
+    denom = 2.0 ** (bits - 1) + S.EPS_GRID
+    best_s = np.empty_like(amax)
+    best_obj = np.full_like(amax, np.inf)
+    for gi, (s0, e0) in enumerate(group_segments(w.shape[0], group_size)):
+        blk, wt = w[s0:e0], w2[s0:e0]
+        g_max, g_s, g_obj = amax[gi], best_s[gi], best_obj[gi]
+        for d in denom:
+            s = np.maximum(g_max / d, SCALE_FLOOR)
+            q = np.clip(np.rint(blk / s), lo, hi) * s
+            obj = np.mean(((blk - q) * wt) ** 2, axis=0)
+            better = obj < g_obj
+            g_obj[better] = obj[better]
+            g_s[better] = s[better]
+    best_s[amax <= 0] = SCALE_FLOOR
+    return best_s, best_obj
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestCandidateGrid:
@@ -96,3 +131,66 @@ class TestSearch:
         assert got[0, 0] == 1e-8
         assert got[0, 1] > 1e-4
 
+
+class TestKernelBits:
+    """The in-place kernel against the allocating loop, bit for bit."""
+
+    @pytest.mark.parametrize("group_size", [0, 16, 32])
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    def test_matches_loop_oracle(self, bits, group_size):
+        rng = np.random.default_rng(100 + bits + group_size)
+        for shape in [(40, 7), (64, 9), (37, 1), (16, 3)]:
+            w = rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2)
+            if shape[1] > 1:
+                w[:, 0] = 0.0
+            stats = rng.uniform(0.05, 3.0, size=shape[0])
+            got = S._search(w, stats, bits, group_size)
+            want = search_loop_ref(w, stats, bits, group_size)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+            assert_same_bits(S.search_layer_scales(w, stats, bits, group_size),
+                             want[0])
+
+    def test_memory_layout_does_not_change_bits(self):
+        # column-major or strided weights must not sum their groups pairwise
+        rng = np.random.default_rng(109)
+        w = rng.normal(size=(64, 9))
+        stats = rng.uniform(0.05, 3.0, size=64)
+        want = search_loop_ref(w, stats, 4, 32)
+        for got in (S._search(np.asfortranarray(w), stats, 4, 32),
+                    S._search(np.repeat(w, 2, axis=1)[:, ::2], stats, 4, 32)):
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+
+    def test_matches_loop_oracle_on_a_wide_layer(self):
+        rng = np.random.default_rng(107)
+        w = rng.normal(size=(512, 512)) * 0.05
+        stats = np.abs(rng.normal(size=512)) + 0.05
+        got = S._search(w, stats, 2, 32)
+        want = search_loop_ref(w, stats, 2, 32)
+        assert got[0].shape == (16, 512)
+        assert_same_bits(got[0], want[0])
+        assert_same_bits(got[1], want[1])
+
+
+class TestDeadColumns:
+    """A column whose every objective is inf or nan gets candidate 0."""
+
+    @pytest.mark.parametrize("stat", [1e100, np.nan])
+    def test_non_finite_objectives_pick_candidate_zero(self, stat):
+        rng = np.random.default_rng(108)
+        w = rng.normal(size=(64, 4))
+        w[:, 3] = 0.0
+        stats = np.full(64, stat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = [S._search(w, stats, 2, 32) for _ in range(3)]
+        s, obj = runs[0]
+        wmax, wmin = group_extrema(w, 32)
+        want = np.maximum(np.maximum(wmax, -wmin) / (2.0 + S.EPS_GRID[0]),
+                          SCALE_FLOOR)
+        assert_same_bits(s[:, :3], want[:, :3])
+        assert np.all(obj[:, :3] == np.inf)
+        assert np.all(s[:, 3] == SCALE_FLOOR)  # all-zero columns
+        for s_again, obj_again in runs[1:]:
+            assert_same_bits(s_again, s)
+            assert_same_bits(obj_again, obj)

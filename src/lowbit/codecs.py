@@ -7,10 +7,10 @@ Two codec families:
   contiguous input-channel group per output channel. The scale follows
   (max(W)*alpha - min(W)*beta) / (2^b - 1); with alpha = beta = 1 and a
   zero rounding offset this is plain round-to-nearest. The grid is
-  written once, as a tensor graph: tuning builds it from trainable
-  offsets and multipliers, and :func:`quantize_weight` builds the same
-  graph from constants and reads the codes and scales off its nodes, so
-  the packed codes are exactly the tuned ones.
+  written once, in numpy: :func:`quantize_weight` reads the codes and
+  scales from it, and tuning wraps it in one graph node over trainable
+  offsets and multipliers, so the packed codes are exactly the tuned
+  ones.
 * ``mxfp``: microscaling block floats. Blocks of 32 share a power-of-two
   scale 2^(floor(log2(amax)) - emax); elements are rounded half-to-even
   onto a tiny float grid (E2M1 for 4-bit, E4M3 for 8-bit) with
@@ -152,29 +152,35 @@ def _int_sym_grid(w: np.ndarray, bits: int, group_size: int, v, alpha, beta,
                   init_scales):
     """The int-sym grid: scale, divide, add offset, round, clip.
 
-    ``v`` (or None), ``alpha`` and ``beta`` are Tensors. Returns the
-    (codes, group scales, per-row scales) nodes of one graph.
+    ``v`` (or None), ``alpha`` and ``beta`` are arrays or scalars.
+    Returns (codes, in_grid, s_g, above_floor, terms): the codes as
+    float64, signed zeros kept; where the rounded value lay inside the
+    grid; the (n_groups, out) group scales; where the scale formula
+    reached SCALE_FLOOR; and the formula's constant terms,
+    ``(init_scales,)`` or ``(wmax, wmin, denom)``.
     """
+    w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeError(f"expected a 2-d weight, got shape {w.shape}")
     lo, hi = grid_bounds(bits)
     n_groups = len(group_segments(w.shape[0], group_size))
     if init_scales is not None:
-        s_g = T.mul(T.Tensor(init_scales), alpha)
+        terms = (np.asarray(init_scales, dtype=np.float64),)
+        s_g = terms[0] * alpha
         if s_g.shape != (n_groups, w.shape[1]):
             raise ShapeError(
                 f"init_scales shape {s_g.shape} != {(n_groups, w.shape[1])}")
     else:
-        wmax, wmin = group_extrema(w, group_size)
-        denom = float((1 << bits) - 1)
-        s_g = T.div(T.sub(T.mul(T.Tensor(wmax), alpha),
-                          T.mul(T.Tensor(wmin), beta)), T.Tensor(denom))
-    s_g = T.clip(s_g, lo=SCALE_FLOOR)
-    s_full = T.take(s_g, group_index(w.shape[0], group_size))
-    x = T.div(T.Tensor(w), s_full)
+        terms = (*group_extrema(w, group_size), float((1 << bits) - 1))
+        s_g = (terms[0] * alpha - terms[1] * beta) / terms[2]
+    above_floor = s_g >= SCALE_FLOOR
+    s_g = np.clip(s_g, SCALE_FLOOR, None)
+    x = w / s_g[group_index(w.shape[0], group_size)]
     if v is not None:
-        x = T.add(x, v)
-    return T.clip(T.round_ste(x), lo, hi), s_g, s_full
+        x += v
+    np.rint(x, out=x)
+    in_grid = (x >= lo) & (x <= hi)
+    return np.clip(x, lo, hi, out=x), in_grid, s_g, above_floor, terms
 
 
 def group_decode(values: np.ndarray, scales: np.ndarray,
@@ -195,31 +201,53 @@ def quantize_weight(w: np.ndarray, bits: int, group_size: int,
     Returns (dequantized, codes, scales). ``v`` is an optional
     per-element rounding offset in [-0.5, 0.5]. ``alpha``/``beta``
     rescale the minmax range; when ``init_scales`` is given the scale is
-    instead ``init_scales * alpha`` and ``beta`` is ignored. This is the
-    constant-input case of :func:`uniform_qdq_graph`; the dequantized
-    weight is the decode of the returned codes, as an artifact reader
-    computes it.
+    instead ``init_scales * alpha`` and ``beta`` is ignored. The codes
+    and scales are :func:`uniform_qdq_graph`'s; the dequantized weight is
+    the decode of the returned codes, as an artifact reader computes it.
     """
-    q, s_g, _ = _int_sym_grid(np.asarray(w), bits, group_size,
-                              None if v is None else T.Tensor(v),
-                              T.Tensor(alpha), T.Tensor(beta), init_scales)
-    codes = q.data.astype(np.int8)
-    return (group_decode(codes.astype(np.float64), s_g.data, group_size),
-            codes, s_g.data)
+    q, _, s_g, _, _ = _int_sym_grid(
+        w, bits, group_size,
+        None if v is None else np.asarray(v, dtype=np.float64),
+        np.asarray(alpha, dtype=np.float64), np.asarray(beta, dtype=np.float64),
+        init_scales)
+    codes = q.astype(np.int8)
+    return (group_decode(codes.astype(np.float64), s_g, group_size),
+            codes, s_g)
 
 
 def uniform_qdq_graph(w: np.ndarray, bits: int, group_size: int,
                       v: T.Tensor, alpha: T.Tensor, beta: T.Tensor,
                       init_scales: np.ndarray | None = None) -> T.Tensor:
-    """Differentiable :func:`quantize_weight` for tuning.
+    """Differentiable :func:`quantize_weight` for tuning, as one node.
 
     ``w`` is constant; gradients flow to the rounding offset ``v``
     (straight-through, zeroed where the code clips) and to
-    ``alpha``/``beta`` through the scale expression.
+    ``alpha``/``beta`` through the scale expression. The VJP is the
+    composition of the grid's elementwise steps, in their order:
+    ``out = s * q``, ``q = clip(rint(w / s + v))``, ``s`` gathered from
+    the floored group scales.
     """
-    q, _, s_full = _int_sym_grid(np.asarray(w), bits, group_size, v, alpha,
-                                 beta, init_scales)
-    return T.mul(s_full, q)
+    w = np.asarray(w, dtype=np.float64)
+    q, in_grid, s_g, above_floor, terms = _int_sym_grid(
+        w, bits, group_size, v.data, alpha.data, beta.data, init_scales)
+    rows = group_index(w.shape[0], group_size)
+    out = s_g[rows] * q
+
+    def vjp(g):
+        s_full = s_g[rows]
+        g_x = g * s_full * in_grid  # reaches v and w / s unchanged
+        g_s = g * q + (-g_x * w) / (s_full * s_full)
+        del s_full
+        g_sg = np.zeros_like(s_g)
+        np.add.at(g_sg, rows, g_s)
+        g_sg = g_sg * above_floor
+        if init_scales is not None:  # beta is not in the formula
+            return g_x, g_sg * terms[0], np.zeros_like(g_sg)
+        wmax, wmin, denom = terms
+        g_sg = g_sg / denom
+        return g_x, g_sg * wmax, -g_sg * wmin
+
+    return T.custom(out, (v, alpha, beta), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 The graph is built eagerly: every operation that sees at least one
 gradient-requiring input records its parents and a vector-Jacobian
-callback on the output node. ``backward`` orders the reachable nodes
-topologically (:func:`build_tape`) and replays them in reverse, so each
-node is visited only after all of its consumers.
+callback on the output node; an operation on constants records nothing.
+``backward`` orders the reachable nodes topologically
+(:func:`build_tape`) and replays them in reverse, so each node is
+visited only after all of its consumers. Asked for the gradients of
+given tensors, it consumes the graph as it goes, so the arrays of a
+node are freed once no node upstream of it needs them.
 
 Tensors are treated as immutable once constructed; optimizers build
 fresh leaves each step instead of mutating ``data`` in place. All data
@@ -27,12 +30,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, *,
-                 _parents: tuple = (), _vjp=None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._vjp = _vjp
+        self._parents = ()
+        self._vjp = None
 
     @property
     def shape(self):
@@ -61,9 +63,16 @@ def _lift(x) -> Tensor:
 
 
 def _make(data, parents, vjp) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, True, _parents=tuple(parents), _vjp=vjp)
-    return Tensor(data, False)
+    """An op's output node; ``vjp`` is None when no operand requires a
+    gradient. Every op yields float64, so only a reduction to a scalar
+    needs converting, and a no-grad node (eval, targets, fp prefixes)
+    costs no more than its data."""
+    t = Tensor.__new__(Tensor)
+    t.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    t.requires_grad = vjp is not None
+    t._parents = parents if vjp is not None else ()
+    t._vjp = vjp
+    return t
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -81,42 +90,84 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise arithmetic
 
 
-def _binary_vjp(a: Tensor, b: Tensor, da, db):
-    """VJP of a two-operand op from the upstream-gradient maps ``da`` and
-    ``db``. An operand that requires no gradient gets None, so the work
-    for constant operands (weights in a probe, masks, epsilons) is skipped.
+def _binary(a: Tensor, b: Tensor, out, da, db) -> Tensor:
+    """The node of a two-operand op. ``da(g, a, b)`` and ``db(g, a, b)``
+    map the upstream gradient to each operand's; an operand that
+    requires no gradient (weights in a probe, masks, epsilons) gets None,
+    and a node neither of whose operands requires one gets no VJP.
     """
+    if not (a.requires_grad or b.requires_grad):
+        return _make(out, (a, b), None)
 
     def vjp(g):
-        return (_unbroadcast(da(g), a.shape) if a.requires_grad else None,
-                _unbroadcast(db(g), b.shape) if b.requires_grad else None)
+        return (_unbroadcast(da(g, a, b), a.shape) if a.requires_grad else None,
+                _unbroadcast(db(g, a, b), b.shape) if b.requires_grad else None)
 
-    return vjp
+    return _make(out, (a, b), vjp)
+
+
+def custom(out, parents: tuple, vjp) -> Tensor:
+    """A node with a hand-written VJP: ``vjp(g)`` returns one gradient
+    per parent, shaped like the parent or broadcast to it. A parent that
+    requires no gradient gets None, whatever ``vjp`` gives it.
+    """
+    if not any(p.requires_grad for p in parents):
+        return _make(out, parents, None)
+
+    def node_vjp(g):
+        return tuple(_unbroadcast(pg, p.shape) if p.requires_grad else None
+                     for p, pg in zip(parents, vjp(g)))
+
+    return _make(out, parents, node_vjp)
+
+
+def _unary(out, a: Tensor, vjp) -> Tensor:
+    """The node of a one-operand op; no VJP for an operand that needs none."""
+    return _make(out, (a,), vjp if a.requires_grad else None)
+
+
+def _upstream(g, a, b):
+    return g
+
+
+def _negated(g, a, b):
+    return -g
+
+
+def _times_b(g, a, b):
+    return g * b.data
+
+
+def _times_a(g, a, b):
+    return g * a.data
+
+
+def _over_b(g, a, b):
+    return g / b.data
+
+
+def _quotient_db(g, a, b):
+    return -g * a.data / (b.data * b.data)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    vjp = _binary_vjp(a, b, lambda g: g, lambda g: g)
-    return _make(a.data + b.data, (a, b), vjp)
+    return _binary(a, b, a.data + b.data, _upstream, _upstream)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    vjp = _binary_vjp(a, b, lambda g: g, lambda g: -g)
-    return _make(a.data - b.data, (a, b), vjp)
+    return _binary(a, b, a.data - b.data, _upstream, _negated)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    vjp = _binary_vjp(a, b, lambda g: g * b.data, lambda g: g * a.data)
-    return _make(a.data * b.data, (a, b), vjp)
+    return _binary(a, b, a.data * b.data, _times_b, _times_a)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    vjp = _binary_vjp(a, b, lambda g: g / b.data,
-                      lambda g: -g * a.data / (b.data * b.data))
-    return _make(a.data / b.data, (a, b), vjp)
+    return _binary(a, b, a.data / b.data, _over_b, _quotient_db)
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -127,7 +178,7 @@ def power(a: Tensor, p: float) -> Tensor:
     def vjp(g):
         return (g * p * a.data ** (p - 1.0),)
 
-    return _make(out, (a,), vjp)
+    return _unary(out, a, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +200,7 @@ def gelu(a: Tensor) -> Tensor:
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
         return (g * (cdf + x * pdf),)
 
-    return _make(out, (a,), vjp)
+    return _unary(out, a, vjp)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -163,7 +214,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
-    return _make(y, (a,), vjp)
+    return _unary(y, a, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +236,13 @@ def clip(a: Tensor, lo=None, hi=None) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _make(out, (a,), vjp)
+    return _unary(out, a, vjp)
 
 
 def round_ste(a: Tensor) -> Tensor:
     """Round half to even; backward is the straight-through identity."""
     a = _lift(a)
-    return _make(np.rint(a.data), (a,), lambda g: (g,))
+    return _unary(np.rint(a.data), a, lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +259,15 @@ def _spread(g, a: Tensor, axis, keepdims) -> tuple:
 
 def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,),
-                 lambda g: _spread(g, a, axis, keepdims))
+    return _unary(a.data.sum(axis=axis, keepdims=keepdims), a,
+                  lambda g: _spread(g, a, axis, keepdims))
 
 
 def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
     count = a.data.size if axis is None else a.data.shape[axis]
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,),
-                 lambda g: _spread(g / count, a, axis, keepdims))
+    return _unary(a.data.mean(axis=axis, keepdims=keepdims), a,
+                  lambda g: _spread(g / count, a, axis, keepdims))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +282,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(a.shape),)
 
-    return _make(out, (a,), vjp)
+    return _unary(out, a, vjp)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -249,7 +300,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         grad[sl] = g
         return (grad,)
 
-    return _make(a.data[sl], (a,), vjp)
+    return _unary(a.data[sl], a, vjp)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -260,7 +311,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     def vjp(g):
         return (g.transpose(inv),)
 
-    return _make(a.data.transpose(axes), (a,), vjp)
+    return _unary(a.data.transpose(axes), a, vjp)
 
 
 def take(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -285,7 +336,7 @@ def take(a: Tensor, indices: np.ndarray) -> Tensor:
         np.add.at(grad, idx.reshape(-1), g.reshape(idx.size, *a.shape[1:]))
         return (grad,)
 
-    return _make(out, (a,), vjp)
+    return _unary(out, a, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +349,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    vjp = _binary_vjp(a, b, lambda g: g @ np.swapaxes(b.data, -1, -2),
-                      lambda g: np.swapaxes(a.data, -1, -2) @ g)
-    return _make(a.data @ b.data, (a, b), vjp)
+    return _binary(a, b, a.data @ b.data, _matmul_da, _matmul_db)
+
+
+def _matmul_da(g, a, b):
+    return g @ np.swapaxes(b.data, -1, -2)
+
+
+def _matmul_db(g, a, b):
+    if b.ndim == 2 and a.ndim > 2:
+        # a weight under batched activations: add each slice's (in, out)
+        # product into one array, in the order _unbroadcast's sum over
+        # the leading axes adds them (C order, from zero), instead of
+        # building the (batch, in, out) stack first
+        acc = np.zeros(b.shape)
+        prod = np.empty(b.shape)
+        for ai, gi in zip(a.data.reshape(-1, *a.shape[-2:]),
+                          g.reshape(-1, *g.shape[-2:])):
+            acc += np.matmul(ai.T, gi, out=prod)
+        return acc
+    return np.swapaxes(a.data, -1, -2) @ g
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -330,7 +398,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         p[np.arange(n), t] -= 1.0
         return (g * p / n,)
 
-    return _make(out, (logits,), vjp)
+    return _unary(out, logits, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +409,8 @@ def build_tape(root: Tensor) -> list:
     """Every gradient-relevant node under ``root``, parents before consumers.
 
     Iterating the list in reverse visits each node after all of its
-    consumers have deposited their contributions.
+    consumers have deposited their contributions. Reaching a node that
+    an earlier ``backward`` consumed raises ContractError.
     """
     order = []
     visited = set()
@@ -353,6 +422,8 @@ def build_tape(root: Tensor) -> list:
             continue
         if node in visited or not node.requires_grad:
             continue
+        if node._parents is None:
+            raise ContractError("graph already consumed by backward")
         visited.add(node)
         stack.append((node, True))
         for p in node._parents:
@@ -360,31 +431,48 @@ def build_tape(root: Tensor) -> list:
     return order
 
 
+def _accumulate(grads: dict, parents: tuple, parent_grads) -> None:
+    for parent, pg in zip(parents, parent_grads):
+        if pg is not None:
+            acc = grads.get(parent)
+            grads[parent] = pg if acc is None else acc + pg
+
+
 def backward(loss: Tensor, wrt=None) -> dict:
     """Accumulate d(loss)/d(node) for the graph under ``loss``.
 
-    Returns a map from Tensor to gradient ndarray covering every
-    gradient-requiring node reached from the root; tensors passed in
-    ``wrt`` are always present, with zeros if unreached.
+    With ``wrt`` given, returns exactly the gradients of the tensors in
+    it, zeros for one the loss does not reach, and consumes the graph:
+    each node leaves the tape as its VJP runs, its gradient is dropped
+    unless it is in ``wrt``, and it is unlinked from its parents and its
+    VJP. So a node's gradient lives only until its parents have theirs,
+    and its forward arrays only until nothing upstream reads them. A
+    second ``backward`` over the consumed graph raises ContractError.
+    With ``wrt`` None, the graph stays as it is and the map covers every
+    tape node (tests and gradient checks).
 
     Every tape node holds a gradient by the time the reverse loop reaches
     it: the root starts with one, and each of its consumers, visited
     earlier, gives an array to every parent that requires a gradient
-    (``_binary_vjp`` gives None only for a constant operand, and a unary
-    op enters the graph only when its operand requires a gradient).
+    (``_binary`` and ``custom`` give None only for a constant operand,
+    and a unary op enters the graph only when its operand requires a
+    gradient).
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not depend on any gradient-requiring tensor")
+    tape = build_tape(loss)
+    keep = None if wrt is None else set(wrt)
     grads = {loss: np.ones_like(loss.data)}
-    for node in reversed(build_tape(loss)):
+    while tape:
+        node = tape.pop()
+        g = grads[node] if keep is None or node in keep else grads.pop(node)
         if node._vjp is not None:
-            for parent, pg in zip(node._parents, node._vjp(grads[node])):
-                if pg is None:
-                    continue
-                acc = grads.get(parent)
-                grads[parent] = pg if acc is None else acc + pg
+            _accumulate(grads, node._parents, node._vjp(g))
+            if keep is not None:
+                node._parents = node._vjp = None
+        del node, g  # hold nothing into the next node's VJP
     for t in wrt or ():
         if t not in grads:
             grads[t] = np.zeros_like(t.data)

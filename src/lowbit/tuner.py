@@ -17,7 +17,7 @@ round-to-nearest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,6 +79,10 @@ def trimmed_mse(pred: T.Tensor, target, trim_fraction: float = 0.0) -> T.Tensor:
     return T.sum_(T.mul(sq, T.Tensor(mask.reshape(sq.shape))))
 
 
+# each tuned parameter and the box its sign steps are clamped to
+BOXES = {"v": (-0.5, 0.5), "alpha": (0.5, 1.5), "beta": (0.5, 1.5)}
+
+
 @dataclass
 class BlockTuneResult:
     """One block's tuning run.
@@ -87,7 +91,9 @@ class BlockTuneResult:
     iterate's :func:`codecs.quantize_layer` arguments: ``v``, the
     per-element rounding offset in [-0.5, 0.5]; ``alpha``, the per-group
     scale multiplier in [0.5, 1.5]; and ``beta``, the minmax-mode
-    lower-range multiplier, ones when inert.
+    lower-range multiplier, ones when inert. In
+    :attr:`QuantizeResult.tuned`, whose blocks are packed, each name maps
+    to None.
     """
     block: int
     learned: dict
@@ -139,48 +145,53 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
     take = min(cfg.batch_size, n_samples)
     history = []
     best = None
-    # steps updates, steps+1 evaluations: every iterate is measured
+    # steps updates, steps+1 evaluations: every iterate is measured.
+    # An iterate's arrays are never written to, so the best one is kept
+    # by reference.
     for step in range(cfg.steps + 1):
         idx = rng.choice(n_samples, size=take, replace=False)
-        over = dict(frozen)
-        leaves = {}
-        for n in tuned_names:
-            th = theta[n]
-            sch = schemes[n]
-            leaves[n] = tuple(T.Tensor(th[k], requires_grad=True)
-                              for k in ("v", "alpha", "beta"))
-            # beta is unused under searched scales: its gradient is zero,
-            # so its sign step leaves it at exactly 1
-            over[n] = codecs.uniform_qdq_graph(
-                model.params[n], sch.bits, sch.group_size, *leaves[n],
-                init_scales=s_init.get(n))
-        out = model.block_forward(block, inputs[idx], overrides=over)
-        loss = trimmed_mse(out, targets[idx], cfg.trim_fraction)
-        lval = loss.item()
+        lval, next_theta = _tuning_step(
+            model, block, inputs[idx], targets[idx], frozen, schemes, theta,
+            s_init, cfg, last=step == cfg.steps)
         if not np.isfinite(lval):
             raise NumericError(
                 f"non-finite tuning loss at step {step} in block {block}")
         history.append(lval)
         if best is None or lval < best[0]:
-            best = (lval, step,
-                    {n: {k: arr.copy() for k, arr in th.items()}
-                     for n, th in theta.items()})
-        if step == cfg.steps:
-            break
-        grads = T.backward(loss, wrt=[t for trio in leaves.values()
-                                      for t in trio])
-        for n in tuned_names:
-            v, a, b = leaves[n]
-            th = theta[n]
-            th["v"] = np.clip(th["v"] - cfg.lr * np.sign(grads[v]), -0.5, 0.5)
-            th["alpha"] = np.clip(th["alpha"] - cfg.lr * np.sign(grads[a]),
-                                  0.5, 1.5)
-            th["beta"] = np.clip(th["beta"] - cfg.lr * np.sign(grads[b]),
-                                 0.5, 1.5)
+            best = (lval, step, theta)
+        theta = next_theta
 
     best_loss, best_step, best_theta = best
     return BlockTuneResult(block, best_theta, history[0], best_loss,
                            best_step, history)
+
+
+def _tuning_step(model, block, x, target, frozen, schemes, theta, init_scales,
+                 cfg, last):
+    """The trimmed loss at ``theta`` on one batch and, unless ``last`` or
+    the loss is not finite, the next iterate: one clamped sign step per
+    parameter. The leaves, the graph and the gradients die on return.
+    """
+    over = dict(frozen)
+    leaves = {}
+    for n, th in theta.items():
+        sch = schemes[n]
+        leaves[n] = [T.Tensor(th[k], requires_grad=True) for k in BOXES]
+        # beta is unused under searched scales: its gradient is zero,
+        # so its sign step leaves it at exactly 1
+        over[n] = codecs.uniform_qdq_graph(
+            model.params[n], sch.bits, sch.group_size, *leaves[n],
+            init_scales=init_scales.get(n))
+    loss = trimmed_mse(model.block_forward(block, x, overrides=over), target,
+                       cfg.trim_fraction)
+    del over  # the graph alone holds the quantized weights now
+    lval = loss.item()
+    if last or not np.isfinite(lval):
+        return lval, None
+    grads = T.backward(loss, wrt=[t for ts in leaves.values() for t in ts])
+    return lval, {n: {k: np.clip(th[k] - cfg.lr * np.sign(grads[t]), *BOXES[k])
+                      for k, t in zip(BOXES, leaves[n])}
+                  for n, th in theta.items()}
 
 
 def plan_from_assignment(names, bits, family: str,
@@ -243,8 +254,9 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
         if tuning and block is not None and any(n in int_sym for n in bnames):
             res = tune_block(model, block, x, {n: plan[n] for n in bnames},
                              cfg, init_scales=init_scales)
-            tuned.append(res)
             learned = res.learned
+            # the payloads below carry the learned arrays: keep the names
+            tuned.append(replace(res, learned=dict.fromkeys(learned)))
         for n in bnames:
             weights[n], packed[n] = codecs.quantize_layer(
                 model.params[n], plan[n], init_scales=init_scales.get(n),

@@ -31,6 +31,24 @@ def qdq_group_ref(w, bits, v=0.0, alpha=1.0, beta=1.0):
     return np.array(out), s
 
 
+def qdq_graph_ref(w, bits, group_size, v, alpha, beta, init_scales=None):
+    """The int-sym quantizer as a composition of the engine's ops, the
+    way it was written before it became one node: the oracle for that
+    node's forward bits and for the bits of its VJP."""
+    lo, hi = C.grid_bounds(bits)
+    if init_scales is not None:
+        s_g = T.mul(T.Tensor(init_scales), alpha)
+    else:
+        wmax, wmin = C.group_extrema(w, group_size)
+        s_g = T.div(T.sub(T.mul(T.Tensor(wmax), alpha),
+                          T.mul(T.Tensor(wmin), beta)),
+                    T.Tensor(float((1 << bits) - 1)))
+    s_full = T.take(T.clip(s_g, lo=C.SCALE_FLOOR),
+                    C.group_index(w.shape[0], group_size))
+    x = T.add(T.div(T.Tensor(w), s_full), v)
+    return T.mul(s_full, T.clip(T.round_ste(x), lo, hi))
+
+
 def e2m1_values():
     """(magnitude, mantissa-field parity) for every E2M1 magnitude."""
     vals = [(0.0, 0), (0.5, 1)]  # zero and the lone subnormal
@@ -253,6 +271,48 @@ class TestUniformQdq:
         np.testing.assert_allclose(grads[v_t], gv, rtol=1e-10)
         np.testing.assert_allclose(grads[a_t], ga, rtol=1e-10)
         np.testing.assert_allclose(grads[b_t], gb, rtol=1e-10)
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    @pytest.mark.parametrize("gs", [0, 16, 32])
+    @pytest.mark.parametrize("searched", [False, True],
+                             ids=["minmax", "init_scales"])
+    def test_fused_node_equals_op_composition_bit_for_bit(self, bits, gs,
+                                                          searched):
+        rng = np.random.default_rng(40 + bits + gs)
+        rows, cols = 40, 6  # 16 and 32 leave a trailing group of 8 rows
+        w = rng.normal(size=(rows, cols))
+        w[:, 0] = 0.0  # a constant group column: its minmax scale floors
+        n_g = len(C.group_segments(rows, gs))
+        init = rng.uniform(0.05, 0.5, size=(n_g, cols))
+        init[:, 1] = 1e-12  # a searched scale below the floor
+        # small multipliers and large offsets push codes off the grid
+        arrays = {"v": rng.uniform(-0.5, 0.5, size=w.shape),
+                  "alpha": rng.uniform(0.3, 1.5, size=(n_g, cols)),
+                  "beta": rng.uniform(0.3, 1.5, size=(n_g, cols))}
+        upstream = rng.normal(size=w.shape)
+        upstream[1] = 0.0
+
+        def run(qdq):
+            leaves = [T.Tensor(arrays[k], requires_grad=True)
+                      for k in ("v", "alpha", "beta")]
+            out = qdq(w, bits, gs, *leaves,
+                      init_scales=init if searched else None)
+            loss = T.sum_(T.mul(out, T.Tensor(upstream)))
+            grads = T.backward(loss, wrt=leaves)
+            return [out.data] + [grads[t] for t in leaves]
+
+        got, want = run(C.uniform_qdq_graph), run(qdq_graph_ref)
+        for name, g, r in zip(("forward", "v", "alpha", "beta"), got, want):
+            assert g.shape == r.shape, name
+            np.testing.assert_array_equal(g.view(np.int64), r.view(np.int64),
+                                          err_msg=name)
+        # the cases the oracle must cover did occur
+        _, _, scales = C.quantize_weight(
+            w, bits, gs, **arrays, init_scales=init if searched else None)
+        lo, hi = C.grid_bounds(bits)
+        raw = np.rint(w / scales[C.group_index(rows, gs)] + arrays["v"])
+        assert np.any((raw < lo) | (raw > hi))
+        assert np.any(scales == C.SCALE_FLOOR)
 
     def test_clipped_elements_give_zero_offset_gradient(self):
         w = np.array([[0.05], [0.1], [40.0]])  # last element clips hard

@@ -12,6 +12,7 @@ from lowbit import sensitivity as sv
 from lowbit import tensor as T
 from lowbit.codecs import mx_qdq
 from lowbit.errors import ContractError
+from tracepeak import peak_layers
 
 
 def true_delta_weight(model, cal, name, scheme):
@@ -261,3 +262,17 @@ class TestReport:
         back = sv.SensitivityReport.from_dict(json.loads(p.read_text()))
         assert back.to_dict() == rep.to_dict()
         assert [s.label for s in back.options] == [s.label for s in rep.options]
+
+
+@pytest.mark.parametrize("layer", ["layers.0", "head"])
+def test_probe_on_a_512_wide_layer_stays_small(layer):
+    # a backward that kept every gradient, or a weight gradient built as
+    # a (batch, in, out) stack, takes a probe to 12-15 layer-sized arrays
+    spec = M.ModelSpec(arch=M.ARCH_MLP, hidden=512, n_blocks=1, vocab=512,
+                       seed=3)
+    m = M.ToyModel.build(spec)
+    cal = M.synthetic_batches(512, 8, 32, 8, seed=3)
+    prefixes = sv.fp_prefixes(m, cal)
+    scheme = sv.option_set("int-sym", [4], 32)[0]
+    peak = peak_layers(lambda: sv.delta_loss(m, layer, scheme, cal, prefixes))
+    assert peak <= 8, peak

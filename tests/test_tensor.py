@@ -271,8 +271,33 @@ class TestMachinery:
         assert {x, w, h, y, c} <= set(grads)
         for node in tape:
             assert grads[node].shape == node.shape
+        # with wrt, the map holds those gradients and nothing else
         other = T.Tensor(np.ones(2), requires_grad=True)
-        assert set(T.backward(loss, wrt=[other])) == set(tape) | {other}
+        assert set(T.backward(loss, wrt=[other])) == {other}
+
+    def test_wrt_returns_exactly_its_gradients_and_consumes_the_graph(self):
+        rng = np.random.default_rng(24)
+        x = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+
+        def loss_of(x, w):
+            h = T.matmul(x, w)
+            return T.sum_(T.mul(h, T.gelu(h)))
+
+        full = T.backward(loss_of(x, w))
+        loss = loss_of(x, w)
+        grads = T.backward(loss, wrt=[x, w])
+        assert set(grads) == {x, w}
+        for t in (x, w):
+            assert np.array_equal(grads[t], full[t])
+        # the tape was unlinked as it ran, so a second pass cannot give
+        # zeros for a graph that no longer exists
+        with pytest.raises(ContractError):
+            T.backward(loss, wrt=[x, w])
+        with pytest.raises(ContractError):
+            T.backward(T.sum_(T.add(loss, x)), wrt=[x])
+        # the leaves survive and feed a fresh graph
+        assert np.array_equal(T.backward(loss_of(x, w), wrt=[w])[w], full[w])
 
     def test_backward_bit_identical_on_repeat(self):
         rng = np.random.default_rng(20)
@@ -340,3 +365,25 @@ class TestConstantOperands:
         assert vjp[constant] is None and vjp[varied] is not None
         assert got[constant] is None
         assert np.array_equal(got[varied], want[varied])
+
+
+class TestStreamedWeightGradient:
+    """A 2-d weight under batched activations gets its gradient summed
+    slice by slice, with the bits of the summed (batch, in, out) stack."""
+
+    @pytest.mark.parametrize("a_shape,n_out", [
+        ((1, 3, 4), 2), ((3, 5, 4), 6), ((2, 3, 5, 4), 6), ((4, 1, 7, 3), 1),
+        ((8, 32, 512), 512), ((2, 4, 16, 512), 512)],
+        ids=lambda c: "x".join(map(str, c)) if isinstance(c, tuple) else str(c))
+    def test_equals_the_summed_stack_bit_for_bit(self, a_shape, n_out):
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=a_shape)
+        g = rng.normal(size=a_shape[:-1] + (n_out,))
+        w = T.Tensor(rng.normal(size=(a_shape[-1], n_out)), requires_grad=True)
+        got = T.matmul(T.Tensor(a), w)._vjp(g)[1]
+        stack = np.swapaxes(a, -1, -2) @ g
+        for want in (stack.reshape(-1, *stack.shape[-2:]).sum(axis=0),
+                     stack.sum(axis=tuple(range(a.ndim - 2)))):
+            assert got.shape == w.shape
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))

@@ -6,6 +6,7 @@ import pytest
 from lowbit import codecs, models, tuner
 from lowbit import tensor as T
 from lowbit.errors import ConfigError, ContractError, NumericError, ShapeError
+from tracepeak import peak_layers
 
 
 def trimmed_ref(pred, target, frac):
@@ -478,3 +479,36 @@ class TestQuantizeModel:
         plan = {"blocks.0.norm1.g": codecs.scheme_for_bits("int-sym", 4, 32)}
         with pytest.raises(ContractError):
             tuner.quantize_model(model, plan, cal, self.cfg())
+
+
+class TestMemory:
+    """A tuning step holds its own graph and gradients only, and a
+    quantize run keeps no learned arrays once they are packed."""
+
+    @pytest.mark.parametrize("searched", [False, True],
+                             ids=["minmax", "init_scales"])
+    def test_one_step_on_a_512_wide_layer_stays_small(self, searched):
+        model, cal = small_model(hidden=512, vocab=512, n_samples=8,
+                                 seq_len=32)
+        x = block_inputs(model, cal)
+        scheme = codecs.scheme_for_bits("int-sym", 4, 32)
+        init = ({"layers.0": codecs.quantize_weight(
+            model.params["layers.0"], 4, 32)[2]} if searched else None)
+        cfg = tuner.TuneConfig(steps=1, batch_size=8)
+        peak = peak_layers(lambda: tuner.tune_block(
+            model, 0, x, {"layers.0": scheme}, cfg, init_scales=init))
+        # holding every gradient until backward returns, or the previous
+        # step's graph while this one is built, takes a step to about 31
+        assert peak <= 15, peak
+
+    def test_tuned_blocks_hold_no_learned_arrays(self):
+        model, cal = small_model(n_blocks=2, seed=14)
+        names = [i.name for i in model.quantizable_layers()]
+        plan = tuner.plan_from_assignment(names, [3] * len(names), "int-sym", 32)
+        res = tuner.quantize_model(model, plan, cal,
+                                   tuner.TuneConfig(steps=2, batch_size=4))
+        assert [list(b.learned) for b in res.tuned] == [["layers.0"],
+                                                        ["layers.1"]]
+        for blk in res.tuned:
+            assert all(v is None for v in blk.learned.values())
+            assert not any(isinstance(v, np.ndarray) for v in vars(blk).values())

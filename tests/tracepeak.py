@@ -1,0 +1,25 @@
+"""Peak heap use of a call, the measure behind the memory tests."""
+
+import tracemalloc
+
+import numpy as np
+
+# one 512 x 512 float64 weight, the unit the memory bounds count in
+LAYER_BYTES = 512 * 512 * np.dtype(np.float64).itemsize
+
+
+def peak_layers(fn) -> float:
+    """Peak traced bytes of ``fn()`` above its start, in LAYER_BYTES.
+
+    numpy reports its buffers to tracemalloc, so the arrays a call holds
+    at once are what this counts. ``fn`` runs once untraced first, so
+    lazy imports and first-call caches stay out of the count.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - start) / LAYER_BYTES
+    finally:
+        tracemalloc.stop()

@@ -92,16 +92,15 @@ def _load_report(path: Path, cfg) -> tuple:
         _match_layers([(l.name, l.params) for l in report.layers],
                       [(i.name, i.n_params)
                        for i in models.layer_table(cfg.spec)])
-        options = _options(cfg)
-        for label, _ in options:
-            if label not in report.option_labels():
+        options = sensitivity.option_set(cfg.family, cfg.options,
+                                         cfg.group_size)
+        for s in options:
+            if s.label not in report.option_labels():
                 raise ConfigError(f"{path} holds no scores for option "
-                                  f"{label}; run `lowbit sensitivity` with "
+                                  f"{s.label}; run `lowbit sensitivity` with "
                                   f"this config first")
-        return allocator.AllocationProblem.build(
-            [l.name for l in report.layers], [l.params for l in report.layers],
-            options, [[l.scores[lb] for lb, _ in options]
-                      for l in report.layers], cfg.target_bits)
+        report.options = options
+        return allocator.AllocationProblem.from_report(report, cfg.target_bits)
     return _ingest(path, "sensitivity report", "sensitivity", parse)
 
 

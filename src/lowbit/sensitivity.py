@@ -43,7 +43,10 @@ def rtn_weight(w: np.ndarray, scheme: QuantScheme) -> np.ndarray:
 
 
 def deviation_score(grad: np.ndarray, deviation: np.ndarray) -> float:
-    return float(np.abs(grad * deviation).sum())
+    """sum |grad * deviation|, through one temporary; neither input is
+    written."""
+    prod = np.multiply(grad, deviation)
+    return float(np.abs(prod, out=prod).sum())
 
 
 def fp_prefixes(model, calib_batches) -> list:

@@ -5,9 +5,9 @@ gradient-requiring input records its parents and a vector-Jacobian
 callback on the output node; an operation on constants records nothing.
 ``backward`` orders the reachable nodes topologically
 (:func:`build_tape`) and replays them in reverse, so each node is
-visited only after all of its consumers. Asked for the gradients of
-given tensors, it consumes the graph as it goes, so the arrays of a
-node are freed once no node upstream of it needs them.
+visited only after all of its consumers. It returns the gradients of
+the tensors asked for and consumes the graph as it goes, so the arrays
+of a node are freed once no node upstream of it needs them.
 
 Tensors are treated as immutable once constructed; optimizers build
 fresh leaves each step instead of mutating ``data`` in place. All data
@@ -142,14 +142,6 @@ def _times_a(g, a, b):
     return g * a.data
 
 
-def _over_b(g, a, b):
-    return g / b.data
-
-
-def _quotient_db(g, a, b):
-    return -g * a.data / (b.data * b.data)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     return _binary(a, b, a.data + b.data, _upstream, _upstream)
@@ -163,11 +155,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     return _binary(a, b, a.data * b.data, _times_b, _times_a)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    return _binary(a, b, a.data / b.data, _over_b, _quotient_db)
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -215,34 +202,6 @@ def softmax(a: Tensor) -> Tensor:
         return (y * (g - dot),)
 
     return _unary(y, a, vjp)
-
-
-# ---------------------------------------------------------------------------
-# quantizer building blocks
-
-
-def clip(a: Tensor, lo=None, hi=None) -> Tensor:
-    """Clamp to [lo, hi]. Gradient passes where lo <= a <= hi (inclusive)."""
-    a = _lift(a)
-    if lo is None and hi is None:
-        raise ContractError("clip with neither bound")
-    out = np.clip(a.data, lo, hi)
-    mask = np.ones_like(a.data, dtype=bool)
-    if lo is not None:
-        mask &= a.data >= lo
-    if hi is not None:
-        mask &= a.data <= hi
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _unary(out, a, vjp)
-
-
-def round_ste(a: Tensor) -> Tensor:
-    """Round half to even; backward is the straight-through identity."""
-    a = _lift(a)
-    return _unary(np.rint(a.data), a, lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +397,16 @@ def _accumulate(grads: dict, parents: tuple, parent_grads) -> None:
             grads[parent] = pg if acc is None else acc + pg
 
 
-def backward(loss: Tensor, wrt=None) -> dict:
-    """Accumulate d(loss)/d(node) for the graph under ``loss``.
+def backward(loss: Tensor, wrt) -> dict:
+    """The gradients of ``loss`` with respect to the tensors in ``wrt``.
 
-    With ``wrt`` given, returns exactly the gradients of the tensors in
-    it, zeros for one the loss does not reach, and consumes the graph:
-    each node leaves the tape as its VJP runs, its gradient is dropped
-    unless it is in ``wrt``, and it is unlinked from its parents and its
-    VJP. So a node's gradient lives only until its parents have theirs,
-    and its forward arrays only until nothing upstream reads them. A
-    second ``backward`` over the consumed graph raises ContractError.
-    With ``wrt`` None, the graph stays as it is and the map covers every
-    tape node (tests and gradient checks).
+    Returns exactly those gradients, zeros for one the loss does not
+    reach, and consumes the graph: each node leaves the tape as its VJP
+    runs, its gradient is dropped unless it is in ``wrt``, and it is
+    unlinked from its parents and its VJP. So a node's gradient lives
+    only until its parents have theirs, and its forward arrays only
+    until nothing upstream reads them. A second ``backward`` over the
+    consumed graph raises ContractError.
 
     Every tape node holds a gradient by the time the reverse loop reaches
     it: the root starts with one, and each of its consumers, visited
@@ -463,17 +420,16 @@ def backward(loss: Tensor, wrt=None) -> dict:
     if not loss.requires_grad:
         raise ContractError("loss does not depend on any gradient-requiring tensor")
     tape = build_tape(loss)
-    keep = None if wrt is None else set(wrt)
+    keep = set(wrt)
     grads = {loss: np.ones_like(loss.data)}
     while tape:
         node = tape.pop()
-        g = grads[node] if keep is None or node in keep else grads.pop(node)
+        g = grads[node] if node in keep else grads.pop(node)
         if node._vjp is not None:
             _accumulate(grads, node._parents, node._vjp(g))
-            if keep is not None:
-                node._parents = node._vjp = None
+            node._parents = node._vjp = None
         del node, g  # hold nothing into the next node's VJP
-    for t in wrt or ():
+    for t in wrt:
         if t not in grads:
             grads[t] = np.zeros_like(t.data)
     return grads

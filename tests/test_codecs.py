@@ -31,22 +31,40 @@ def qdq_group_ref(w, bits, v=0.0, alpha=1.0, beta=1.0):
     return np.array(out), s
 
 
+def _div(a, b):
+    return T.custom(a.data / b.data, (a, b), lambda g: (
+        g / b.data, -g * a.data / (b.data * b.data)))
+
+
+def _clip(a, lo, hi=None):
+    """Clamp to [lo, hi]; the gradient passes where lo <= a <= hi."""
+    mask = a.data >= lo
+    if hi is not None:
+        mask &= a.data <= hi
+    return T.custom(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+
+
+def _round_ste(a):
+    return T.custom(np.rint(a.data), (a,), lambda g: (g,))
+
+
 def qdq_graph_ref(w, bits, group_size, v, alpha, beta, init_scales=None):
-    """The int-sym quantizer as a composition of the engine's ops, the
+    """The int-sym quantizer as a composition of elementwise steps, the
     way it was written before it became one node: the oracle for that
-    node's forward bits and for the bits of its VJP."""
+    node's forward bits and for the bits of its VJP. Division, clipping
+    and straight-through rounding are nodes of their own here."""
     lo, hi = C.grid_bounds(bits)
     if init_scales is not None:
         s_g = T.mul(T.Tensor(init_scales), alpha)
     else:
         wmax, wmin = C.group_extrema(w, group_size)
-        s_g = T.div(T.sub(T.mul(T.Tensor(wmax), alpha),
-                          T.mul(T.Tensor(wmin), beta)),
-                    T.Tensor(float((1 << bits) - 1)))
-    s_full = T.take(T.clip(s_g, lo=C.SCALE_FLOOR),
+        s_g = _div(T.sub(T.mul(T.Tensor(wmax), alpha),
+                         T.mul(T.Tensor(wmin), beta)),
+                   T.Tensor(float((1 << bits) - 1)))
+    s_full = T.take(_clip(s_g, C.SCALE_FLOOR),
                     C.group_index(w.shape[0], group_size))
-    x = T.add(T.div(T.Tensor(w), s_full), v)
-    return T.mul(s_full, T.clip(T.round_ste(x), lo, hi))
+    x = T.add(_div(T.Tensor(w), s_full), v)
+    return T.mul(s_full, _clip(_round_ste(x), lo, hi))
 
 
 def e2m1_values():
@@ -255,7 +273,7 @@ class TestUniformQdq:
         b_t = T.Tensor(b0, requires_grad=True)
         q_t = C.uniform_qdq_graph(w, bits, 0, v_t, a_t, b_t)
         loss = T.sum_(T.power(T.sub(q_t, T.Tensor(tgt)), 2.0))
-        grads = T.backward(loss)
+        grads = T.backward(loss, wrt=[v_t, a_t, b_t])
 
         wmax, wmin = w.max(axis=0), w.min(axis=0)
         s = (wmax * a0[0] - wmin * b0[0]) / den
@@ -320,7 +338,7 @@ class TestUniformQdq:
         q = C.uniform_qdq_graph(
             w, 2, 0, v, T.Tensor(np.ones((1, 1))), T.Tensor(np.ones((1, 1))),
             init_scales=np.array([[0.1]]))
-        grads = T.backward(T.sum_(q))
+        grads = T.backward(T.sum_(q), wrt=[v])
         assert grads[v][2, 0] == 0.0
         assert grads[v][0, 0] != 0.0
 

@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codecs
 from .codecs import PackedWeights
 from .config import canonical_json, digest_of, write_atomic
 from .errors import ContractError, PackError
+from .spec import scheme_for_bits
 
 MAGIC = b"LBART001"
 FORMAT = "lowbit/artifact-v2"
@@ -197,7 +197,7 @@ def _check_layer(lname, row, pw, family, group_size, assigned,
                         f"assignment {assigned.get(lname)}")
     if family is not None and group_size is not None:
         try:
-            want = codecs.scheme_for_bits(family, bits, group_size)
+            want = scheme_for_bits(family, bits, group_size)
         except ContractError as e:
             problems.append(f"layer {lname}: {e}")
         else:
@@ -255,7 +255,7 @@ def verify_artifact(path) -> list:
         # both families have a 4-bit scheme, so a fault here lies in the
         # config, not in any layer: report it once and compare no layer
         try:
-            codecs.scheme_for_bits(family, 4, group_size)
+            scheme_for_bits(family, 4, group_size)
         except ContractError as e:
             problems.append(f"config scheme.family {family!r} with "
                             f"scheme.group_size {group_size} names no "

@@ -10,20 +10,53 @@ every output byte for byte.
 Exit codes: 0 success, 1 failed check or other toolkit error, 2 config
 error, 3 infeasible allocation, 4 numeric failure during training or
 tuning.
+
+Only numpy-free modules run when the CLI loads: a config is loaded or
+rejected, and ``allocate`` runs, without numpy. The modules that import
+numpy are registered lazily and run at first use, so a command loads
+only those it calls into: ``verify`` runs the codecs and the artifact
+reader but no model, scoring or tuning code.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
-from . import allocator, models, sensitivity, tuner
+from . import allocator, spec
 from . import config as cfglib
-from .artifact import save_artifact, verify_artifact
 from .errors import (ConfigError, ContractError, InfeasibleError,
                      IngestionError, LowbitError, NumericError)
+
+
+def _lazy(name: str):
+    """Module ``lowbit.<name>``: in ``sys.modules`` from now on, but its
+    code, and numpy with it, runs at its first attribute access
+    (:class:`importlib.util.LazyLoader`). An imported module is returned
+    as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    found = importlib.util.find_spec(full)
+    found.loader = importlib.util.LazyLoader(found.loader)
+    module = importlib.util.module_from_spec(found)
+    sys.modules[full] = module
+    found.loader.exec_module(module)
+    return module
+
+
+# Every module that imports numpy, bound lazily: numpy and the model code
+# cost more than loading a config, and allocate and a rejected config
+# need neither. The ones cli never calls are registered too, so that each
+# module a command runs is one object under its name from the start, and
+# whatever wraps functions in the loaded modules (bench/tracer.py) wraps
+# them all.
+tensor, codecs, models, scale_init, sensitivity, tuner, artifact = map(
+    _lazy, ("tensor", "codecs", "models", "scale_init", "sensitivity",
+            "tuner", "artifact"))
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -39,7 +72,7 @@ METRICS_FILE = "metrics.json"
 REPORT_FILE = "report.json"
 
 # the no-tuning baseline: round-to-nearest (0 steps search no scales)
-PLAIN = tuner.TuneConfig(steps=0)
+PLAIN = spec.TuneConfig(steps=0)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -78,7 +111,7 @@ def _match_layers(got: list, want: list) -> None:
 
 def _options(cfg) -> list:
     """(label, bits) of each of ``cfg``'s options, ascending bits."""
-    return [(s.label, s.bits) for s in sensitivity.option_set(
+    return [(s.label, s.bits) for s in spec.option_set(
         cfg.family, cfg.options, cfg.group_size)]
 
 
@@ -88,12 +121,11 @@ def _load_report(path: Path, cfg) -> tuple:
     every quantizable layer of ``cfg``'s model, in order, and score each
     of ``cfg``'s options. Scored options that ``cfg`` lacks are left out."""
     def parse(d):
-        report = sensitivity.SensitivityReport.from_dict(d)
+        report = spec.SensitivityReport.from_dict(d)
         _match_layers([(l.name, l.params) for l in report.layers],
                       [(i.name, i.n_params)
-                       for i in models.layer_table(cfg.spec)])
-        options = sensitivity.option_set(cfg.family, cfg.options,
-                                         cfg.group_size)
+                       for i in spec.layer_table(cfg.spec)])
+        options = spec.option_set(cfg.family, cfg.options, cfg.group_size)
         for s in options:
             if s.label not in report.option_labels():
                 raise ConfigError(f"{path} holds no scores for option "
@@ -109,11 +141,11 @@ def _load_assignment(path: Path, cfg) -> tuple:
     checked whole before any model is built: the layers are those of
     ``cfg``'s model, and the choices are options of ``cfg`` that fit the
     file's target and give its ``avg_bits`` on the layer sizes of
-    ``models.layer_table`` (no costs are read). The rtn bits are the
+    ``spec.layer_table`` (no costs are read). The rtn bits are the
     uniform-precision baseline, the widest option within the target."""
     def parse(d):
         asn, names, target = allocator.assignment_from_dict(d)
-        table = models.layer_table(cfg.spec)
+        table = spec.layer_table(cfg.spec)
         _match_layers(names, [i.name for i in table])
         options = _options(cfg)
         # the problem holds the target within the options, so one fits
@@ -132,8 +164,8 @@ def _run_variants(cfg, variants) -> tuple:
     :func:`tuner.quantize_model`. ``quantize`` and ``report`` both run
     here, so equal variants give them equal losses. Only the losses
     outlive each variant's run, except the last variant's result."""
-    ev = cfglib.eval_set(cfg)
-    model, cal = cfglib.build_model(cfg)
+    ev = models.eval_set(cfg)
+    model, cal = models.build_model(cfg)
     names = [i.name for i in model.quantizable_layers()]
     losses = {"fp": model.eval_loss(ev)}
     for name, bits, tune in variants:
@@ -151,8 +183,8 @@ def _run_variants(cfg, variants) -> tuple:
 
 def cmd_sensitivity(cfg, args) -> int:
     """score every layer under every bit option"""
-    model, cal = cfglib.build_model(cfg)
-    schemes = sensitivity.option_set(cfg.family, cfg.options, cfg.group_size)
+    model, cal = models.build_model(cfg)
+    schemes = spec.option_set(cfg.family, cfg.options, cfg.group_size)
     report = sensitivity.build_report(model, schemes, cal)
     d = report.to_dict()
     d["config_digest"] = cfg.digest()
@@ -190,7 +222,7 @@ def cmd_quantize(cfg, args) -> int:
     """full pipeline: pack weights, compare variants"""
     asn_dict, (asn, target, rtn_bits) = _load_assignment(
         cfg.out_dir / ASSIGNMENT_FILE, cfg)
-    table = models.layer_table(cfg.spec)
+    table = spec.layer_table(cfg.spec)
     losses, res = _run_variants(cfg, [
         ("rtn", [rtn_bits] * len(table), PLAIN),
         ("dl_only", asn.bits, PLAIN), ("tuned", asn.bits, cfg.tune)])
@@ -205,9 +237,10 @@ def cmd_quantize(cfg, args) -> int:
     layers = [{"name": i.name, "params": i.n_params, "bits": bits,
                "label": lbl, "shape": list(i.shape)} for i, lbl, bits in
               zip(table, asn.choices, asn.bits)]
-    save_artifact(cfg.out_dir / ARTIFACT_FILE, cfg.to_dict(), asn_dict,
-                  layers, {"losses": losses, "budget": budget}, summary,
-                  res.packed)
+    artifact.save_artifact(cfg.out_dir / ARTIFACT_FILE, cfg.to_dict(),
+                           asn_dict, layers,
+                           {"losses": losses, "budget": budget}, summary,
+                           res.packed)
     _write_json(cfg.out_dir / METRICS_FILE, metrics)
     # the loss curves, in new dicts so that metrics.json stays without them
     curves = [dict(b, history=full.history)
@@ -229,7 +262,7 @@ def cmd_verify(cfg, args) -> int:
     path = Path(args.artifact) if args.artifact else cfg.out_dir / ARTIFACT_FILE
     if not path.is_file():
         raise ConfigError(f"artifact {path} does not exist")
-    problems = verify_artifact(path)
+    problems = artifact.verify_artifact(path)
     if problems:
         for p in problems:
             print(f"FAIL {p}")

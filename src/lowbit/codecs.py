@@ -21,7 +21,8 @@ Two codec families:
 layer's eval weight and its :class:`PackedWeights` payload. A payload
 carries that scheme, and every width, block length and format follows
 from it; codec ids (:data:`CODECS`) exist only in the payload's byte
-layout.
+layout. Schemes, MX formats and the int-sym code range are plain Python
+in :mod:`lowbit.spec`.
 
 Weights are laid out (in_features, out_features) everywhere in this
 package, packed payloads included. Int-sym groups and MX blocks both run
@@ -40,6 +41,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, PackError, ShapeError
+# the formats are plain Python in spec; codecs.MXFP4 and codecs.MXFP8
+# name them next to the codec that reads them
+from .spec import MXFP4, MXFP8, MxFormat, QuantScheme, grid_bounds
 
 SCALE_FLOOR = 1e-8
 
@@ -56,71 +60,7 @@ SCALE_LAYOUT = {"int-sym": (SCALES_F64, np.float64),
 
 
 # ---------------------------------------------------------------------------
-# schemes
-
-
-@dataclass(frozen=True)
-class QuantScheme:
-    """One layer's quantization recipe."""
-
-    family: str  # "int-sym" | "mxfp" | "none"
-    bits: int
-    group_size: int = 32  # int-sym group rows; mx block length; 0 = whole axis
-
-    def __post_init__(self):
-        if self.family not in ("int-sym", "mxfp", "none"):
-            raise ContractError(f"unknown codec family {self.family!r}")
-        if self.family == "int-sym" and not 2 <= self.bits <= 8:
-            raise ContractError(f"int-sym bits must be in [2, 8], got {self.bits}")
-        if self.family == "mxfp" and self.bits not in (4, 8):
-            raise ContractError(f"mxfp bits must be 4 or 8, got {self.bits}")
-        if self.family == "mxfp" and self.group_size != MXFP4.block:
-            raise ContractError(f"mxfp blocks are {MXFP4.block} long, "
-                                f"got group_size {self.group_size}")
-        if self.group_size < 0:
-            raise ContractError("group_size must be >= 0")
-
-    @property
-    def label(self) -> str:
-        if self.family == "none":
-            return f"w{self.bits}"
-        if self.family == "mxfp":
-            return f"mxfp{self.bits}"
-        return f"w{self.bits}g{self.group_size}"
-
-    @property
-    def quantizes_acts(self) -> bool:
-        return self.family == "mxfp"
-
-    @property
-    def mx_format(self) -> "MxFormat":
-        if self.family != "mxfp":
-            raise ContractError(f"{self.label} is not an mx scheme")
-        return MXFP4 if self.bits == 4 else MXFP8
-
-
-def scheme_for_bits(family: str, bits: int, group_size: int) -> QuantScheme:
-    """Map an allocator bit option onto a concrete scheme.
-
-    16 bits (and anything wider than the family supports) means the
-    layer is stored untouched.
-    """
-    if bits >= 16:
-        return QuantScheme("none", bits, 0)
-    if family == "mxfp":
-        return QuantScheme("mxfp", bits, group_size or MXFP4.block)
-    return QuantScheme("int-sym", bits, group_size)
-
-
-# ---------------------------------------------------------------------------
 # uniform integer codec
-
-
-def grid_bounds(bits: int) -> tuple[int, int]:
-    if bits < 2:
-        raise ContractError(f"need at least 2 bits, got {bits}")
-    half = 1 << (bits - 1)
-    return -half, half - 1
 
 
 def group_segments(n_rows: int, group_size: int) -> list[tuple[int, int]]:
@@ -252,47 +192,6 @@ def uniform_qdq_graph(w: np.ndarray, bits: int, group_size: int,
 
 # ---------------------------------------------------------------------------
 # microscaling block floats
-
-
-def _float_grid(ebits: int, mbits: int, bias: int):
-    """All non-negative finite magnitudes of a tiny float format, sorted."""
-    vals = [0.0]
-    for e_field in range(0, 1 << ebits):
-        for m_field in range(0, 1 << mbits):
-            if e_field == 0:
-                val = (m_field / (1 << mbits)) * 2.0 ** (1 - bias)
-            else:
-                val = (1.0 + m_field / (1 << mbits)) * 2.0 ** (e_field - bias)
-            vals.append(val)
-    # drop duplicates (the two zero encodings) and anything reserved
-    return np.array(sorted(set(vals)))
-
-
-@dataclass(frozen=True)
-class MxFormat:
-    name: str
-    mbits: int
-    emax: int        # exponent of the largest finite magnitude
-    emin: int        # lowest normal exponent
-    max_value: float
-    magnitudes: tuple  # sorted non-negative representable magnitudes
-    block: int = 32
-
-    @property
-    def sign_shift(self) -> int:
-        # code layout: sign bit above the magnitude index
-        return max(1, (len(self.magnitudes) - 1).bit_length())
-
-
-# E2M1: 1 sign, 2 exponent (bias 1), 1 mantissa bit.
-MXFP4 = MxFormat("mxfp4", mbits=1, emax=2, emin=0, max_value=6.0,
-                 magnitudes=(0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0))
-
-# E4M3: 1 sign, 4 exponent (bias 7), 3 mantissa bits; max finite 448,
-# the all-ones encoding is NaN and never produced here.
-_E4M3_MAGS = tuple(m for m in _float_grid(4, 3, 7) if m <= 448.0)
-MXFP8 = MxFormat("mxfp8", mbits=3, emax=8, emin=-6, max_value=448.0,
-                 magnitudes=_E4M3_MAGS)
 
 
 def _floor_log2(a: np.ndarray) -> np.ndarray:

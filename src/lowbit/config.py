@@ -7,6 +7,9 @@ its default text and its parser; ``load_config`` parses them all in one
 pass and then checks how they fit together. The canonical digest hashes
 the config's semantic content (the output directory is location, not
 semantics, and is excluded).
+
+This module imports no numpy: loading a config, and rejecting one, costs
+the stdlib plus :mod:`lowbit.spec` and :mod:`lowbit.allocator`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -23,17 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, codecs, models, tensor
 from .allocator import as_budget
 from .errors import ConfigError, ContractError
-from .tuner import TuneConfig
+from .spec import ARCH_TT, ModelSpec, TuneConfig, scheme_for_bits
 
 OUT_DIR_ENV = "LOWBIT_OUT_DIR"
-FP_MODEL_FILE = "fp_model.npz"
 GENERATED = ("synthetic", "markov")  # any other data.source is a token file
-_KEY, _DIGEST = "__key__", "__digest__"  # no parameter takes these names
 
 
 def _bool(raw: str) -> bool:
@@ -84,7 +81,7 @@ DEFAULTS = {section: {key: text for key, (text, _) in keys.items()}
 
 @dataclass(frozen=True)
 class RunConfig:
-    spec: models.ModelSpec
+    spec: ModelSpec
     train_steps: int
     train_lr: float
     family: str
@@ -183,7 +180,7 @@ def load_config(path=None, sets=()) -> RunConfig:
 
     train_steps, train_lr = model.pop("train_steps"), model.pop("train_lr")
     try:
-        spec = models.ModelSpec(**model, seed=seed)
+        spec = ModelSpec(**model, seed=seed)
     except ConfigError as e:
         raise ConfigError(f"model: {e}") from None
     if train_steps < 0 or not (math.isfinite(train_lr) and train_lr > 0):
@@ -198,7 +195,7 @@ def load_config(path=None, sets=()) -> RunConfig:
         raise ConfigError("scheme.options: need at least one option")
     for b in options:
         try:
-            codecs.scheme_for_bits(scheme["family"], b, scheme["group_size"])
+            scheme_for_bits(scheme["family"], b, scheme["group_size"])
         except ContractError as e:
             raise ConfigError(f"scheme: option {b}: {e}") from None
     if not options[0] <= scheme["target_bits"] <= options[-1]:
@@ -211,7 +208,7 @@ def load_config(path=None, sets=()) -> RunConfig:
     if (min(data["calib_samples"], data["batch_size"], data["eval_samples"]) < 1
             or data["seq_len"] < 2):
         raise ConfigError("data: sample counts must be >= 1 and seq_len >= 2")
-    if spec.arch == models.ARCH_TT and data["seq_len"] > spec.max_seq:
+    if spec.arch == ARCH_TT and data["seq_len"] > spec.max_seq:
         raise ConfigError(f"data.seq_len {data['seq_len']} exceeds "
                           f"model.max_seq {spec.max_seq}")
 
@@ -224,84 +221,6 @@ def load_config(path=None, sets=()) -> RunConfig:
     out_dir = Path(v["run"]["out_dir"] or os.environ.get(OUT_DIR_ENV, "."))
     return RunConfig(spec=spec, train_steps=train_steps, train_lr=train_lr,
                      **scheme, tune=tune, **data, seed=seed, out_dir=out_dir)
-
-
-def build_model(cfg: RunConfig):
-    """Trained toy model + calibration batches for this config.
-
-    Training runs once per output directory: the trained parameters are
-    kept in ``out_dir/fp_model.npz`` under a key of everything training
-    depends on, and loaded instead of retrained while that key matches.
-    A model with ``train_steps=0`` is cheaper to rebuild than to load
-    and is never cached.
-    """
-    model = models.ToyModel.build(cfg.spec)
-    cal = models.load_calibration(cfg.source, cfg.spec.vocab,
-                                  cfg.calib_samples, cfg.seq_len,
-                                  cfg.batch_size, cfg.seed)
-    if cfg.train_steps:
-        path = cfg.out_dir / FP_MODEL_FILE
-        key = _train_key(cfg, cal)
-        params = _load_params(path, key, model.params)
-        if params is None:
-            models.train_model(model, cal, cfg.train_steps, cfg.train_lr)
-            _save_params(path, key, model.params)
-        else:
-            model.params.update(params)
-    return model, cal
-
-
-def _digest_arrays(meta: dict, arrays) -> str:
-    """sha256 of ``meta`` plus the dtype, shape and bytes of each array."""
-    arrays = [np.ascontiguousarray(a) for a in arrays]
-    meta = dict(meta, arrays=[[a.dtype.str, list(a.shape)] for a in arrays])
-    h = hashlib.sha256(canonical_json(meta).encode())
-    for a in arrays:
-        h.update(a.tobytes())
-    return h.hexdigest()
-
-
-def _train_key(cfg: RunConfig, cal: list) -> str:
-    """Everything the trained parameters depend on: the model section,
-    the seed, the calibration tokens, the package and numpy versions, and
-    the source of the model and autodiff code (the package version does
-    not change with every edit)."""
-    sources = [hashlib.sha256(Path(m.__file__).read_bytes()).hexdigest()
-               for m in (models, tensor)]
-    meta = {"model": cfg.to_dict()["model"], "seed": cfg.seed,
-            "versions": [__version__, np.__version__], "sources": sources}
-    return _digest_arrays(meta, cal)
-
-
-def _load_params(path: Path, key: str, like: dict):
-    """The cached parameters, or None unless the file is intact, carries
-    ``key`` and holds exactly the names, shapes and dtypes of ``like``."""
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            if (sorted(z.files) != sorted([*like, _KEY, _DIGEST])
-                    or str(z[_KEY]) != key):
-                return None
-            params = {n: z[n] for n in like}
-            digest = str(z[_DIGEST])
-    except Exception:  # any unreadable file is a miss: retrain
-        return None
-    for n, a in like.items():
-        if params[n].shape != a.shape or params[n].dtype != a.dtype:
-            return None
-    if _params_digest(params) != digest:
-        return None
-    return params
-
-
-def _params_digest(params: dict) -> str:
-    return _digest_arrays({"names": list(params)}, params.values())
-
-
-def _save_params(path: Path, key: str, params: dict) -> None:
-    buf = io.BytesIO()
-    np.savez(buf, **params, **{_KEY: np.array(key),
-                               _DIGEST: np.array(_params_digest(params))})
-    write_atomic(path, buf.getvalue())
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -321,14 +240,3 @@ def write_atomic(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
-
-
-def eval_set(cfg: RunConfig) -> list:
-    """Held-out batches: a generated source's stream under a disjoint
-    seed, or a token file's rows after its calibration rows."""
-    if cfg.source in GENERATED:
-        return models.eval_batches(cfg.spec, cfg.eval_samples, cfg.seq_len,
-                                   cfg.batch_size, cfg.seed, source=cfg.source)
-    rows = models.read_token_file(cfg.source, cfg.spec.vocab, cfg.seq_len,
-                                  cfg.calib_samples + cfg.eval_samples)
-    return models.batched(rows[cfg.calib_samples:], cfg.batch_size)

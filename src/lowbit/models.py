@@ -1,4 +1,4 @@
-"""Seeded toy language models and calibration data.
+"""Seeded toy language models, calibration data and a run's fp model.
 
 Two architectures, both built on the in-package tensor engine:
 
@@ -13,77 +13,30 @@ Construction is fully determined by ``ModelSpec.seed``; the same
 overrides (graph tensors replacing stored arrays) and input taps, which
 is how probing, tuning, and quantized evaluation are wired without the
 model knowing about any of them.
+
+:func:`build_model` builds and trains the fp model of a run's config and
+keeps its parameters in the output directory, so every command of the
+run starts from the same trained weights without retraining.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import tensor as T
-from .errors import ConfigError, ContractError, IngestionError, NumericError
-
-ARCH_MLP = "mlp"
-ARCH_TT = "tiny-transformer"
+from .config import GENERATED, RunConfig, canonical_json, write_atomic
+from .errors import ContractError, IngestionError, NumericError
+from .spec import ARCH_MLP, ARCH_TT, LayerInfo, ModelSpec, layer_table
 
 EVAL_SEED_OFFSET = 7919  # held-out eval stream, disjoint from calibration
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    arch: str
-    hidden: int
-    n_blocks: int
-    vocab: int
-    n_heads: int = 4
-    ffn_mult: int = 4
-    max_seq: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.arch not in (ARCH_MLP, ARCH_TT):
-            raise ConfigError(f"unknown architecture {self.arch!r}")
-        if self.vocab < 2 or self.hidden < 2 or self.n_blocks < 1:
-            raise ConfigError("model dimensions too small")
-        if self.arch != ARCH_TT:
-            return
-        if min(self.n_heads, self.ffn_mult, self.max_seq) < 1:
-            raise ConfigError("n_heads, ffn_mult and max_seq must be >= 1")
-        if self.hidden % self.n_heads:
-            raise ConfigError(
-                f"hidden {self.hidden} not divisible by {self.n_heads} heads")
-
-
-@dataclass(frozen=True)
-class LayerInfo:
-    """A quantizable (linear) layer; ``block`` is None for the head.
-    Embeddings and norm gains are in ``ToyModel.params`` only."""
-
-    name: str
-    shape: tuple
-    block: int | None = None
-
-    @property
-    def n_params(self) -> int:
-        return int(np.prod(self.shape))
-
-
-def layer_table(spec: ModelSpec) -> list:
-    """The quantizable layers of the model ``spec`` builds, in model
-    order with the head last. It draws no parameters, so the layer sizes
-    are known before a model is built or trained."""
-    d, f = spec.hidden, spec.hidden * spec.ffn_mult
-    if spec.arch == ARCH_TT:
-        shapes = [(f"attn.{p}", (d, d)) for p in ("wq", "wk", "wv", "wo")]
-        shapes += [("mlp.up", (d, f)), ("mlp.down", (f, d))]
-        rows = [LayerInfo(f"blocks.{b}.{name}", shape, b)
-                for b in range(spec.n_blocks) for name, shape in shapes]
-    else:
-        rows = [LayerInfo(f"layers.{b}", (d, d), b)
-                for b in range(spec.n_blocks)]
-    return rows + [LayerInfo("head", (d, spec.vocab))]
+FP_MODEL_FILE = "fp_model.npz"
+_KEY, _DIGEST = "__key__", "__digest__"  # no parameter takes these names
 
 
 class ToyModel:
@@ -414,3 +367,95 @@ def eval_batches(spec: ModelSpec, n_samples: int, seq_len: int,
     gen = markov_batches if source == "markov" else synthetic_batches
     return gen(spec.vocab, n_samples, seq_len, batch_size,
                seed + EVAL_SEED_OFFSET)
+
+
+# ---------------------------------------------------------------------------
+# a run's fp model and held-out data
+
+
+def build_model(cfg: RunConfig):
+    """Trained toy model + calibration batches for this config.
+
+    Training runs once per output directory: the trained parameters are
+    kept in ``out_dir/fp_model.npz`` under a key of everything training
+    depends on, and loaded instead of retrained while that key matches.
+    A model with ``train_steps=0`` is cheaper to rebuild than to load
+    and is never cached.
+    """
+    model = ToyModel.build(cfg.spec)
+    cal = load_calibration(cfg.source, cfg.spec.vocab, cfg.calib_samples,
+                           cfg.seq_len, cfg.batch_size, cfg.seed)
+    if cfg.train_steps:
+        path = cfg.out_dir / FP_MODEL_FILE
+        key = _train_key(cfg, cal)
+        params = _load_params(path, key, model.params)
+        if params is None:
+            train_model(model, cal, cfg.train_steps, cfg.train_lr)
+            _save_params(path, key, model.params)
+        else:
+            model.params.update(params)
+    return model, cal
+
+
+def _digest_arrays(meta: dict, arrays) -> str:
+    """sha256 of ``meta`` plus the dtype, shape and bytes of each array."""
+    arrays = [np.ascontiguousarray(a) for a in arrays]
+    meta = dict(meta, arrays=[[a.dtype.str, list(a.shape)] for a in arrays])
+    h = hashlib.sha256(canonical_json(meta).encode())
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _train_key(cfg: RunConfig, cal: list) -> str:
+    """Everything the trained parameters depend on: the model section,
+    the seed, the calibration tokens, the package and numpy versions, and
+    the source of the model and autodiff code (the package version does
+    not change with every edit)."""
+    sources = [hashlib.sha256(Path(f).read_bytes()).hexdigest()
+               for f in (__file__, T.__file__)]
+    meta = {"model": cfg.to_dict()["model"], "seed": cfg.seed,
+            "versions": [__version__, np.__version__], "sources": sources}
+    return _digest_arrays(meta, cal)
+
+
+def _load_params(path: Path, key: str, like: dict):
+    """The cached parameters, or None unless the file is intact, carries
+    ``key`` and holds exactly the names, shapes and dtypes of ``like``."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            if (sorted(z.files) != sorted([*like, _KEY, _DIGEST])
+                    or str(z[_KEY]) != key):
+                return None
+            params = {n: z[n] for n in like}
+            digest = str(z[_DIGEST])
+    except Exception:  # any unreadable file is a miss: retrain
+        return None
+    for n, a in like.items():
+        if params[n].shape != a.shape or params[n].dtype != a.dtype:
+            return None
+    if _params_digest(params) != digest:
+        return None
+    return params
+
+
+def _params_digest(params: dict) -> str:
+    return _digest_arrays({"names": list(params)}, params.values())
+
+
+def _save_params(path: Path, key: str, params: dict) -> None:
+    buf = io.BytesIO()
+    np.savez(buf, **params, **{_KEY: np.array(key),
+                               _DIGEST: np.array(_params_digest(params))})
+    write_atomic(path, buf.getvalue())
+
+
+def eval_set(cfg: RunConfig) -> list:
+    """Held-out batches: a generated source's stream under a disjoint
+    seed, or a token file's rows after its calibration rows."""
+    if cfg.source in GENERATED:
+        return eval_batches(cfg.spec, cfg.eval_samples, cfg.seq_len,
+                            cfg.batch_size, cfg.seed, source=cfg.source)
+    rows = read_token_file(cfg.source, cfg.spec.vocab, cfg.seq_len,
+                           cfg.calib_samples + cfg.eval_samples)
+    return batched(rows[cfg.calib_samples:], cfg.batch_size)

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codecs import SCALE_FLOOR, grid_bounds, group_extrema, group_segments
+from .codecs import SCALE_FLOOR, group_extrema, group_segments
 from .errors import ShapeError
+from .spec import grid_bounds
 
 EPS_GRID = (np.arange(180) - 90) * 0.01  # -0.90 .. 0.89, 0.0 exactly at index 90
 

@@ -19,22 +19,14 @@ gradient only for the probed leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import tensor as T
-from .codecs import QuantScheme, mx_qdq, quantize_layer, scheme_for_bits
+from .codecs import mx_qdq, quantize_layer
 from .errors import ContractError
+# sensitivity.option_set stays: it names the schemes a report scores
+from .spec import LayerScore, QuantScheme, SensitivityReport, option_set
 from .workers import map_ordered
-
-
-def option_set(family: str, bits_list, group_size: int = 32) -> list:
-    """Concrete schemes for a list of bit widths, ascending."""
-    if not bits_list:
-        raise ContractError("empty option set")
-    return [scheme_for_bits(family, b, group_size)
-            for b in sorted({int(b) for b in bits_list})]
 
 
 def rtn_weight(w: np.ndarray, scheme: QuantScheme) -> np.ndarray:
@@ -107,57 +99,6 @@ def delta_loss(model, layer_name: str, scheme: QuantScheme, calib_batches,
 
 # acceptance criterion 6 scores layers under this name
 delta_loss_weight_only = delta_loss
-
-
-# ---------------------------------------------------------------------------
-# report
-
-
-@dataclass
-class LayerScore:
-    name: str
-    params: int
-    scores: dict = field(default_factory=dict)  # option label -> float
-
-
-@dataclass
-class SensitivityReport:
-    family: str
-    options: list  # QuantScheme, ascending bits
-    layers: list   # LayerScore, model order
-    calib_samples: int
-    calib_seq_len: int
-
-    def option_labels(self) -> list:
-        return [s.label for s in self.options]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "lowbit/sensitivity-v1",
-            "family": self.family,
-            "grads_at": "quantized",
-            "calib": {"samples": self.calib_samples,
-                      "seq_len": self.calib_seq_len},
-            "options": [{"label": s.label, "bits": s.bits,
-                         "group_size": s.group_size} for s in self.options],
-            "layers": [{"name": l.name, "params": l.params,
-                        "scores": {k: float(v) for k, v in sorted(l.scores.items())}}
-                       for l in self.layers],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensitivityReport":
-        if d.get("schema") != "lowbit/sensitivity-v1":
-            raise ContractError(f"not a sensitivity report: {d.get('schema')!r}")
-        family = d["family"]
-        options = [scheme_for_bits(family, o["bits"], o["group_size"])
-                   for o in d["options"]]
-        layers = [LayerScore(l["name"], int(l["params"]),
-                             {s.label: float(l["scores"][s.label])
-                              for s in options})
-                  for l in d["layers"]]
-        return cls(family, options, layers, int(d["calib"]["samples"]),
-                   int(d["calib"]["seq_len"]))
 
 
 def build_report(model, schemes: list, calib_batches) -> SensitivityReport:

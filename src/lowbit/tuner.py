@@ -23,32 +23,9 @@ import numpy as np
 
 from . import codecs, scale_init
 from . import tensor as T
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
+from .spec import TuneConfig, scheme_for_bits
 from .workers import map_ordered
-
-
-@dataclass(frozen=True)
-class TuneConfig:
-    steps: int = 200
-    lr: float | None = None  # resolved to 1/steps when omitted
-    batch_size: int = 8
-    trim_fraction: float = 0.001
-    use_scale_init: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.lr is None:
-            object.__setattr__(self, "lr", 1.0 / max(self.steps, 1))
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0 (0 disables tuning)")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError("lr must be positive and finite")
-        if not 0.0 <= self.trim_fraction < 1.0:
-            raise ConfigError("trim_fraction must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
 
 
 def trimmed_mse(pred: T.Tensor, target, trim_fraction: float = 0.0) -> T.Tensor:
@@ -201,7 +178,7 @@ def plan_from_assignment(names, bits, family: str,
     bits = list(bits)
     if len(names) != len(bits):
         raise ContractError(f"{len(names)} names but {len(bits)} bit choices")
-    return {n: codecs.scheme_for_bits(family, b, group_size)
+    return {n: scheme_for_bits(family, b, group_size)
             for n, b in zip(names, bits)}
 
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import runpy
 import struct
 import subprocess
 import sys
@@ -15,10 +16,10 @@ import pytest
 
 import lowbit
 from lowbit import artifact as art
-from lowbit import cli, codecs, models
-from lowbit import config as cfglib
+from lowbit import cli, codecs, models, sensitivity, tuner
 from lowbit.config import canonical_json, digest_of, load_config
 from lowbit.errors import ConfigError, InfeasibleError, NumericError, PackError
+from lowbit.spec import scheme_for_bits
 
 # keeps the end-to-end commands fast; the bundled-seed defaults are
 # exercised separately in TestBundledSeed
@@ -28,6 +29,9 @@ TINY = (
     "data.batch_size=4", "data.eval_samples=4",
     "tuning.steps=4", "tuning.batch_size=4",
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(out_dir, command, *extra, sets=TINY, config=None):
@@ -56,18 +60,74 @@ def rewrite_header(path, mutate):
                            + buf[16 + hlen:])
 
 
+def run_fresh(code, *args):
+    """The last stdout line, as JSON, of ``code`` run in a fresh
+    interpreter that imports this lowbit."""
+    src = str(Path(lowbit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout, json.loads(out.stdout.splitlines()[-1])
+
+
+# a module registered for lazy loading that has not run yet is of
+# LazyLoader's ModuleType subclass; only type() looks without running it
+RUN_CLI = """
+import json, sys, types
+from lowbit import cli
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "ran": [n for n, m in sys.modules.items()
+                                    if type(m) is types.ModuleType]}))
+"""
+
+
 class TestConfig:
     def test_start_up_leaves_scipy_unloaded(self):
         # scipy is only needed once a model runs (gelu); loading it at
         # import would tax allocate and verify, which build none
-        code = ("import sys, lowbit.cli, lowbit.config as c; "
-                "c.load_config(None, []); print('scipy' in sys.modules)")
-        src = str(Path(lowbit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        _, loaded = run_fresh(
+            "import json, sys, lowbit.cli, lowbit.config as c; "
+            "c.load_config(None, []); print(json.dumps('scipy' in sys.modules))")
+        assert loaded is False
+
+    def test_config_loading_and_rejection_import_no_numpy(self, tmp_path):
+        bench = runpy.run_path(str(ROOT / "bench" / "run.py"))
+        sets = [list(bench["WORKLOADS"][w]) for w in sorted(bench["WORKLOADS"])]
+        code = """
+import json, sys
+import lowbit.config as c
+for sets in json.loads(sys.argv[1]):
+    c.load_config(None, sets)
+after_load = "numpy" in sys.modules
+from lowbit import cli
+rcs = [cli.main([cmd, "--set", "scheme.target_bits=9",
+                 "--set", "run.out_dir=" + sys.argv[2]]) for cmd in cli.COMMANDS]
+print(json.dumps([after_load, rcs, "numpy" in sys.modules]))
+"""
+        _, (after_load, rcs, after_reject) = run_fresh(
+            code, json.dumps(sets), str(tmp_path))
+        assert len(sets) == 3
+        assert rcs == [cli.EXIT_CONFIG] * len(cli.COMMANDS)
+        assert after_load is False and after_reject is False
+
+    def test_allocate_and_verify_run_only_what_they_use(self, tmp_path):
+        assert run_cli(tmp_path, "sensitivity") == 0
+        argv = [a for s in (*TINY, f"run.out_dir={tmp_path}")
+                for a in ("--set", s)]
+        _, res = run_fresh(RUN_CLI, "allocate", *argv)
+        assert res["rc"] == 0
+        assert "numpy" not in res["ran"]
+
+        assert run_cli(tmp_path, "quantize") == 0
+        out, res = run_fresh(RUN_CLI, "verify", *argv)
+        assert res["rc"] == 0
+        assert out.startswith(f"OK {tmp_path / 'artifact.lbq'}")
+        assert {"numpy", "lowbit.codecs", "lowbit.artifact"} <= set(res["ran"])
+        unused = ["lowbit.models", "lowbit.tuner", "lowbit.sensitivity",
+                  "lowbit.scale_init", "lowbit.workers", "scipy"]
+        assert not set(unused) & set(res["ran"])
+
 
     def test_defaults(self):
         cfg = load_config()
@@ -170,7 +230,7 @@ class TestConfig:
         tokens.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
         cfg = load_config(None, [*TINY, f"data.source={tokens}",
                                  "data.eval_samples=5"])
-        ev = cfglib.eval_set(cfg)
+        ev = models.eval_set(cfg)
         assert [len(b) for b in ev] == [4, 1]
         np.testing.assert_array_equal(np.concatenate(ev), rows[8:13])
 
@@ -214,7 +274,7 @@ def mx_payload(rng):
     scheme = codecs.QuantScheme("mxfp", 4, 32)
     head = rng.normal(size=(6, 3))
     packed = {"lin": codecs.quantize_layer(w, scheme)[1],
-              "head": codecs.quantize_layer(head, codecs.scheme_for_bits(
+              "head": codecs.quantize_layer(head, scheme_for_bits(
                   "mxfp", 16, 32))[1]}
     layers = [{"name": "lin", "params": 240, "bits": 4, "label": "mxfp4",
                "shape": [40, 6]},
@@ -636,7 +696,7 @@ class TestCliCommands:
             assert run_cli(tmp_path, command, sets=sets) == 0, command
         assert "OK " in capsys.readouterr().out
         cfg = load_config(None, (*sets, f"run.out_dir={tmp_path}"))
-        model, _ = cli.cfglib.build_model(cfg)  # the cached fp model
+        model, _ = models.build_model(cfg)  # the cached fp model
         tuned_blocks = {b["block"] for b in
                         read_json(tmp_path / "tuned.json")["blocks"]}
         wide = [l["name"] for l in read_json(tmp_path / "assignment.json")
@@ -684,10 +744,10 @@ class TestCliCommands:
         for command in ("sensitivity", "allocate", "quantize"):
             assert run_cli(tmp_path, command, sets=sets) == 0, command
         cfg = load_config(None, (*sets, f"run.out_dir={tmp_path}"))
-        model, _ = cfglib.build_model(cfg)  # the cached fp model
+        model, _ = models.build_model(cfg)  # the cached fp model
         got = art.load_artifact(tmp_path / "artifact.lbq")
         weights = {n: pw.dequantize() for n, pw in got.packed.items()}
-        loss = model.eval_loss(cfglib.eval_set(cfg), weights=weights)
+        loss = model.eval_loss(models.eval_set(cfg), weights=weights)
         assert loss == read_json(tmp_path / "metrics.json")["losses"]["tuned"]
 
     def test_report_and_quantize_give_the_same_losses(self, tmp_path):
@@ -703,7 +763,7 @@ class TestCliCommands:
         # quantize reads only the rtn and dl_only losses, so their
         # results are gone before the next variant runs
         (tmp_path / "assignment.json").write_text(json.dumps(ASSIGNMENT))
-        real = cli.tuner.quantize_model
+        real = tuner.quantize_model
         refs, alive = [], []
 
         def tracked(*args, **kwargs):
@@ -712,7 +772,7 @@ class TestCliCommands:
             res = real(*args, **kwargs)
             refs.append(weakref.ref(res))
             return res
-        monkeypatch.setattr(cli.tuner, "quantize_model", tracked)
+        monkeypatch.setattr(tuner, "quantize_model", tracked)
         assert run_cli(tmp_path, "quantize") == 0
         assert alive == [[], [False], [False, False]]
 
@@ -758,7 +818,7 @@ class TestCliCommands:
 
         def no_scoring(*args, **kwargs):
             raise AssertionError("report scored sensitivity again")
-        monkeypatch.setattr(cli.sensitivity, "build_report", no_scoring)
+        monkeypatch.setattr(sensitivity, "build_report", no_scoring)
         assert run_cli(tmp_path, "report") == 0
         assert (tmp_path / "report.json").is_file()
 
@@ -773,7 +833,7 @@ class TestCliCommands:
 
         def no_training(cfg):
             raise AssertionError("model built for scores of another config")
-        monkeypatch.setattr(cli.cfglib, "build_model", no_training)
+        monkeypatch.setattr(models, "build_model", no_training)
         assert run_cli(tmp_path, "report") == 2
         assert "another config" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
@@ -986,7 +1046,7 @@ class TestCliErrors:
 
         def no_model(*args, **kwargs):
             raise AssertionError("model built for an unfit assignment")
-        monkeypatch.setattr(cli.cfglib, "build_model", no_model)
+        monkeypatch.setattr(models, "build_model", no_model)
         monkeypatch.setattr(models, "train_model", no_model)
         assert run_cli(tmp_path, "quantize") == 2
         assert "assignment.json" in capsys.readouterr().err
@@ -1036,7 +1096,7 @@ class TestCliErrors:
                                                      monkeypatch, items):
         def no_training(cfg):
             raise AssertionError("model built for a rejected config")
-        monkeypatch.setattr(cli.cfglib, "build_model", no_training)
+        monkeypatch.setattr(models, "build_model", no_training)
         assert run_cli(tmp_path, "sensitivity", sets=TINY + items) == 2
         assert not (tmp_path / "sensitivity.json").exists()
 
@@ -1056,7 +1116,7 @@ class TestCliErrors:
 
         def no_training(cfg):
             raise AssertionError("model built before the eval rows were read")
-        monkeypatch.setattr(cli.cfglib, "build_model", no_training)
+        monkeypatch.setattr(models, "build_model", no_training)
         sets = TINY + (f"data.source={tokens}",)
         assert run_cli(tmp_path, "quantize", sets=sets) == 2
         assert str(tokens) in capsys.readouterr().err
@@ -1076,7 +1136,7 @@ class TestCliErrors:
 
         def no_model(cfg):
             raise AssertionError("model built for another model's assignment")
-        monkeypatch.setattr(cli.cfglib, "build_model", no_model)
+        monkeypatch.setattr(models, "build_model", no_model)
         wrong = TINY[1:] + ("model.hidden=16", "model.n_blocks=2")
         assert run_cli(tmp_path, "quantize", sets=wrong) == 2
         assert "assignment.json" in capsys.readouterr().err
@@ -1096,7 +1156,7 @@ class TestCliErrors:
 
         def no_model(cfg):
             raise AssertionError("model built for another model's scores")
-        monkeypatch.setattr(cli.cfglib, "build_model", no_model)
+        monkeypatch.setattr(models, "build_model", no_model)
         assert run_cli(tmp_path, command, sets=sets) == 2
         err = capsys.readouterr().err
         assert "sensitivity.json" in err and named in err

@@ -12,6 +12,7 @@ import pytest
 from lowbit import codecs as C
 from lowbit import tensor as T
 from lowbit.errors import ContractError, PackError, ShapeError
+from lowbit.spec import scheme_for_bits
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +527,15 @@ class TestPacking:
             C.PackedWeights.from_bytes(bytes(buf))
 
     def test_mx_block_length_is_fixed(self):
-        assert C.scheme_for_bits("mxfp", 4, 0).group_size == 32
+        assert scheme_for_bits("mxfp", 4, 0).group_size == 32
         with pytest.raises(ContractError):
-            C.scheme_for_bits("mxfp", 4, 64)
+            scheme_for_bits("mxfp", 4, 64)
 
     def test_scheme_labels(self):
         assert C.QuantScheme("int-sym", 2, 32).label == "w2g32"
         assert C.QuantScheme("mxfp", 4, 32).label == "mxfp4"
-        assert C.scheme_for_bits("int-sym", 16, 32).label == "w16"
-        assert C.scheme_for_bits("mxfp", 8, 32).quantizes_acts
+        assert scheme_for_bits("int-sym", 16, 32).label == "w16"
+        assert scheme_for_bits("mxfp", 8, 32).quantizes_acts
 
 
 # ---------------------------------------------------------------------------

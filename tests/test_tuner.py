@@ -6,6 +6,7 @@ import pytest
 from lowbit import codecs, models, tuner
 from lowbit import tensor as T
 from lowbit.errors import ConfigError, ContractError, NumericError, ShapeError
+from lowbit.spec import scheme_for_bits
 from tracepeak import peak_layers
 
 
@@ -143,7 +144,7 @@ class TestTuneBlock:
         model, cal = small_model()
         x = block_inputs(model, cal)
         targets = model.block_forward(0, x).data
-        scheme = codecs.scheme_for_bits("int-sym", 3, 32)
+        scheme = scheme_for_bits("int-sym", 3, 32)
         cfg = tuner.TuneConfig(steps=1, lr=0.05, batch_size=4, trim_fraction=0.0,
                                seed=9)
 
@@ -189,7 +190,7 @@ class TestTuneBlock:
         model, cal = small_model(seed=seed)
         x = block_inputs(model, cal)
         targets = model.block_forward(0, x).data
-        scheme = codecs.scheme_for_bits("int-sym", 2, 32)
+        scheme = scheme_for_bits("int-sym", 2, 32)
         cfg = tuner.TuneConfig(steps=60, lr=0.02, batch_size=4, trim_fraction=0.0,
                                seed=seed)
         res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
@@ -212,7 +213,7 @@ class TestTuneBlock:
         model, cal = small_model(seed=7)
         x = block_inputs(model, cal)
         targets = model.block_forward(0, x).data
-        scheme = codecs.scheme_for_bits("int-sym", 2, 32)
+        scheme = scheme_for_bits("int-sym", 2, 32)
         # big steps overshoot, so late iterates are worse than the best one
         cfg = tuner.TuneConfig(steps=12, lr=0.3, batch_size=4, trim_fraction=0.0,
                                seed=1)
@@ -244,7 +245,7 @@ class TestTuneBlock:
         codes[1, :] = 1.0  # full span pins the minmax scale per column
         model.params["layers.0"] = codes * 0.125
         x = block_inputs(model, cal)
-        scheme = codecs.scheme_for_bits("int-sym", 2, 32)
+        scheme = scheme_for_bits("int-sym", 2, 32)
         cfg = tuner.TuneConfig(steps=5, lr=0.1, batch_size=4, trim_fraction=0.0,
                                seed=0)
         res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
@@ -257,7 +258,7 @@ class TestTuneBlock:
     def test_deterministic(self):
         model, cal = small_model(seed=4)
         x = block_inputs(model, cal)
-        scheme = codecs.scheme_for_bits("int-sym", 2, 32)
+        scheme = scheme_for_bits("int-sym", 2, 32)
         cfg = tuner.TuneConfig(steps=8, lr=0.05, batch_size=4, seed=3)
         a = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
         b = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
@@ -272,7 +273,7 @@ class TestTuneBlock:
         x = block_inputs(model, cal)
         w = model.params["layers.0"]
         s0 = np.abs(w).max(axis=0, keepdims=True) / 2.0
-        scheme = codecs.scheme_for_bits("int-sym", 2, 32)
+        scheme = scheme_for_bits("int-sym", 2, 32)
         cfg = tuner.TuneConfig(steps=10, lr=0.05, batch_size=4, seed=2)
         res = tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg,
                                init_scales={"layers.0": s0})
@@ -284,7 +285,7 @@ class TestTuneBlock:
         model, cal = small_model(seed=1)
         x = block_inputs(model, cal)
         x[0, 0, 0] = np.nan
-        scheme = codecs.scheme_for_bits("int-sym", 4, 32)
+        scheme = scheme_for_bits("int-sym", 4, 32)
         cfg = tuner.TuneConfig(steps=4, lr=0.1, batch_size=8, seed=0)
         with pytest.raises(NumericError, match=r"step 0.*block 0"):
             tuner.tune_block(model, 0, x, {"layers.0": scheme}, cfg)
@@ -293,8 +294,8 @@ class TestTuneBlock:
         model, cal = small_model(arch=models.ARCH_TT, seed=8)
         x = block_inputs(model, cal)
         schemes = {
-            "blocks.0.attn.wq": codecs.scheme_for_bits("int-sym", 4, 32),
-            "blocks.0.attn.wo": codecs.scheme_for_bits("mxfp", 4, 32),
+            "blocks.0.attn.wq": scheme_for_bits("int-sym", 4, 32),
+            "blocks.0.attn.wo": scheme_for_bits("mxfp", 4, 32),
         }
         cfg = tuner.TuneConfig(steps=3, lr=0.05, batch_size=4, seed=0)
         res = tuner.tune_block(model, 0, x, schemes, cfg)
@@ -303,11 +304,11 @@ class TestTuneBlock:
     def test_contracts(self):
         model, cal = small_model()
         x = block_inputs(model, cal)
-        scheme = codecs.scheme_for_bits("int-sym", 2, 32)
+        scheme = scheme_for_bits("int-sym", 2, 32)
         with pytest.raises(ContractError):
             tuner.tune_block(model, 0, x, {"layers.0": scheme},
                              tuner.TuneConfig(steps=0))
-        mx_only = {"layers.0": codecs.scheme_for_bits("mxfp", 4, 32)}
+        mx_only = {"layers.0": scheme_for_bits("mxfp", 4, 32)}
         with pytest.raises(ContractError, match="tunable"):
             tuner.tune_block(model, 0, x, mx_only, tuner.TuneConfig(steps=1))
 
@@ -397,8 +398,8 @@ class TestQuantizeModel:
 
     def test_mx_layer_frozen_and_packed_output_major(self):
         model, cal = small_model(arch=models.ARCH_TT, seed=13)
-        plan = {"blocks.0.attn.wq": codecs.scheme_for_bits("mxfp", 4, 32),
-                "blocks.0.mlp.up": codecs.scheme_for_bits("int-sym", 4, 32)}
+        plan = {"blocks.0.attn.wq": scheme_for_bits("mxfp", 4, 32),
+                "blocks.0.mlp.up": scheme_for_bits("int-sym", 4, 32)}
         res = tuner.quantize_model(model, plan, cal, self.cfg())
         w = model.params["blocks.0.attn.wq"]
         expect, _, _ = codecs.mx_qdq_weight(w, codecs.MXFP4)
@@ -476,7 +477,7 @@ class TestQuantizeModel:
 
     def test_rejects_non_linear_layer(self):
         model, cal = small_model(arch=models.ARCH_TT, seed=17)
-        plan = {"blocks.0.norm1.g": codecs.scheme_for_bits("int-sym", 4, 32)}
+        plan = {"blocks.0.norm1.g": scheme_for_bits("int-sym", 4, 32)}
         with pytest.raises(ContractError):
             tuner.quantize_model(model, plan, cal, self.cfg())
 
@@ -491,7 +492,7 @@ class TestMemory:
         model, cal = small_model(hidden=512, vocab=512, n_samples=8,
                                  seq_len=32)
         x = block_inputs(model, cal)
-        scheme = codecs.scheme_for_bits("int-sym", 4, 32)
+        scheme = scheme_for_bits("int-sym", 4, 32)
         init = ({"layers.0": codecs.quantize_weight(
             model.params["layers.0"], 4, 32)[2]} if searched else None)
         cfg = tuner.TuneConfig(steps=1, batch_size=8)

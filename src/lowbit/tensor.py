@@ -17,6 +17,13 @@ assume.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
+import sys
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+
 import numpy as np
 
 from .errors import ContractError, ShapeError
@@ -172,15 +179,37 @@ def power(a: Tensor, p: float) -> Tensor:
 # nonlinearities
 
 
+@functools.cache
+def _erf():
+    """scipy's erf ufunc, loaded from the extension module that defines
+    it. Importing the ``scipy.special`` package costs 0.2-0.3 s more,
+    nearly all of it cloning numpy's namespace for its array-API layer,
+    and numpy has no bit-equal erf. The module loads under its real
+    name, so a later ``import scipy.special`` reuses it and exports this
+    same ufunc; scipy releases without the module go through the
+    package."""
+    name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
+    if module is None:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        finder = FileFinder(os.path.join(root, "special"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    # scipy is imported on first use, so commands that build no model
-    # (allocate, verify, config loading) start without it
-    from scipy.special import erf
-
     a = _lift(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + _erf()(x * _INV_SQRT2))
     out = x * cdf
 
     def vjp(g):

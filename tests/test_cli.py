@@ -5,8 +5,6 @@ import json
 import os
 import runpy
 import struct
-import subprocess
-import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import lowbit
+from fresh import has_special_ufuncs, run_fresh
 from lowbit import artifact as art
 from lowbit import cli, codecs, models, sensitivity, tuner
 from lowbit.config import canonical_json, digest_of, load_config
@@ -58,17 +56,6 @@ def rewrite_header(path, mutate):
     hb = canonical_json(header).encode()
     Path(path).write_bytes(buf[:8] + struct.pack("<Q", len(hb)) + hb
                            + buf[16 + hlen:])
-
-
-def run_fresh(code, *args):
-    """The last stdout line, as JSON, of ``code`` run in a fresh
-    interpreter that imports this lowbit."""
-    src = str(Path(lowbit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                         capture_output=True, text=True, check=True)
-    return out.stdout, json.loads(out.stdout.splitlines()[-1])
 
 
 # a module registered for lazy loading that has not run yet is of
@@ -128,6 +115,21 @@ print(json.dumps([after_load, rcs, "numpy" in sys.modules]))
                   "lowbit.scale_init", "lowbit.workers", "scipy"]
         assert not set(unused) & set(res["ran"])
 
+    @pytest.mark.skipif(not has_special_ufuncs(),
+                        reason="this scipy has no _special_ufuncs extension")
+    def test_model_commands_skip_the_scipy_special_package(self, tmp_path):
+        # gelu's erf comes from scipy's extension module; the package
+        # init would add 0.2-0.3 s cloning numpy for its array-API layer
+        argv = [a for s in (*TINY, f"run.out_dir={tmp_path}")
+                for a in ("--set", s)]
+        for command in ("sensitivity", "quantize", "report"):
+            _, res = run_fresh(RUN_CLI, command, *argv)
+            assert res["rc"] == 0, command
+            assert "scipy.special._special_ufuncs" in res["ran"]
+            assert [m for m in res["ran"] if m == "scipy.special"
+                    or m.startswith("scipy._lib.array_api_compat")] == []
+            if command == "sensitivity":
+                assert run_cli(tmp_path, "allocate") == 0
 
     def test_defaults(self):
         cfg = load_config()

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fresh import has_special_ufuncs, run_fresh
 from gradcheck import finite_diff_grad
 from lowbit import tensor as T
 from lowbit.errors import ContractError, ShapeError
@@ -387,6 +388,65 @@ def _package_references(tree: ast.Module, own: bool) -> set:
             found.discard(stmt.name)
         refs |= found
     return refs
+
+
+# gelu's forward and VJP on a grid through every branch of cephes' erf
+# (|x/sqrt2| = 1 and 8), beside the same formula on scipy.special.erf;
+# with argument "unfound" the lookup of erf's extension module finds
+# nothing, as on a scipy without it
+GELU_BITS = """
+import hashlib, json, sys
+import numpy as np
+from lowbit import tensor as T
+
+if sys.argv[1:] == ["unfound"]:
+    class Unfound(T.FileFinder):
+        def find_spec(self, fullname, target=None):
+            return None
+    T.FileFinder = Unfound
+
+f64 = np.finfo(np.float64)
+near = (np.sqrt(2.0) * np.array([1.0, 8.0])).view(np.int64)
+near = (near[:, None] + np.arange(-4, 5)).ravel().view(np.float64)
+edge = np.concatenate([[0.0, f64.smallest_subnormal, 1e-310,
+                        f64.smallest_normal - f64.smallest_subnormal,
+                        f64.smallest_normal, np.inf], near])
+grid = np.concatenate([edge, -edge, [np.nan],
+                       np.random.default_rng(0).normal(size=100_000)])
+w = np.random.default_rng(1).normal(size=grid.shape)
+
+x = T.Tensor(grid, requires_grad=True)
+y = T.gelu(x)
+dx = T.backward(T.sum_(T.mul(y, w)), [x])[x]
+package_before = "scipy.special" in sys.modules
+import scipy.special
+from scipy.stats import spearmanr
+erf = scipy.special.erf
+cdf = 0.5 * (1.0 + erf(grid * T._INV_SQRT2))
+pdf = T._INV_SQRT2PI * np.exp(-0.5 * grid * grid)
+print(json.dumps({
+    "package_before": package_before, "same_ufunc": T._erf() is erf,
+    "y": y.data.tobytes() == (grid * cdf).tobytes(),
+    "dx": dx.tobytes() == (w * (cdf + grid * pdf)).tobytes(),
+    "spearman": float(spearmanr(grid[-9:], w[-9:]).statistic),
+    "sha": hashlib.sha256(y.data.tobytes() + dx.tobytes()).hexdigest()}))
+"""
+
+
+class TestGeluErf:
+    def test_loaded_ufunc_is_scipys_and_keeps_every_bit(self):
+        _, res = run_fresh(GELU_BITS)
+        assert res["same_ufunc"] and res["y"] and res["dx"]
+        assert -1.0 <= res["spearman"] <= 1.0
+        if has_special_ufuncs():
+            assert res["package_before"] is False
+
+    def test_without_the_extension_the_package_gives_the_same_bits(self):
+        _, res = run_fresh(GELU_BITS)
+        _, fallback = run_fresh(GELU_BITS, "unfound")
+        assert fallback["package_before"] is True
+        assert fallback["same_ufunc"] and fallback["y"] and fallback["dx"]
+        assert fallback["sha"] == res["sha"]
 
 
 def test_every_public_function_has_a_caller_in_the_package():

@@ -1,14 +1,10 @@
 """Ordered map over forked workers: same results, same errors, same bytes."""
 
 import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 
-import lowbit
+from fresh import run_python
 from lowbit import models, sensitivity, tuner, workers
 from lowbit.errors import NumericError
 
@@ -17,14 +13,6 @@ from lowbit.errors import NumericError
 def two_workers(monkeypatch):
     # two workers even on a one-CPU machine
     monkeypatch.setattr(workers, "_cpus", lambda: 2)
-
-
-def run_python(code):
-    src = str(Path(lowbit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
-                          env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestMapOrdered:

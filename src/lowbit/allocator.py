@@ -27,7 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError, InfeasibleError, SizeError
+from .spec import scheme_for_bits
 
+SENSITIVITY_SCHEMA = "lowbit/sensitivity-v1"
 DP_CAPACITY_LIMIT = 1_000_000
 BRUTE_LIMIT = 10_000_000
 
@@ -80,14 +82,31 @@ class AllocationProblem:
                    as_budget(target))
 
     @classmethod
-    def from_report(cls, report, target) -> "AllocationProblem":
-        opts = [(s.label, s.bits) for s in report.options]
-        return cls.build(
-            [l.name for l in report.layers],
-            [l.params for l in report.layers],
-            opts,
-            [[l.scores[lbl] for lbl, _ in opts] for l in report.layers],
-            target)
+    def from_report(cls, report: dict, target,
+                    schemes=None) -> "AllocationProblem":
+        """The problem over the layers of ``report``, a sensitivity report
+        in its JSON form, and over ``schemes`` (ascending bits), by
+        default every option the report scores. A scored option's label
+        is that of its row's bits and group size under the report's
+        family, and every layer's score under each one is read."""
+        if report.get("schema") != SENSITIVITY_SCHEMA:
+            raise ContractError(
+                f"not a sensitivity report: {report.get('schema')!r}")
+        scored = [scheme_for_bits(report["family"], o["bits"], o["group_size"])
+                  for o in report["options"]]
+        labels = [t.label for t in scored]
+        schemes = scored if schemes is None else schemes
+        for s in schemes:
+            if s.label not in labels:
+                raise ContractError(f"holds no scores for option {s.label}")
+        layers = report["layers"]
+        scores = [{lb: float(l["scores"][lb]) for lb in labels}
+                  for l in layers]
+        return cls.build([l["name"] for l in layers],
+                         [l["params"] for l in layers],
+                         [(s.label, s.bits) for s in schemes],
+                         [[row[s.label] for s in schemes] for row in scores],
+                         target)
 
     def bits_list(self) -> list:
         return [b for _, b in self.options]

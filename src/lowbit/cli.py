@@ -109,10 +109,9 @@ def _match_layers(got: list, want: list) -> None:
                             f"quantizable layers {want}")
 
 
-def _options(cfg) -> list:
-    """(label, bits) of each of ``cfg``'s options, ascending bits."""
-    return [(s.label, s.bits) for s in spec.option_set(
-        cfg.family, cfg.options, cfg.group_size)]
+def _schemes(cfg) -> list:
+    """``cfg``'s options as schemes, ascending bits."""
+    return spec.option_set(cfg.family, cfg.options, cfg.group_size)
 
 
 def _load_report(path: Path, cfg) -> tuple:
@@ -121,18 +120,12 @@ def _load_report(path: Path, cfg) -> tuple:
     every quantizable layer of ``cfg``'s model, in order, and score each
     of ``cfg``'s options. Scored options that ``cfg`` lacks are left out."""
     def parse(d):
-        report = spec.SensitivityReport.from_dict(d)
-        _match_layers([(l.name, l.params) for l in report.layers],
+        problem = allocator.AllocationProblem.from_report(
+            d, cfg.target_bits, _schemes(cfg))
+        _match_layers(list(zip(problem.names, problem.params)),
                       [(i.name, i.n_params)
                        for i in spec.layer_table(cfg.spec)])
-        options = spec.option_set(cfg.family, cfg.options, cfg.group_size)
-        for s in options:
-            if s.label not in report.option_labels():
-                raise ConfigError(f"{path} holds no scores for option "
-                                  f"{s.label}; run `lowbit sensitivity` with "
-                                  f"this config first")
-        report.options = options
-        return allocator.AllocationProblem.from_report(report, cfg.target_bits)
+        return problem
     return _ingest(path, "sensitivity report", "sensitivity", parse)
 
 
@@ -147,7 +140,7 @@ def _load_assignment(path: Path, cfg) -> tuple:
         asn, names, target = allocator.assignment_from_dict(d)
         table = spec.layer_table(cfg.spec)
         _match_layers(names, [i.name for i in table])
-        options = _options(cfg)
+        options = [(s.label, s.bits) for s in _schemes(cfg)]
         # the problem holds the target within the options, so one fits
         allocator.validate_assignment(allocator.AllocationProblem.build(
             names, [i.n_params for i in table], options,
@@ -184,19 +177,17 @@ def _run_variants(cfg, variants) -> tuple:
 def cmd_sensitivity(cfg, args) -> int:
     """score every layer under every bit option"""
     model, cal = models.build_model(cfg)
-    schemes = spec.option_set(cfg.family, cfg.options, cfg.group_size)
-    report = sensitivity.build_report(model, schemes, cal)
-    d = report.to_dict()
-    d["config_digest"] = cfg.digest()
-    _write_json(cfg.out_dir / SENSITIVITY_FILE, d)
+    report = sensitivity.build_report(model, _schemes(cfg), cal)
+    _write_json(cfg.out_dir / SENSITIVITY_FILE,
+                dict(report, config_digest=cfg.digest()))
 
-    labels = report.option_labels()
-    width = max(len(l.name) for l in report.layers)
+    labels = [o["label"] for o in report["options"]]
+    width = max(len(l["name"]) for l in report["layers"])
     print(f"{'layer':<{width}}  {'params':>8}  "
           + "  ".join(f"{lb:>12}" for lb in labels))
-    for l in report.layers:
-        cells = "  ".join(f"{l.scores[lb]:>12.6g}" for lb in labels)
-        print(f"{l.name:<{width}}  {l.params:>8}  {cells}")
+    for l in report["layers"]:
+        cells = "  ".join(f"{l['scores'][lb]:>12.6g}" for lb in labels)
+        print(f"{l['name']:<{width}}  {l['params']:>8}  {cells}")
     print(f"wrote {cfg.out_dir / SENSITIVITY_FILE}")
     return EXIT_OK
 

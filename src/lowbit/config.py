@@ -29,7 +29,6 @@ from .allocator import as_budget
 from .errors import ConfigError, ContractError
 from .spec import ARCH_TT, ModelSpec, TuneConfig, scheme_for_bits
 
-OUT_DIR_ENV = "LOWBIT_OUT_DIR"
 GENERATED = ("synthetic", "markov")  # any other data.source is a token file
 
 
@@ -218,7 +217,7 @@ def load_config(path=None, sets=()) -> RunConfig:
     except ConfigError as e:
         raise ConfigError(f"tuning: {e}") from None
 
-    out_dir = Path(v["run"]["out_dir"] or os.environ.get(OUT_DIR_ENV, "."))
+    out_dir = Path(v["run"]["out_dir"] or ".")
     return RunConfig(spec=spec, train_steps=train_steps, train_lr=train_lr,
                      **scheme, tune=tune, **data, seed=seed, out_dir=out_dir)
 

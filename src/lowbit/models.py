@@ -323,27 +323,30 @@ def markov_batches(vocab: int, n_samples: int, seq_len: int, batch_size: int,
 def read_token_file(path, vocab: int, seq_len: int, n_samples: int) -> np.ndarray:
     """Parse one space-separated token sequence per line.
 
-    Rows are truncated or zero-padded to seq_len. Raises on malformed
-    or out-of-range tokens (with the line number) and when the file has
-    fewer usable lines than requested; sequences are never repeated to
-    fill a shortfall.
+    Rows are truncated or zero-padded to seq_len. Raises on a file that
+    is not UTF-8 text, on malformed or out-of-range tokens (with the line
+    number) and when the file has fewer usable lines than requested;
+    sequences are never repeated to fill a shortfall.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{path}: not UTF-8 text: {e}") from None
     rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                toks = [int(tok) for tok in line.split()]
-            except ValueError as e:
-                raise IngestionError(f"{path}:{lineno}: not an integer token: {e}")
-            bad = [t for t in toks if t < 0 or t >= vocab]
-            if bad:
-                raise IngestionError(
-                    f"{path}:{lineno}: token {bad[0]} outside vocab [0, {vocab})")
-            row = toks[:seq_len] + [0] * max(0, seq_len - len(toks))
-            rows.append(row)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            toks = [int(tok) for tok in line.split()]
+        except ValueError as e:
+            raise IngestionError(f"{path}:{lineno}: not an integer token: {e}")
+        bad = [t for t in toks if t < 0 or t >= vocab]
+        if bad:
+            raise IngestionError(
+                f"{path}:{lineno}: token {bad[0]} outside vocab [0, {vocab})")
+        row = toks[:seq_len] + [0] * max(0, seq_len - len(toks))
+        rows.append(row)
     if len(rows) < n_samples:
         raise IngestionError(
             f"insufficient samples: requested {n_samples}, {path} has {len(rows)}")
@@ -364,9 +367,8 @@ def eval_batches(spec: ModelSpec, n_samples: int, seq_len: int,
                  batch_size: int, seed: int,
                  source: str = "synthetic") -> list:
     """Held-out stream: same generator family, disjoint seed."""
-    gen = markov_batches if source == "markov" else synthetic_batches
-    return gen(spec.vocab, n_samples, seq_len, batch_size,
-               seed + EVAL_SEED_OFFSET)
+    return load_calibration(source, spec.vocab, n_samples, seq_len,
+                            batch_size, seed + EVAL_SEED_OFFSET)
 
 
 # ---------------------------------------------------------------------------

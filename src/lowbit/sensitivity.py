@@ -15,6 +15,11 @@ ranking tracks the true loss change, which is all the allocator
 consumes. Each probe's forward starts at the probed layer's block, from
 fp block inputs computed once per batch, and its backward computes a
 gradient only for the probed leaf.
+
+:func:`build_report` returns the scores as a plain JSON dict, the
+``lowbit/sensitivity-v1`` form that ``sensitivity.json`` holds; that
+dict is a report's only form, and
+:meth:`allocator.AllocationProblem.from_report` reads it.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .allocator import SENSITIVITY_SCHEMA
 from .codecs import mx_qdq, quantize_layer
 from .errors import ContractError
 # sensitivity.option_set stays: it names the schemes a report scores
-from .spec import LayerScore, QuantScheme, SensitivityReport, option_set
+from .spec import QuantScheme, option_set
 from .workers import map_ordered
 
 
@@ -101,8 +107,9 @@ def delta_loss(model, layer_name: str, scheme: QuantScheme, calib_batches,
 delta_loss_weight_only = delta_loss
 
 
-def build_report(model, schemes: list, calib_batches) -> SensitivityReport:
-    """Score every quantizable layer under every option.
+def build_report(model, schemes: list, calib_batches) -> dict:
+    """Score every quantizable layer under every option, as a report's
+    JSON dict.
 
     The probes are independent, so they run in worker processes
     (:func:`workers.map_ordered`); each still averages its calibration
@@ -116,12 +123,16 @@ def build_report(model, schemes: list, calib_batches) -> SensitivityReport:
     jobs = [(info.name, scheme) for info in infos for scheme in schemes]
     scores = iter(map_ordered(
         lambda job: delta_loss(model, *job, calib_batches, prefixes), jobs))
-    layers = []
-    for info in infos:
-        ls = LayerScore(info.name, info.n_params)
-        for scheme in schemes:
-            ls.scores[scheme.label] = next(scores)
-        layers.append(ls)
     n_samples = sum(int(b.shape[0]) for b in calib_batches)
     seq_len = int(calib_batches[0].shape[1]) if calib_batches else 0
-    return SensitivityReport(family, list(schemes), layers, n_samples, seq_len)
+    return {
+        "schema": SENSITIVITY_SCHEMA,
+        "family": family,
+        "grads_at": "quantized",
+        "calib": {"samples": n_samples, "seq_len": seq_len},
+        "options": [{"label": s.label, "bits": s.bits,
+                     "group_size": s.group_size} for s in schemes],
+        "layers": [{"name": info.name, "params": info.n_params,
+                    "scores": {s.label: next(scores) for s in schemes}}
+                   for info in infos],
+    }

@@ -7,15 +7,16 @@ import the names they use from here:
 * models: :class:`ModelSpec`, :class:`LayerInfo` and :func:`layer_table`,
   the quantizable layers and their sizes before any parameter exists;
 * codecs: :class:`QuantScheme`, the MX formats and :func:`grid_bounds`;
-* sensitivity: :func:`option_set`, :class:`SensitivityReport` and
-  :class:`LayerScore`;
+* sensitivity: :func:`option_set`, the schemes a report scores (the
+  report itself is a JSON dict, which
+  :meth:`allocator.AllocationProblem.from_report` reads);
 * tuner: :class:`TuneConfig`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, ContractError
 
@@ -222,54 +223,3 @@ class TuneConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-
-# ---------------------------------------------------------------------------
-# sensitivity report
-
-
-@dataclass
-class LayerScore:
-    name: str
-    params: int
-    scores: dict = field(default_factory=dict)  # option label -> float
-
-
-@dataclass
-class SensitivityReport:
-    family: str
-    options: list  # QuantScheme, ascending bits
-    layers: list   # LayerScore, model order
-    calib_samples: int
-    calib_seq_len: int
-
-    def option_labels(self) -> list:
-        return [s.label for s in self.options]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "lowbit/sensitivity-v1",
-            "family": self.family,
-            "grads_at": "quantized",
-            "calib": {"samples": self.calib_samples,
-                      "seq_len": self.calib_seq_len},
-            "options": [{"label": s.label, "bits": s.bits,
-                         "group_size": s.group_size} for s in self.options],
-            "layers": [{"name": l.name, "params": l.params,
-                        "scores": {k: float(v) for k, v in sorted(l.scores.items())}}
-                       for l in self.layers],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensitivityReport":
-        if d.get("schema") != "lowbit/sensitivity-v1":
-            raise ContractError(f"not a sensitivity report: {d.get('schema')!r}")
-        family = d["family"]
-        options = [scheme_for_bits(family, o["bits"], o["group_size"])
-                   for o in d["options"]]
-        layers = [LayerScore(l["name"], int(l["params"]),
-                             {s.label: float(l["scores"][s.label])
-                              for s in options})
-                  for l in d["layers"]]
-        return cls(family, options, layers, int(d["calib"]["samples"]),
-                   int(d["calib"]["seq_len"]))

@@ -193,6 +193,9 @@ print(json.dumps([after_load, rcs, "numpy" in sys.modules]))
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(tmp_path / "absent.ini")
 
+    def test_out_dir_defaults_to_the_current_directory(self):
+        assert load_config().out_dir == Path(".")
+
     def test_digest_ignores_out_dir_only(self, tmp_path):
         base = load_config()
         moved = load_config(None, [f"run.out_dir={tmp_path}"])
@@ -242,11 +245,6 @@ print(json.dumps([after_load, rcs, "numpy" in sys.modules]))
         # canonical form is key-order independent
         shuffled = json.loads(canonical_json(d))
         assert digest_of(shuffled) == digest_of(d)
-
-    def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LOWBIT_OUT_DIR", str(tmp_path / "envdir"))
-        cfg = load_config()
-        assert cfg.out_dir == tmp_path / "envdir"
 
 
 def demo_payload(rng, bits=4, target="4"):
@@ -1124,6 +1122,16 @@ class TestCliErrors:
         assert str(tokens) in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
 
+    def test_token_file_not_utf8_exits_config(self, tmp_path, capsys):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_bytes(b"\xff\xfe1 2 3\n" * 16)
+        sets = TINY + (f"data.source={tokens}",)
+        assert run_cli(tmp_path, "sensitivity", sets=sets) == 2
+        err = capsys.readouterr().err
+        assert str(tokens) in err and "Traceback" not in err
+        assert not (tmp_path / "fp_model.npz").exists()
+        assert not (tmp_path / "sensitivity.json").exists()
+
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
@@ -1195,12 +1203,6 @@ class TestCliErrors:
             raise exc
         monkeypatch.setitem(cli.COMMANDS, "report", raiser)
         assert run_cli(tmp_path, "report") == code
-
-    def test_out_dir_env_is_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LOWBIT_OUT_DIR", str(tmp_path / "fromenv"))
-        assert cli.main(["sensitivity"] + sum(
-            (["--set", s] for s in TINY), [])) == 0
-        assert (tmp_path / "fromenv" / "sensitivity.json").is_file()
 
 
 class TestBundledSeed:

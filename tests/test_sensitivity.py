@@ -10,6 +10,7 @@ from lowbit import cli
 from lowbit import models as M
 from lowbit import sensitivity as sv
 from lowbit import tensor as T
+from lowbit.allocator import AllocationProblem
 from lowbit.codecs import mx_qdq
 from lowbit.errors import ContractError
 from tracepeak import peak_layers
@@ -211,7 +212,7 @@ class TestPrefixProbe:
     def test_report_equals_probes_without_prefixes(self, family, bits):
         m, cal = untrained_fixture(M.ARCH_TT)
         schemes = sv.option_set(family, bits, 32)
-        rep = sv.build_report(m, schemes, cal).to_dict()
+        rep = sv.build_report(m, schemes, cal)
         for layer in rep["layers"]:
             assert layer["scores"] == {
                 s.label: sv.delta_loss(m, layer["name"], s, cal)
@@ -223,24 +224,24 @@ class TestReport:
         m, cal = trained_fixture(0)
         schemes = sv.option_set("int-sym", [2, 4, 16], 32)
         rep = sv.build_report(m, schemes, cal)
-        assert len(rep.layers) == len(m.quantizable_layers())
-        for l in rep.layers:
-            assert set(l.scores) == {"w2g32", "w4g32", "w16"}
-            assert all(v >= 0 for v in l.scores.values())
-            assert l.scores["w16"] == 0.0
-            assert l.params == m.layer_info(l.name).n_params
+        assert len(rep["layers"]) == len(m.quantizable_layers())
+        for l in rep["layers"]:
+            assert set(l["scores"]) == {"w2g32", "w4g32", "w16"}
+            assert all(v >= 0 for v in l["scores"].values())
+            assert l["scores"]["w16"] == 0.0
+            assert l["params"] == m.layer_info(l["name"]).n_params
 
     def test_all_identity_options_give_zero_report(self):
         m, cal = trained_fixture(0)
         rep = sv.build_report(m, sv.option_set("int-sym", [16], 32), cal)
-        assert all(l.scores["w16"] == 0.0 for l in rep.layers)
+        assert all(l["scores"]["w16"] == 0.0 for l in rep["layers"])
 
     def test_deterministic_and_immutable(self):
         m, cal = trained_fixture(2)
         snap = {k: v.copy() for k, v in m.params.items()}
         schemes = sv.option_set("int-sym", [2, 4], 32)
-        a = sv.build_report(m, schemes, cal).to_dict()
-        b = sv.build_report(m, schemes, cal).to_dict()
+        a = sv.build_report(m, schemes, cal)
+        b = sv.build_report(m, schemes, cal)
         assert a == b
         for k in snap:
             np.testing.assert_array_equal(m.params[k], snap[k])
@@ -249,8 +250,8 @@ class TestReport:
         m, cal = trained_fixture(2)
         assert len(cal) == 2
         schemes = sv.option_set("int-sym", [2], 32)
-        a = sv.build_report(m, schemes, cal).to_dict()
-        b = sv.build_report(m, schemes, cal[::-1]).to_dict()
+        a = sv.build_report(m, schemes, cal)
+        b = sv.build_report(m, schemes, cal[::-1])
         assert a == b
 
     def test_save_load_round_trip(self, tmp_path):
@@ -258,10 +259,11 @@ class TestReport:
         schemes = sv.option_set("int-sym", [2, 4], 32)
         rep = sv.build_report(m, schemes, cal)
         p = tmp_path / "rep.json"
-        cli._write_json(p, rep.to_dict())
-        back = sv.SensitivityReport.from_dict(json.loads(p.read_text()))
-        assert back.to_dict() == rep.to_dict()
-        assert [s.label for s in back.options] == [s.label for s in rep.options]
+        cli._write_json(p, rep)
+        back = json.loads(p.read_text())
+        assert back == rep
+        assert AllocationProblem.from_report(back, "3") \
+            == AllocationProblem.from_report(rep, "3")
 
 
 @pytest.mark.parametrize("layer", ["layers.0", "head"])

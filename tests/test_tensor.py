@@ -365,14 +365,18 @@ class TestStreamedWeightGradient:
                                           want.view(np.int64))
 
 
-def _package_references(tree: ast.Module, own: bool) -> set:
-    """Names of ``lowbit.tensor`` functions a module refers to: through
-    an imported alias of the module, by ``from .tensor import``, or, in
-    tensor.py itself, by bare name outside the function's own def."""
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _package_references(tree: ast.Module, module: str, own: bool) -> set:
+    """Names of ``lowbit.<module>`` functions and classes a module refers
+    to: through an imported alias of the module, by ``from .<module>
+    import``, or, in the module itself, by bare name outside the
+    definition's own body."""
     aliases = {a.asname or a.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level == 1
                and node.module is None
-               for a in node.names if a.name == "tensor"}
+               for a in node.names if a.name == module}
     refs = set()
     for stmt in tree.body:
         found = set()
@@ -380,11 +384,11 @@ def _package_references(tree: ast.Module, own: bool) -> set:
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases):
                 found.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module == "tensor":
+            elif isinstance(node, ast.ImportFrom) and node.module == module:
                 found.update(a.name for a in node.names)
             elif own and isinstance(node, ast.Name):
                 found.add(node.id)
-        if own and isinstance(stmt, ast.FunctionDef):
+        if own and isinstance(stmt, DEFINITIONS):
             found.discard(stmt.name)
         refs |= found
     return refs
@@ -449,13 +453,15 @@ class TestGeluErf:
         assert fallback["sha"] == res["sha"]
 
 
-def test_every_public_function_has_a_caller_in_the_package():
-    # an op that only its own tests call is dead weight in the engine
+@pytest.mark.parametrize("module", ["tensor", "spec"])
+def test_every_public_function_has_a_caller_in_the_package(module):
+    # an op only its own tests call is dead weight in the engine, and a
+    # class only tests build is dead weight in the description of a run
     pkg = Path(T.__file__).parent
-    public = {f.name for f in ast.parse((pkg / "tensor.py").read_text()).body
-              if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+    public = {f.name for f in ast.parse((pkg / f"{module}.py").read_text()).body
+              if isinstance(f, DEFINITIONS) and not f.name.startswith("_")}
     used = set()
     for path in sorted(pkg.glob("*.py")):
-        used |= _package_references(ast.parse(path.read_text()),
-                                    path.name == "tensor.py")
+        used |= _package_references(ast.parse(path.read_text()), module,
+                                    path.stem == module)
     assert sorted(public - used) == []

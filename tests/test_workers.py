@@ -97,7 +97,7 @@ class TestSameBytes:
         model, cal = tiny_transformer()
         schemes = sensitivity.option_set(family, options)
         one, two = run_both(monkeypatch, lambda: sensitivity.build_report(
-            model, schemes, cal).to_dict())
+            model, schemes, cal))
         assert one == two
 
     def test_quantize_payloads(self, monkeypatch, family, options):

@@ -146,17 +146,13 @@ def assignment_from_dict(d: dict):
     return a, [l["name"] for l in d["layers"]], Fraction(d["target_bits"])
 
 
-def canonical_objective(problem: AllocationProblem, picks) -> float:
-    return math.fsum(problem.costs[i][k] for i, k in enumerate(picks))
-
-
 def _finish(problem: AllocationProblem, picks, solver: str) -> BitAssignment:
     bits = tuple(problem.options[k][1] for k in picks)
     labels = tuple(problem.options[k][0] for k in picks)
     total = sum(b * p for b, p in zip(bits, problem.params))
     avg = Fraction(total, sum(problem.params))
-    return BitAssignment(labels, bits, canonical_objective(problem, picks),
-                         avg, solver)
+    objective = math.fsum(problem.costs[i][k] for i, k in enumerate(picks))
+    return BitAssignment(labels, bits, objective, avg, solver)
 
 
 def validate_assignment(problem: AllocationProblem, a: BitAssignment) -> None:

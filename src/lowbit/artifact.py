@@ -195,7 +195,7 @@ def _check_layer(lname, row, pw, family, group_size, assigned,
     if assigned.get(lname) != bits:
         problems.append(f"layer {lname}: table has {bits} bits, "
                         f"assignment {assigned.get(lname)}")
-    if family is not None and group_size is not None:
+    if family is not None:
         try:
             want = scheme_for_bits(family, bits, group_size)
         except ContractError as e:
@@ -242,18 +242,15 @@ def verify_artifact(path) -> list:
         problems.append("assignment digest mismatch")
     asn = _dict(header, "assignment")
     scheme = _dict(header.get("config"), "scheme")
-    family = scheme.get("family")
-    if family not in ("int-sym", "mxfp"):
-        problems.append(f"config has no known scheme.family: {family!r}")
-        family = None
-    group_size = scheme.get("group_size")
+    family, group_size = scheme.get("family"), scheme.get("group_size")
     if not _count(group_size):
         problems.append(
             f"config has no integer scheme.group_size: {group_size!r}")
-        group_size = None
-    if family is not None and group_size is not None:
-        # both families have a 4-bit scheme, so a fault here lies in the
-        # config, not in any layer: report it once and compare no layer
+        family = None
+    else:
+        # both families have a 4-bit scheme, so a fault here (an unknown
+        # family too) lies in the config, not in any layer: report it
+        # once and compare no layer
         try:
             scheme_for_bits(family, 4, group_size)
         except ContractError as e:

@@ -63,6 +63,10 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
+# a toolkit error exits with the code of the first row it matches
+ERROR_EXITS = (((ConfigError, IngestionError), EXIT_CONFIG),
+               (InfeasibleError, EXIT_INFEASIBLE),
+               (NumericError, EXIT_NUMERIC), (LowbitError, EXIT_FAIL))
 
 SENSITIVITY_FILE = "sensitivity.json"
 ASSIGNMENT_FILE = "assignment.json"
@@ -150,21 +154,25 @@ def _load_assignment(path: Path, cfg) -> tuple:
     return _ingest(path, "assignment file", "allocate", parse)
 
 
+def _plan(cfg, bits) -> dict:
+    """Layer name -> scheme for per-layer ``bits`` on ``cfg``'s model."""
+    return tuner.plan_from_assignment(
+        [i.name for i in spec.layer_table(cfg.spec)], bits, cfg.family,
+        cfg.group_size)
+
+
 def _run_variants(cfg, variants) -> tuple:
     """(losses, last variant's QuantizeResult) of one run of ``cfg``'s
     model: the held-out loss of the fp model under ``"fp"``, then of each
-    ``(name, per-layer bits, TuneConfig)`` variant in turn, quantized by
+    ``(name, plan, TuneConfig)`` variant in turn, quantized by
     :func:`tuner.quantize_model`. ``quantize`` and ``report`` both run
     here, so equal variants give them equal losses. Only the losses
     outlive each variant's run, except the last variant's result."""
-    ev = models.eval_set(cfg)
     model, cal = models.build_model(cfg)
-    names = [i.name for i in model.quantizable_layers()]
+    ev = models.eval_set(cfg)
     losses = {"fp": model.eval_loss(ev)}
-    for name, bits, tune in variants:
+    for name, plan, tune in variants:
         res = None  # the last variant's weights go before this one runs
-        plan = tuner.plan_from_assignment(names, bits, cfg.family,
-                                          cfg.group_size)
         res = tuner.quantize_model(model, plan, cal, tune, eval_batches=ev)
         losses[name] = res.metrics["quantized_loss"]
     return losses, res
@@ -214,9 +222,14 @@ def cmd_quantize(cfg, args) -> int:
     asn_dict, (asn, target, rtn_bits) = _load_assignment(
         cfg.out_dir / ASSIGNMENT_FILE, cfg)
     table = spec.layer_table(cfg.spec)
-    losses, res = _run_variants(cfg, [
-        ("rtn", [rtn_bits] * len(table), PLAIN),
-        ("dl_only", asn.bits, PLAIN), ("tuned", asn.bits, cfg.tune)])
+    plan = _plan(cfg, asn.bits)
+    variants = [("rtn", _plan(cfg, [rtn_bits] * len(table)), PLAIN),
+                ("dl_only", plan, PLAIN)]
+    if tuner.tuned_layers(plan, cfg.tune):
+        variants.append(("tuned", plan, cfg.tune))
+    losses, res = _run_variants(cfg, variants)
+    # a run that tunes nothing is dl_only's, the last variant that ran
+    losses.setdefault("tuned", losses["dl_only"])
     budget = {"target_bits": str(target), "avg_bits": str(asn.avg_bits),
               "rtn_uniform_bits": rtn_bits}
     summary = [{"block": b.block, "layers": list(b.learned),
@@ -272,19 +285,21 @@ def cmd_report(cfg, args) -> int:
         raise ConfigError(f"{rpath} was scored under another config; "
                           f"run `lowbit sensitivity` with this one first")
     dp = allocator.allocate_dp(problem)
-    runs = {"dp": (dp, PLAIN),
-            **{mode: (allocator.allocate_heuristic(problem, mode), PLAIN)
-               for mode in ("head", "tail")}}
-    if cfg.tune.steps >= 1:
-        runs["tuned"] = (dp, cfg.tune)
-    losses, _ = _run_variants(cfg, [(mode, asn.bits, tune)
-                                    for mode, (asn, tune) in runs.items()])
+    runs = {"dp": dp, **{mode: allocator.allocate_heuristic(problem, mode)
+                         for mode in ("head", "tail")}}
+    variants = [(mode, _plan(cfg, asn.bits), PLAIN)
+                for mode, asn in runs.items()]
+    dp_plan = variants[0][1]
+    if tuner.tuned_layers(dp_plan, cfg.tune):
+        runs["tuned"] = dp
+        variants.append(("tuned", dp_plan, cfg.tune))
+    losses, _ = _run_variants(cfg, variants)
     fp_loss = losses["fp"]
-    rows = {mode: {"solver": asn.solver + ("+tune" if tune.steps else ""),
+    rows = {mode: {"solver": asn.solver + ("+tune" if mode == "tuned" else ""),
                    "avg_bits": str(asn.avg_bits),
                    "objective": asn.objective, "bits": list(asn.bits),
                    "loss": losses[mode]}
-            for mode, (asn, tune) in runs.items()}
+            for mode, asn in runs.items()}
 
     d = {"format": "lowbit/report-v1", "config_digest": cfg.digest(),
          "target_bits": str(cfg.target_bits), "fp_loss": fp_loss,
@@ -342,18 +357,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"run.out_dir {cfg.out_dir} cannot be a "
                               f"directory: {e}") from None
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, IngestionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InfeasibleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     except LowbitError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(code for kinds, code in ERROR_EXITS if isinstance(e, kinds))
 
 
 if __name__ == "__main__":

@@ -20,9 +20,10 @@ Two codec families:
 :class:`QuantScheme` (``none`` included, a raw float64 layer) to the
 layer's eval weight and its :class:`PackedWeights` payload. A payload
 carries that scheme, and every width, block length and format follows
-from it; codec ids (:data:`CODECS`) exist only in the payload's byte
-layout. Schemes, MX formats and the int-sym code range are plain Python
-in :mod:`lowbit.spec`.
+from it; codec ids exist only in the payload's byte layout, where one
+:data:`CODECS` row per id gives the family, the bits it fixes, the
+scale format byte and the scale dtype. Schemes, MX formats and the
+int-sym code range are plain Python in :mod:`lowbit.spec`.
 
 Weights are laid out (in_features, out_features) everywhere in this
 package, packed payloads included. Int-sym groups and MX blocks both run
@@ -48,15 +49,10 @@ from .spec import MXFP4, MXFP8, MxFormat, QuantScheme, grid_bounds
 SCALE_FLOOR = 1e-8
 
 # a payload header's codec id indexes this table: (family, the bits it
-# fixes, or None when the header's bits field says)
-CODECS = (("none", None), ("int-sym", None), ("mxfp", 4), ("mxfp", 8))
-
-SCALES_NONE = 0
-SCALES_F64 = 1
-SCALES_E8M0 = 2
-# scale format id and dtype of each quantized family
-SCALE_LAYOUT = {"int-sym": (SCALES_F64, np.float64),
-                "mxfp": (SCALES_E8M0, np.int8)}
+# fixes or None when the header's bits field says, the header's scale
+# format id, the scale dtype or None when the payload has no scales)
+CODECS = (("none", None, 0, None), ("int-sym", None, 1, np.float64),
+          ("mxfp", 4, 2, np.int8), ("mxfp", 8, 2, np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +342,18 @@ class PackedWeights:
 
     def to_bytes(self) -> bytes:
         s = self.scheme
-        codec = next(i for i, (family, bits) in enumerate(CODECS)
+        codec = next(i for i, (family, bits, _, _) in enumerate(CODECS)
                      if family == s.family and bits in (None, s.bits))
+        _, _, scale_fmt, scale_dtype = CODECS[codec]
         head = struct.pack("<BBIB", codec, s.bits, s.group_size,
                            len(self.shape))
         head += b"".join(struct.pack("<Q", d) for d in self.shape)
+        head += struct.pack("<B", scale_fmt)
         if s.family == "none":
-            head += struct.pack("<B", SCALES_NONE)
             return head + np.asarray(self.codes, dtype=np.float64).tobytes()
-        scale_fmt, scale_dtype = SCALE_LAYOUT[s.family]
         fields = signed_to_field(self.codes, s.bits) \
             if s.family == "int-sym" else self.codes
-        return (head + struct.pack("<B", scale_fmt)
-                + np.asarray(self.scales, dtype=scale_dtype).tobytes()
+        return (head + np.asarray(self.scales, dtype=scale_dtype).tobytes()
                 + pack_bits(fields, s.bits))
 
     @classmethod
@@ -366,9 +361,9 @@ class PackedWeights:
         """Decode one payload; any malformed input raises :class:`PackError`.
 
         The header's codec id, bits and group size must make a valid
-        :class:`QuantScheme`. Sizes are checked against the buffer before
-        anything is allocated, so a corrupt header cannot ask for a huge
-        array.
+        :class:`QuantScheme`, and its scale format must be the codec's.
+        Sizes are checked against the buffer before anything is
+        allocated, so a corrupt header cannot ask for a huge array.
         """
         try:
             codec, bits, group_size, rank = struct.unpack_from("<BBIB", buf, 0)
@@ -378,10 +373,12 @@ class PackedWeights:
             raise PackError(f"truncated header: {e}") from e
         if codec >= len(CODECS):
             raise PackError(f"unknown codec id {codec}")
-        family, fixed_bits = CODECS[codec]
+        family, fixed_bits, want_fmt, scale_dtype = CODECS[codec]
         if fixed_bits not in (None, bits):
             raise PackError(f"codec id {codec} is {family} at {fixed_bits} "
                             f"bits, header says {bits}")
+        if scale_fmt != want_fmt:
+            raise PackError(f"scale format {scale_fmt}, want {want_fmt}")
         try:
             scheme = QuantScheme(family, bits, group_size)
         except ContractError as e:
@@ -391,8 +388,6 @@ class PackedWeights:
         size = math.prod(shape)
         pw = cls(scheme, shape, None, np.empty(0))
         if family == "none":
-            if scale_fmt != SCALES_NONE:
-                raise PackError("raw payload must not carry scales")
             if body < size * 8:
                 raise PackError("raw payload shorter than header promises")
             pw.codes = np.frombuffer(buf, dtype=np.float64, count=size,
@@ -400,9 +395,6 @@ class PackedWeights:
             return pw
         if rank != 2 or size == 0:
             raise PackError(f"shape {shape} is not a non-empty 2-d weight")
-        want_fmt, scale_dtype = SCALE_LAYOUT[family]
-        if scale_fmt != want_fmt:
-            raise PackError(f"scale format {scale_fmt}, want {want_fmt}")
         code_bytes = -(-size * bits // 8)
         if body < code_bytes:
             raise PackError("payload shorter than header promises")

@@ -16,7 +16,10 @@ model knowing about any of them.
 
 :func:`build_model` builds and trains the fp model of a run's config and
 keeps its parameters in the output directory, so every command of the
-run starts from the same trained weights without retraining.
+run starts from the same trained weights without retraining. One
+reader, :func:`token_file_rows`, splits a token file into calibration
+rows and the held-out rows after them for both :func:`build_model` and
+:func:`eval_set`, so every command rejects a file too short for both.
 """
 
 from __future__ import annotations
@@ -355,18 +358,19 @@ def read_token_file(path, vocab: int, seq_len: int, n_samples: int) -> np.ndarra
 
 def load_calibration(source: str, vocab: int, n_samples: int, seq_len: int,
                      batch_size: int, seed: int) -> list:
+    """Batches of a generated source (:data:`config.GENERATED`) under
+    ``seed``; a token file's rows come from :func:`token_file_rows`."""
     if source == "synthetic":
         return synthetic_batches(vocab, n_samples, seq_len, batch_size, seed)
     if source == "markov":
         return markov_batches(vocab, n_samples, seq_len, batch_size, seed)
-    return batched(read_token_file(source, vocab, seq_len, n_samples),
-                   batch_size)
+    raise ContractError(f"{source!r} is not a generated source")
 
 
 def eval_batches(spec: ModelSpec, n_samples: int, seq_len: int,
                  batch_size: int, seed: int,
                  source: str = "synthetic") -> list:
-    """Held-out stream: same generator family, disjoint seed."""
+    """Held-out stream of a generated source, under a disjoint seed."""
     return load_calibration(source, spec.vocab, n_samples, seq_len,
                             batch_size, seed + EVAL_SEED_OFFSET)
 
@@ -385,8 +389,11 @@ def build_model(cfg: RunConfig):
     and is never cached.
     """
     model = ToyModel.build(cfg.spec)
-    cal = load_calibration(cfg.source, cfg.spec.vocab, cfg.calib_samples,
-                           cfg.seq_len, cfg.batch_size, cfg.seed)
+    if cfg.source in GENERATED:
+        cal = load_calibration(cfg.source, cfg.spec.vocab, cfg.calib_samples,
+                               cfg.seq_len, cfg.batch_size, cfg.seed)
+    else:
+        cal = batched(token_file_rows(cfg)[0], cfg.batch_size)
     if cfg.train_steps:
         path = cfg.out_dir / FP_MODEL_FILE
         key = _train_key(cfg, cal)
@@ -452,12 +459,19 @@ def _save_params(path: Path, key: str, params: dict) -> None:
     write_atomic(path, buf.getvalue())
 
 
+def token_file_rows(cfg: RunConfig) -> tuple:
+    """(calibration rows, held-out rows) of ``cfg``'s token file: its
+    first ``calib_samples`` rows and the ``eval_samples`` rows after
+    them. A file too short for both raises, whichever rows are wanted."""
+    rows = read_token_file(cfg.source, cfg.spec.vocab, cfg.seq_len,
+                           cfg.calib_samples + cfg.eval_samples)
+    return rows[:cfg.calib_samples], rows[cfg.calib_samples:]
+
+
 def eval_set(cfg: RunConfig) -> list:
     """Held-out batches: a generated source's stream under a disjoint
     seed, or a token file's rows after its calibration rows."""
     if cfg.source in GENERATED:
         return eval_batches(cfg.spec, cfg.eval_samples, cfg.seq_len,
                             cfg.batch_size, cfg.seed, source=cfg.source)
-    rows = read_token_file(cfg.source, cfg.spec.vocab, cfg.seq_len,
-                           cfg.calib_samples + cfg.eval_samples)
-    return batched(rows[cfg.calib_samples:], cfg.batch_size)
+    return batched(token_file_rows(cfg)[1], cfg.batch_size)

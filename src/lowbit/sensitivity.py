@@ -29,7 +29,6 @@ import numpy as np
 from . import tensor as T
 from .allocator import SENSITIVITY_SCHEMA
 from .codecs import mx_qdq, quantize_layer
-from .errors import ContractError
 # sensitivity.option_set stays: it names the schemes a report scores
 from .spec import QuantScheme, option_set
 from .workers import map_ordered
@@ -115,8 +114,6 @@ def build_report(model, schemes: list, calib_batches) -> dict:
     (:func:`workers.map_ordered`); each still averages its calibration
     batches in batch order, so the scores keep their bits.
     """
-    if not schemes:
-        raise ContractError("empty option set")
     family = next((s.family for s in schemes if s.family != "none"), "none")
     prefixes = fp_prefixes(model, calib_batches)
     infos = model.quantizable_layers()

@@ -98,6 +98,8 @@ class QuantScheme:
     def __post_init__(self):
         if self.family not in ("int-sym", "mxfp", "none"):
             raise ContractError(f"unknown codec family {self.family!r}")
+        if self.family == "none" and self.bits < 16:
+            raise ContractError(f"raw layers take 16 bits or more, got {self.bits}")
         if self.family == "int-sym" and not 2 <= self.bits <= 8:
             raise ContractError(f"int-sym bits must be in [2, 8], got {self.bits}")
         if self.family == "mxfp" and self.bits not in (4, 8):
@@ -128,16 +130,17 @@ class QuantScheme:
 
 
 def scheme_for_bits(family: str, bits: int, group_size: int) -> QuantScheme:
-    """Map an allocator bit option onto a concrete scheme.
+    """Map an allocator bit option onto a concrete scheme of ``family``.
 
-    16 bits (and anything wider than the family supports) means the
-    layer is stored untouched.
+    16 bits or more means the layer is stored untouched. Below that the
+    family's own rules hold, so an unknown family, or a width the family
+    does not have (int-sym 12, mxfp 6), raises ContractError.
     """
     if bits >= 16:
         return QuantScheme("none", bits, 0)
     if family == "mxfp":
-        return QuantScheme("mxfp", bits, group_size or MXFP4.block)
-    return QuantScheme("int-sym", bits, group_size)
+        group_size = group_size or MXFP4.block
+    return QuantScheme(family, bits, group_size)
 
 
 def option_set(family: str, bits_list, group_size: int = 32) -> list:

@@ -51,10 +51,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
@@ -137,10 +133,6 @@ def _upstream(g, a, b):
     return g
 
 
-def _negated(g, a, b):
-    return -g
-
-
 def _times_b(g, a, b):
     return g * b.data
 
@@ -152,11 +144,6 @@ def _times_a(g, a, b):
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     return _binary(a, b, a.data + b.data, _upstream, _upstream)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    return _binary(a, b, a.data - b.data, _upstream, _negated)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

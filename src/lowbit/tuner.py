@@ -9,9 +9,10 @@ sign, clamped to their boxes, and the best iterate seen wins.
 ``quantize_model`` strings the blocks together: activation statistics,
 searched initial scales, then one walk over the blocks and the head that
 tunes each block on the outputs of the already-quantized blocks before
-it and quantizes and packs its layers. A run that tunes nothing (0
-steps, or no int-sym layer) touches no calibration data: every layer is
-round-to-nearest.
+it and quantizes and packs its layers. :func:`tuned_layers` alone
+decides what a run tunes: a plan's int-sym layers at 1 step or more.
+A run that tunes nothing (0 steps, or no int-sym layer) touches no
+calibration data: every layer is round-to-nearest.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def trimmed_mse(pred: T.Tensor, target, trim_fraction: float = 0.0) -> T.Tensor:
         raise ShapeError(f"prediction {pred.shape} vs target {tgt.shape}")
     if not 0.0 <= trim_fraction < 1.0:
         raise ContractError("trim_fraction must lie in [0, 1)")
-    diff = T.sub(pred, T.Tensor(tgt))
+    diff = T.add(pred, T.Tensor(-tgt))  # x - y is x + (-y) in IEEE
     sq = T.mul(diff, diff)
     k = int(math.floor(trim_fraction * sq.data.size))
     if k == 0:
@@ -82,7 +83,7 @@ class BlockTuneResult:
 
 def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
                init_scales: dict | None = None) -> BlockTuneResult:
-    """Tune one block's integer-grid layers against its fp outputs.
+    """Tune one block's :func:`tuned_layers` against its fp outputs.
 
     ``inputs`` are the block's input activations, (samples, ...); the
     regression targets are the full-precision block outputs on those
@@ -91,8 +92,6 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
     ``init_scales`` maps layer names to searched scales; only this
     block's layers are looked up.
     """
-    if cfg.steps < 1:
-        raise ContractError("tuning needs at least one step")
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[0] < 1:
         raise ContractError("no calibration inputs")
@@ -100,7 +99,7 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
     unknown = set(schemes) - set(names)
     if unknown:
         raise ContractError(f"layers {sorted(unknown)} not in block {block}")
-    tuned_names = [n for n in names if schemes[n].family == "int-sym"]
+    tuned_names = tuned_layers({n: schemes[n] for n in names}, cfg)
     if not tuned_names:
         raise ContractError(f"block {block} has no tunable layers")
 
@@ -171,6 +170,14 @@ def _tuning_step(model, block, x, target, frozen, schemes, theta, init_scales,
                   for n, th in theta.items()}
 
 
+def tuned_layers(plan: dict, cfg: TuneConfig) -> list:
+    """The layers a run of ``cfg`` over ``plan`` tunes, in plan order:
+    the int-sym layers when ``cfg.steps`` is at least 1, else none."""
+    if cfg.steps < 1:
+        return []
+    return [n for n, s in plan.items() if s.family == "int-sym"]
+
+
 def plan_from_assignment(names, bits, family: str,
                          group_size: int = 32) -> dict:
     """Map layer names to schemes for a per-layer bit assignment."""
@@ -195,40 +202,39 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
     """Quantize a model per a layer->scheme plan.
 
     One walk visits the blocks in order and then the head. Each block
-    containing integer-grid layers is tuned when ``cfg.steps`` is at
-    least 1, on the calibration inputs as the quantized blocks before it
-    leave them; initial scales are searched for such a run when
-    ``use_scale_init`` is set, one layer per job in worker processes
-    (:func:`workers.map_ordered`), into one layer -> scales map that
-    every block's tuning reads. Otherwise the calibration batches go
-    unread and every layer is round-to-nearest. Every plan layer, 16-bit
-    and the head included, then gets its weight and payload from one
+    holding a layer of :func:`tuned_layers` is tuned, on the calibration
+    inputs as the quantized blocks before it leave them; initial scales
+    are searched for such a run when ``use_scale_init`` is set, one
+    layer per job in worker processes (:func:`workers.map_ordered`),
+    into one layer -> scales map that every block's tuning reads.
+    Otherwise the calibration batches go unread and every layer is
+    round-to-nearest. Every plan layer, 16-bit and the head included,
+    then gets its weight and payload from one
     :func:`codecs.quantize_layer` call, with the block's learned
     parameters when it was tuned; the head is never tuned.
     """
     for name in plan:
         model.layer_info(name)  # raises for a layer that does not quantize
-    int_sym = [n for n, s in plan.items() if s.family == "int-sym"]
-    tuning = cfg.steps >= 1 and bool(int_sym)
+    tunes = tuned_layers(plan, cfg)
 
     init_scales = {}
-    if tuning and cfg.use_scale_init:
+    if tunes and cfg.use_scale_init:
         stats = scale_init.calibrate_act_stats(model, calib_batches)
 
         def search(n):
             return scale_init.search_layer_scales(
                 model.params[n], stats[n], plan[n].bits, plan[n].group_size)
-        init_scales = dict(zip(int_sym, map_ordered(search, int_sym)))
+        init_scales = dict(zip(tunes, map_ordered(search, tunes)))
 
     weights, packed, tuned = {}, {}, []
     blocks = model.block_ids()
-    if tuning:
+    if tunes:
         ids = np.concatenate([np.asarray(b) for b in calib_batches], axis=0)
         x = model.embed_forward(ids)
     for block in [*blocks, None]:  # None is the head
         bnames = [n for n in model.block_layer_names(block) if n in plan]
         learned = {}
-        if tuning and block is not None and any(n in int_sym for n in bnames):
+        if block is not None and any(n in tunes for n in bnames):
             res = tune_block(model, block, x, {n: plan[n] for n in bnames},
                              cfg, init_scales=init_scales)
             learned = res.learned
@@ -238,7 +244,7 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
             weights[n], packed[n] = codecs.quantize_layer(
                 model.params[n], plan[n], init_scales=init_scales.get(n),
                 **learned.get(n, {}))
-        if tuning and block in blocks[:-1]:  # nothing reads the last output
+        if tunes and block in blocks[:-1]:  # nothing reads the last output
             x = model.block_forward(
                 block, x, overrides={n: weights[n] for n in bnames}).data
 

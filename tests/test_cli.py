@@ -28,6 +28,9 @@ TINY = (
     "tuning.steps=4", "tuning.batch_size=4",
 )
 
+# the same model under MX 4/8, which no run tunes
+TINY_MX = TINY + ("model.arch=tiny-transformer", "scheme.family=mxfp",
+                  "scheme.options=4,8", "scheme.target_bits=5")
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -526,14 +529,17 @@ class TestArtifact:
         parts = mx_payload(rng)
         mx = bytearray(parts[3]["lin"].to_bytes())
         struct.pack_into("<I", mx, 2, 0)  # the header's group size field
-        int_sym = codecs.CODECS.index(("int-sym", None))
+        ids = {row[0]: i for i, row in enumerate(codecs.CODECS)}
+        int_sym, raw = ids["int-sym"], ids["none"]
+        f64 = codecs.CODECS[int_sym][2]
         crafted = {
             "mx block 0": bytes(mx),
             "int-sym rank 3": struct.pack("<BBIB3QB", int_sym, 4,
-                                          4, 3, 2, 2, 2, codecs.SCALES_F64)
-            + bytes(64),
+                                          4, 3, 2, 2, 2, f64) + bytes(64),
             "huge shape": struct.pack("<BBIB2QB", int_sym, 4, 4,
-                                      2, 2 ** 62, 2 ** 62, codecs.SCALES_F64),
+                                      2, 2 ** 62, 2 ** 62, f64),
+            "raw at 8 bits": struct.pack("<BBIB2QB", raw, 8, 0, 2, 8, 6,
+                                         codecs.CODECS[raw][2]) + bytes(384),
         }
         for what, blob in crafted.items():
             path = tmp_path / "a.lbq"
@@ -735,11 +741,7 @@ class TestCliCommands:
         assert [{k: v for k, v in b.items() if k != "history"}
                 for b in d["blocks"]] == m["tuning"]
 
-    @pytest.mark.parametrize("sets", [
-        TINY,
-        TINY + ("model.arch=tiny-transformer", "scheme.family=mxfp",
-                "scheme.options=4,8", "scheme.target_bits=5")],
-        ids=["int-sym", "mx"])
+    @pytest.mark.parametrize("sets", [TINY, TINY_MX], ids=["int-sym", "mx"])
     def test_artifact_reproduces_its_own_metrics(self, tmp_path, sets):
         for command in ("sensitivity", "allocate", "quantize"):
             assert run_cli(tmp_path, command, sets=sets) == 0, command
@@ -776,6 +778,34 @@ class TestCliCommands:
         assert run_cli(tmp_path, "quantize") == 0
         assert alive == [[], [False], [False, False]]
 
+    def test_plan_that_tunes_nothing_runs_no_tuned_variant(
+            self, tmp_path, monkeypatch):
+        # the tuned results of an MX plan are dl_only's, which quantize
+        # has in hand: it writes them without quantizing a third time
+        for command in ("sensitivity", "allocate"):
+            assert run_cli(tmp_path, command, sets=TINY_MX) == 0, command
+        real = tuner.quantize_model
+        steps = []
+
+        def spied(model, plan, cal, cfg, **kwargs):
+            steps.append(cfg.steps)
+            return real(model, plan, cal, cfg, **kwargs)
+        monkeypatch.setattr(tuner, "quantize_model", spied)
+        assert run_cli(tmp_path, "quantize", sets=TINY_MX) == 0
+        assert steps == [0, 0]
+        m = read_json(tmp_path / "metrics.json")
+        assert m["losses"]["tuned"] == m["losses"]["dl_only"]
+        assert m["tuning"] == []
+        assert read_json(tmp_path / "tuned.json")["blocks"] == []
+        assert art.verify_artifact(tmp_path / "artifact.lbq") == []
+
+        steps.clear()
+        assert run_cli(tmp_path, "report", sets=TINY_MX) == 0
+        assert steps == [0, 0, 0]
+        rows = read_json(tmp_path / "report.json")["allocations"]
+        assert set(rows) == {"dp", "head", "tail"}
+        assert rows["dp"]["loss"] == m["losses"]["dl_only"]
+
     def test_tune_command_is_gone(self, tmp_path, capsys):
         # quantize writes tuned.json; no second command tunes
         assert run_cli(tmp_path, "tune") == 2
@@ -803,6 +833,9 @@ class TestCliCommands:
         assert set(d["allocations"]) == {"dp", "head", "tail", "tuned"}
         assert np.isfinite(d["fp_loss"])
         dp = d["allocations"]["dp"]
+        assert [r["solver"] for r in d["allocations"].values()] \
+            == ["dp", "head", "tail", "dp+tune"]
+        assert d["allocations"]["tuned"]["bits"] == dp["bits"]
         for mode in ("head", "tail"):
             assert dp["objective"] <= d["allocations"][mode]["objective"]
 
@@ -863,10 +896,12 @@ def count_training(monkeypatch):
     return calls
 
 
-def write_tokens(path, seed):
+def write_tokens(path, seed, rows=12):
+    """A token file for TINY, which reads 8 calibration rows and 4
+    held-out rows after them."""
     rng = np.random.default_rng(seed)
     path.write_text("".join(" ".join(map(str, row)) + "\n"
-                            for row in rng.integers(0, 16, size=(8, 16))))
+                            for row in rng.integers(0, 16, size=(rows, 16))))
 
 
 def flip_middle_byte(path):
@@ -996,6 +1031,8 @@ BAD_SCORES = {
     "nan_score": edited(
         SCORES, lambda d: d["layers"][0]["scores"].update(w2g32=float("nan"))),
     "zero_params": edited(SCORES, lambda d: d["layers"][0].update(params=0)),
+    # the family names the codec of every option under 16 bits
+    "bogus_family": edited(SCORES, lambda d: d.update(family="bogus")),
 }
 BAD_ASSIGNMENTS = {
     "list": [],
@@ -1028,10 +1065,37 @@ MALFORMED = [
 ]
 
 
+def exits_on_calibration_rows_only(tmp_path, monkeypatch, capsys, command,
+                                   writes):
+    """``command`` on a token file holding TINY's 8 calibration rows but
+    none of its 4 held-out rows exits 2 naming the file, untrained."""
+    tokens = tmp_path / "tokens.txt"
+    write_tokens(tokens, seed=1, rows=8)
+    sets = TINY + (f"data.source={tokens}",)
+    # the inputs of report and quantize, made for this config
+    inputs = {"sensitivity.json": dict(
+        SCORES, config_digest=load_config(None, sets).digest()),
+        "assignment.json": ASSIGNMENT}
+    for name, body in inputs.items():
+        if name != writes:
+            (tmp_path / name).write_text(json.dumps(body))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the eval rows were read")
+    monkeypatch.setattr(models, "train_model", no_training)
+    assert run_cli(tmp_path, command, sets=sets) == 2
+    assert str(tokens) in capsys.readouterr().err
+    assert not (tmp_path / writes).exists()
+    assert not (tmp_path / "fp_model.npz").exists()
+
+
 class TestCliErrors:
     @pytest.mark.parametrize("command,name,body", MALFORMED)
     def test_malformed_input_exits_config(self, tmp_path, capsys, command,
                                           name, body):
+        if command == "report" and isinstance(body, dict):
+            # scored under this config, so only the fault can stop report
+            body = dict(body, config_digest=load_config(None, TINY).digest())
         (tmp_path / name).write_text(json.dumps(body))
         assert run_cli(tmp_path, command) == 2
         assert name in capsys.readouterr().err
@@ -1110,17 +1174,15 @@ class TestCliErrors:
 
     def test_token_file_without_eval_rows_exits_before_training(
             self, tmp_path, monkeypatch, capsys):
-        tokens = tmp_path / "tokens.txt"
-        write_tokens(tokens, seed=1)  # 8 rows: calibration only
-        (tmp_path / "assignment.json").write_text(json.dumps(ASSIGNMENT))
+        exits_on_calibration_rows_only(tmp_path, monkeypatch, capsys,
+                                       "quantize", "metrics.json")
 
-        def no_training(cfg):
-            raise AssertionError("model built before the eval rows were read")
-        monkeypatch.setattr(models, "build_model", no_training)
-        sets = TINY + (f"data.source={tokens}",)
-        assert run_cli(tmp_path, "quantize", sets=sets) == 2
-        assert str(tokens) in capsys.readouterr().err
-        assert not (tmp_path / "metrics.json").exists()
+    @pytest.mark.parametrize("command,writes", [
+        ("sensitivity", "sensitivity.json"), ("report", "report.json")])
+    def test_every_model_command_needs_the_eval_rows(
+            self, tmp_path, monkeypatch, capsys, command, writes):
+        exits_on_calibration_rows_only(tmp_path, monkeypatch, capsys,
+                                       command, writes)
 
     def test_token_file_not_utf8_exits_config(self, tmp_path, capsys):
         tokens = tmp_path / "tokens.txt"

@@ -59,8 +59,8 @@ def qdq_graph_ref(w, bits, group_size, v, alpha, beta, init_scales=None):
         s_g = T.mul(T.Tensor(init_scales), alpha)
     else:
         wmax, wmin = C.group_extrema(w, group_size)
-        s_g = _div(T.sub(T.mul(T.Tensor(wmax), alpha),
-                         T.mul(T.Tensor(wmin), beta)),
+        s_g = _div(T.add(T.mul(T.Tensor(wmax), alpha),
+                         T.mul(T.Tensor(-wmin), beta)),
                    T.Tensor(float((1 << bits) - 1)))
     s_full = T.take(_clip(s_g, C.SCALE_FLOOR),
                     C.group_index(w.shape[0], group_size))
@@ -273,7 +273,7 @@ class TestUniformQdq:
         a_t = T.Tensor(a0, requires_grad=True)
         b_t = T.Tensor(b0, requires_grad=True)
         q_t = C.uniform_qdq_graph(w, bits, 0, v_t, a_t, b_t)
-        loss = T.sum_(T.power(T.sub(q_t, T.Tensor(tgt)), 2.0))
+        loss = T.sum_(T.power(T.add(q_t, T.Tensor(-tgt)), 2.0))
         grads = T.backward(loss, wrt=[v_t, a_t, b_t])
 
         wmax, wmin = w.max(axis=0), w.min(axis=0)
@@ -525,6 +525,34 @@ class TestPacking:
         buf[1] = 8  # an MXFP4 codec id claiming 8-bit codes
         with pytest.raises(PackError, match="header says 8"):
             C.PackedWeights.from_bytes(bytes(buf))
+
+    def test_raw_payload_under_16_bits_is_a_pack_error(self):
+        rng = np.random.default_rng(54)
+        buf = bytearray(C.quantize_layer(rng.normal(size=(4, 3)),
+                                         C.QuantScheme("none", 16, 0))[1]
+                        .to_bytes())
+        buf[1] = 8  # the bits field: a raw layer claiming 8 bits
+        with pytest.raises(PackError, match="take 16 bits or more"):
+            C.PackedWeights.from_bytes(bytes(buf))
+
+    @pytest.mark.parametrize("family", ["int-sym", "mxfp", "none"])
+    def test_scale_format_byte_is_checked_for_every_codec(self, family):
+        # the byte sits after the header's shape, which is 2-d here
+        bits = 16 if family == "none" else 4
+        w = np.random.default_rng(55).normal(size=(32, 4))
+        buf = bytearray(C.quantize_layer(
+            w, scheme_for_bits(family, bits, 32))[1].to_bytes())
+        fmt = C.CODECS[buf[0]][2]
+        assert buf[23] == fmt
+        buf[23] = fmt + 1
+        with pytest.raises(PackError, match="scale format"):
+            C.PackedWeights.from_bytes(bytes(buf))
+
+    @pytest.mark.parametrize("family,bits", [
+        ("bogus", 4), ("none", 8), ("int-sym", 12), ("mxfp", 6)])
+    def test_scheme_for_bits_keeps_the_family_rules(self, family, bits):
+        with pytest.raises(ContractError):
+            scheme_for_bits(family, bits, 32)
 
     def test_mx_block_length_is_fixed(self):
         assert scheme_for_bits("mxfp", 4, 0).group_size == 32

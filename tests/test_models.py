@@ -331,6 +331,16 @@ class TestDataPipeline:
         assert flat_cal.shape == flat_ev.shape
         assert np.any(flat_cal != flat_ev)
 
+    def test_a_token_file_is_not_a_generated_source(self, tmp_path):
+        # its first rows are the calibration rows, never held-out data;
+        # a run's token file is split by models.token_file_rows
+        p = tmp_path / "tok.txt"
+        p.write_text("1 2 3\n" * 8)
+        with pytest.raises(ContractError, match="not a generated source"):
+            M.eval_batches(tiny_spec(), 2, 3, 2, seed=0, source=str(p))
+        with pytest.raises(ContractError, match="not a generated source"):
+            M.load_calibration(str(p), 20, 2, 3, 2, seed=0)
+
 
 class TestMarkovData:
     def test_transition_rows_are_distributions(self):

@@ -98,7 +98,7 @@ class TestTrimmedMse:
                 order = np.argsort((p_arr - t) ** 2, kind="stable")
                 mask[order[n - k:]] = 0.0
                 ref_pred = T.Tensor(p_arr, requires_grad=True)
-                diff = T.sub(ref_pred, T.Tensor(t))
+                diff = T.add(ref_pred, T.Tensor(-t))
                 ref = T.sum_(T.mul(T.mul(diff, diff), T.Tensor(mask)))
                 ref_g = T.backward(ref, wrt=[ref_pred])[ref_pred]
                 assert loss.item() == ref.item(), (n, frac)

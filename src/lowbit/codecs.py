@@ -34,6 +34,7 @@ scale per (group, output column) and dequantize through the one decoder
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -59,27 +60,38 @@ CODECS = (("none", None, 0, None), ("int-sym", None, 1, np.float64),
 # uniform integer codec
 
 
-def group_segments(n_rows: int, group_size: int) -> list[tuple[int, int]]:
-    """Contiguous [start, end) row ranges; a trailing partial group is kept."""
+@functools.lru_cache(maxsize=64)
+def group_starts(n_rows: int, group_size: int) -> np.ndarray:
+    """The first row of each contiguous group down axis 0, a trailing
+    partial group kept; one read-only array per layout."""
     if n_rows <= 0:
         raise ContractError("no rows to group")
     if group_size <= 0 or group_size >= n_rows:
-        return [(0, n_rows)]
-    starts = list(range(0, n_rows, group_size))
-    return [(s, min(s + group_size, n_rows)) for s in starts]
+        group_size = n_rows
+    starts = np.arange(0, n_rows, group_size)
+    starts.flags.writeable = False
+    return starts
 
 
+def group_segments(n_rows: int, group_size: int) -> list[tuple[int, int]]:
+    """Contiguous [start, end) row ranges of :func:`group_starts`."""
+    starts = group_starts(n_rows, group_size).tolist()
+    return list(zip(starts, [*starts[1:], n_rows]))
+
+
+@functools.lru_cache(maxsize=64)
 def group_index(n_rows: int, group_size: int) -> np.ndarray:
-    """Group id for each row, matching :func:`group_segments` order."""
-    idx = np.zeros(n_rows, dtype=np.int64)
-    for g, (s, e) in enumerate(group_segments(n_rows, group_size)):
-        idx[s:e] = g
+    """Group id for each row, matching :func:`group_segments` order; one
+    read-only array per layout."""
+    starts = group_starts(n_rows, group_size)
+    idx = np.repeat(np.arange(len(starts)), np.diff(starts, append=n_rows))
+    idx.flags.writeable = False
     return idx
 
 
 def group_extrema(w: np.ndarray, group_size: int):
     """Per-group (max, min) down axis 0, each shaped (n_groups, columns)."""
-    starts = [s for s, _ in group_segments(w.shape[0], group_size)]
+    starts = group_starts(w.shape[0], group_size)
     return (np.maximum.reduceat(w, starts, axis=0),
             np.minimum.reduceat(w, starts, axis=0))
 
@@ -99,7 +111,7 @@ def _int_sym_grid(w: np.ndarray, bits: int, group_size: int, v, alpha, beta,
     if w.ndim != 2:
         raise ShapeError(f"expected a 2-d weight, got shape {w.shape}")
     lo, hi = grid_bounds(bits)
-    n_groups = len(group_segments(w.shape[0], group_size))
+    n_groups = len(group_starts(w.shape[0], group_size))
     if init_scales is not None:
         terms = (np.asarray(init_scales, dtype=np.float64),)
         s_g = terms[0] * alpha
@@ -111,7 +123,8 @@ def _int_sym_grid(w: np.ndarray, bits: int, group_size: int, v, alpha, beta,
         s_g = (terms[0] * alpha - terms[1] * beta) / terms[2]
     above_floor = s_g >= SCALE_FLOOR
     s_g = np.clip(s_g, SCALE_FLOOR, None)
-    x = w / s_g[group_index(w.shape[0], group_size)]
+    x = s_g[group_index(w.shape[0], group_size)]
+    np.divide(w, x, out=x)
     if v is not None:
         x += v
     np.rint(x, out=x)
@@ -167,20 +180,29 @@ def uniform_qdq_graph(w: np.ndarray, bits: int, group_size: int,
     q, in_grid, s_g, above_floor, terms = _int_sym_grid(
         w, bits, group_size, v.data, alpha.data, beta.data, init_scales)
     rows = group_index(w.shape[0], group_size)
-    out = s_g[rows] * q
+    out = s_g[rows]
+    out *= q
 
     def vjp(g):
-        s_full = s_g[rows]
-        g_x = g * s_full * in_grid  # reaches v and w / s unchanged
-        g_s = g * q + (-g_x * w) / (s_full * s_full)
-        del s_full
+        # g_s = g * q + (-g_x * w) / (s_full * s_full), in place, with the
+        # same ufuncs in the same order; buf holds s_full, then g * q
+        buf = s_g[rows]
+        g_x = g * buf
+        g_x *= in_grid  # reaches v and w / s unchanged
+        g_s = np.negative(g_x)
+        g_s *= w
+        buf *= buf
+        g_s /= buf
+        g_s += np.multiply(g, q, out=buf)
+        del buf
         g_sg = np.zeros_like(s_g)
         np.add.at(g_sg, rows, g_s)
-        g_sg = g_sg * above_floor
+        del g_s
+        g_sg *= above_floor
         if init_scales is not None:  # beta is not in the formula
             return g_x, g_sg * terms[0], np.zeros_like(g_sg)
         wmax, wmin, denom = terms
-        g_sg = g_sg / denom
+        g_sg /= denom
         return g_x, g_sg * wmax, -g_sg * wmin
 
     return T.custom(out, (v, alpha, beta), vjp)
@@ -399,7 +421,7 @@ class PackedWeights:
         if body < code_bytes:
             raise PackError("payload shorter than header promises")
         rows, cols = shape
-        scale_shape = (len(group_segments(rows, group_size)), cols)
+        scale_shape = (len(group_starts(rows, group_size)), cols)
         n_scales = math.prod(scale_shape)
         scale_bytes = n_scales * np.dtype(scale_dtype).itemsize
         if body < scale_bytes + code_bytes:

@@ -24,6 +24,7 @@ rows and the held-out rows after them for both :func:`build_model` and
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import math
@@ -120,8 +121,7 @@ class ToyModel:
         q, k, v = heads("wq"), heads("wk"), heads("wv")
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
                        T.Tensor(1.0 / math.sqrt(dh)))
-        mask = np.triu(np.full((t, t), -1e9), k=1)
-        att = T.softmax(T.add(scores, T.Tensor(mask)))
+        att = T.softmax(T.add(scores, T.Tensor(_causal_mask(t))))
         out = T.matmul(att, v)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (bsz, t, d))
         return self._apply_linear(f"blocks.{b}.attn.wo", out, ctx)
@@ -202,6 +202,15 @@ class ToyModel:
         if not isinstance(x, T.Tensor):
             x = T.Tensor(x)
         return self._block(block, x, self._ctx(overrides, taps))
+
+
+@functools.lru_cache(maxsize=16)
+def _causal_mask(t: int) -> np.ndarray:
+    """The (t, t) additive attention mask, -1e9 above the diagonal; one
+    read-only array per length."""
+    mask = np.triu(np.full((t, t), -1e9), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _next_token_loss(logits: T.Tensor, ids) -> T.Tensor:

@@ -105,13 +105,13 @@ def tune_block(model, block: int, inputs, schemes: dict, cfg: TuneConfig, *,
 
     frozen = {n: codecs.quantize_layer(model.params[n], schemes[n])[0]
               for n in names if n not in tuned_names}
-    targets = model.block_forward(block, inputs).data
+    targets = _forward_rows(model, block, inputs, cfg.batch_size)
 
     s_init = init_scales or {}
     theta = {}
     for n in tuned_names:
         w = model.params[n]
-        n_g = len(codecs.group_segments(w.shape[0], schemes[n].group_size))
+        n_g = len(codecs.group_starts(w.shape[0], schemes[n].group_size))
         theta[n] = {"v": np.zeros_like(w, dtype=np.float64),
                     "alpha": np.ones((n_g, w.shape[1])),
                     "beta": np.ones((n_g, w.shape[1]))}
@@ -146,7 +146,8 @@ def _tuning_step(model, block, x, target, frozen, schemes, theta, init_scales,
                  cfg, last):
     """The trimmed loss at ``theta`` on one batch and, unless ``last`` or
     the loss is not finite, the next iterate: one clamped sign step per
-    parameter. The leaves, the graph and the gradients die on return.
+    parameter, written into its gradient's buffer. The leaves and the
+    graph die on return.
     """
     over = dict(frozen)
     leaves = {}
@@ -165,9 +166,30 @@ def _tuning_step(model, block, x, target, frozen, schemes, theta, init_scales,
     if last or not np.isfinite(lval):
         return lval, None
     grads = T.backward(loss, wrt=[t for ts in leaves.values() for t in ts])
-    return lval, {n: {k: np.clip(th[k] - cfg.lr * np.sign(grads[t]), *BOXES[k])
+    return lval, {n: {k: _sign_step(th[k], grads.pop(t), cfg.lr, BOXES[k])
                       for k, t in zip(BOXES, leaves[n])}
                   for n, th in theta.items()}
+
+
+def _sign_step(th, grad, lr, box):
+    """clip(th - lr * sign(grad), *box), written into ``grad``."""
+    np.sign(grad, out=grad)
+    grad *= lr
+    np.subtract(th, grad, out=grad)
+    return np.clip(grad, *box, out=grad)
+
+
+def _forward_rows(model, block: int, x, rows: int, overrides=None):
+    """``model.block_forward`` over ``x`` at most ``rows`` rows at a time,
+    joined in row order, as an array shaped like ``x`` (a block keeps
+    its input's shape). Every op in a block is row-wise, so the bits are
+    those of one call over all of ``x``; the arrays alive at once are
+    one batch's."""
+    out = np.empty_like(x)
+    for i in range(0, len(x), rows):
+        out[i:i + rows] = model.block_forward(block, x[i:i + rows],
+                                              overrides=overrides).data
+    return out
 
 
 def tuned_layers(plan: dict, cfg: TuneConfig) -> list:
@@ -209,9 +231,11 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
     into one layer -> scales map that every block's tuning reads.
     Otherwise the calibration batches go unread and every layer is
     round-to-nearest. Every plan layer, 16-bit and the head included,
-    then gets its weight and payload from one
-    :func:`codecs.quantize_layer` call, with the block's learned
-    parameters when it was tuned; the head is never tuned.
+    then gets its payload from one :func:`codecs.quantize_layer` call,
+    with the block's learned parameters when it was tuned; the head is
+    never tuned. The walk holds float weights for one block at a time,
+    and forwards and tunes at most ``cfg.batch_size`` rows at once; the
+    result's weights are decoded from the payloads after it.
     """
     for name in plan:
         model.layer_info(name)  # raises for a layer that does not quantize
@@ -226,7 +250,7 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
                 model.params[n], stats[n], plan[n].bits, plan[n].group_size)
         init_scales = dict(zip(tunes, map_ordered(search, tunes)))
 
-    weights, packed, tuned = {}, {}, []
+    packed, tuned = {}, []
     blocks = model.block_ids()
     if tunes:
         ids = np.concatenate([np.asarray(b) for b in calib_batches], axis=0)
@@ -240,13 +264,15 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
             learned = res.learned
             # the payloads below carry the learned arrays: keep the names
             tuned.append(replace(res, learned=dict.fromkeys(learned)))
+        deq = {}  # this block's eval weights, dropped with the block
         for n in bnames:
-            weights[n], packed[n] = codecs.quantize_layer(
+            deq[n], packed[n] = codecs.quantize_layer(
                 model.params[n], plan[n], init_scales=init_scales.get(n),
                 **learned.get(n, {}))
         if tunes and block in blocks[:-1]:  # nothing reads the last output
-            x = model.block_forward(
-                block, x, overrides={n: weights[n] for n in bnames}).data
+            x = _forward_rows(model, block, x, cfg.batch_size, overrides=deq)
+    # a payload decodes to its eval weight bit for bit
+    weights = {n: pw.dequantize() for n, pw in packed.items()}
 
     metrics = {}
     if eval_batches is not None:

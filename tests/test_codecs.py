@@ -169,6 +169,24 @@ class TestUniformQdq:
         ref, _ = qdq_group_ref(list(w[8:10, 0]), 4)
         np.testing.assert_allclose(deq[8:10, 0], ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("rows", [1, 33, 64])
+    @pytest.mark.parametrize("gs", [0, 1, 32, 64])
+    def test_group_layout_is_one_read_only_array(self, rows, gs):
+        # the loop the cached layout replaced is the reference
+        bounds = ([(0, rows)] if gs <= 0 or gs >= rows else
+                  [(s, min(s + gs, rows)) for s in range(0, rows, gs)])
+        ref = np.zeros(rows, dtype=np.int64)
+        for g, (s, e) in enumerate(bounds):
+            ref[s:e] = g
+        assert C.group_segments(rows, gs) == bounds
+        idx, starts = C.group_index(rows, gs), C.group_starts(rows, gs)
+        assert idx.dtype == ref.dtype
+        np.testing.assert_array_equal(idx, ref)
+        assert starts.tolist() == [s for s, _ in bounds]
+        assert C.group_index(rows, gs) is idx
+        assert C.group_starts(rows, gs) is starts
+        assert not (idx.flags.writeable or starts.flags.writeable)
+
     def test_constant_group_uses_floor_scale(self):
         w = np.full((6, 1), 0.7)
         deq, _, scales = C.quantize_weight(w, bits=4, group_size=0)

@@ -151,6 +151,11 @@ class TestForwardAndLoss:
             la.data[0, :3], lb.data[0, :3], rtol=0, atol=1e-12
         )
 
+    def test_causal_mask_is_built_once_per_length(self):
+        mask = M._causal_mask(5)
+        np.testing.assert_array_equal(mask, np.triu(np.full((5, 5), -1e9), k=1))
+        assert M._causal_mask(5) is mask and not mask.flags.writeable
+
     def test_eval_loss_is_batch_mean(self):
         m = M.ToyModel.build(tiny_spec())
         batches = [np.array([[1, 2, 3]]), np.array([[4, 5, 6], [7, 8, 9]])]

@@ -36,6 +36,19 @@ def block_inputs(model, cal):
     return model.embed_forward(np.concatenate(cal))
 
 
+def tt_int_run():
+    """The benchmark's tt-int shapes: a 2-block, 64-wide tiny transformer,
+    64 calibration rows of 32 tokens, int-sym 2/4/8/16 bits, tuned in
+    batches of 8. Returns (model, plan, calibration, TuneConfig)."""
+    model, cal = small_model(arch=models.ARCH_TT, hidden=64, n_blocks=2,
+                             vocab=64, seed=21, n_samples=64, seq_len=32)
+    names = [i.name for i in model.quantizable_layers()]
+    plan = tuner.plan_from_assignment(
+        names, [(2, 4, 8, 16)[i % 4] for i in range(len(names))], "int-sym")
+    cfg = tuner.TuneConfig(steps=2, lr=0.05, batch_size=8, seed=0)
+    return model, plan, cal, cfg
+
+
 class TestTrimmedMse:
     def test_worked_example(self):
         pred = T.Tensor(np.array([3.0, 2.0, 1.0, 0.0]))
@@ -475,6 +488,31 @@ class TestQuantizeModel:
             assert tuned_err < rtn_err
             x = model.block_forward(block, x).data
 
+    def test_forwards_at_most_one_tuning_batch_of_rows(self, monkeypatch):
+        model, plan, cal, cfg = tt_int_run()
+        seen = []
+        block_forward = models.ToyModel.block_forward
+
+        def counted(self, block, x, *args, **kwargs):
+            seen.append(len(x))
+            return block_forward(self, block, x, *args, **kwargs)
+        monkeypatch.setattr(models.ToyModel, "block_forward", counted)
+        got = tuner.quantize_model(model, plan, cal, cfg)
+        assert seen and max(seen) == cfg.batch_size
+
+        # the reference runs the targets and the walk over all 64 rows
+        def whole(model, block, x, rows, overrides=None):
+            return model.block_forward(block, x, overrides=overrides).data
+        monkeypatch.setattr(tuner, "_forward_rows", whole)
+        seen.clear()
+        ref = tuner.quantize_model(model, plan, cal, cfg)
+        assert max(seen) == 64
+        assert [b.history for b in got.tuned] == [b.history for b in ref.tuned]
+        for name in plan:
+            assert got.weights[name].tobytes() == ref.weights[name].tobytes()
+            assert (got.packed[name].to_bytes()
+                    == ref.packed[name].to_bytes())
+
     def test_rejects_non_linear_layer(self):
         model, cal = small_model(arch=models.ARCH_TT, seed=17)
         plan = {"blocks.0.norm1.g": scheme_for_bits("int-sym", 4, 32)}
@@ -499,8 +537,16 @@ class TestMemory:
         peak = peak_layers(lambda: tuner.tune_block(
             model, 0, x, {"layers.0": scheme}, cfg, init_scales=init))
         # holding every gradient until backward returns, or the previous
-        # step's graph while this one is built, takes a step to about 31
-        assert peak <= 15, peak
+        # step's graph while this one is built, takes a step to about 31;
+        # the quantizer node's out-of-place VJP and sign step to 10.8
+        assert peak <= 10.5, peak
+
+    def test_quantize_forwards_one_batch_of_activations(self):
+        model, plan, cal, cfg = tt_int_run()
+        peak = peak_layers(lambda: tuner.quantize_model(model, plan, cal, cfg))
+        # one block forward over all 64 rows, whose (64, 4, 32, 32)
+        # attention arrays are 2 MB each, took the run to 7.8
+        assert peak <= 5, peak
 
     def test_tuned_blocks_hold_no_learned_arrays(self):
         model, cal = small_model(n_blocks=2, seed=14)

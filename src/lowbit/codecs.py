@@ -179,25 +179,28 @@ def uniform_qdq_graph(w: np.ndarray, bits: int, group_size: int,
     w = np.asarray(w, dtype=np.float64)
     q, in_grid, s_g, above_floor, terms = _int_sym_grid(
         w, bits, group_size, v.data, alpha.data, beta.data, init_scales)
+    # the grid clips to at most 8 bits, so int8 holds every code exactly;
+    # a product with a code's signed zero differs only in the sign of a
+    # zero term, and g_sg's sums start from +0.0
+    codes = q.astype(np.int8)
     rows = group_index(w.shape[0], group_size)
-    out = s_g[rows]
-    out *= q
+    out = np.multiply(q, s_g[rows], out=q)  # the codes' array, scaled
+    segments = group_segments(w.shape[0], group_size)
 
     def vjp(g):
-        # g_s = g * q + (-g_x * w) / (s_full * s_full), in place, with the
-        # same ufuncs in the same order; buf holds s_full, then g * q
-        buf = s_g[rows]
-        g_x = g * buf
+        # g_s = g * q + (-g_x * w) / (s_full * s_full), with the same ufuncs
+        # in the same order, one row group at a time; np.add.at adds each
+        # group's rows into g_sg in row order
+        g_x = s_g[rows]
+        g_x *= g
         g_x *= in_grid  # reaches v and w / s unchanged
-        g_s = np.negative(g_x)
-        g_s *= w
-        buf *= buf
-        g_s /= buf
-        g_s += np.multiply(g, q, out=buf)
-        del buf
         g_sg = np.zeros_like(s_g)
-        np.add.at(g_sg, rows, g_s)
-        del g_s
+        for j, (a, b) in enumerate(segments):
+            g_s = np.negative(g_x[a:b])
+            g_s *= w[a:b]
+            g_s /= s_g[j] * s_g[j]
+            g_s += np.multiply(g[a:b], codes[a:b])
+            np.add.at(g_sg, rows[a:b], g_s)
         g_sg *= above_floor
         if init_scales is not None:  # beta is not in the formula
             return g_x, g_sg * terms[0], np.zeros_like(g_sg)
@@ -230,16 +233,17 @@ def _round_to_grid(y: np.ndarray, fmt: MxFormat) -> np.ndarray:
     return sign * q
 
 
-def mx_qdq(x: np.ndarray, fmt: MxFormat):
-    """Block-quantize along the last axis.
+def mx_grid(x: np.ndarray, fmt: MxFormat):
+    """Block-quantize along the last axis, without encoding.
 
-    Returns (dequantized, codes, scale_exponents). Codes are unsigned
-    (sign bit above the magnitude index); scale exponents are one int8
-    per block. An all-zero block gets exponent 0 and zero codes.
+    Returns (dequantized, grid values, scale exponents): the grid values
+    shaped (..., n_blocks, block), zero-padded past the last element,
+    and one int8 exponent per block. An all-zero block gets exponent 0.
+    A caller that reads only the dequantized values skips the encoding.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:
-        raise ShapeError("mx_qdq needs at least 1-d input")
+        raise ShapeError("MX quantization needs at least 1-d input")
     last = x.shape[-1]
     nb = -(-last // fmt.block) if last else 0
     pad = nb * fmt.block - last
@@ -253,9 +257,20 @@ def mx_qdq(x: np.ndarray, fmt: MxFormat):
     scale = np.ldexp(1.0, exps)[..., None]
     q = _round_to_grid(xb / scale, fmt)
     deq = (q * scale).reshape(x.shape[:-1] + (nb * fmt.block,))
-    deq = deq[..., :last]
-    codes = _encode_grid(q, fmt).reshape(x.shape[:-1] + (nb * fmt.block,))
-    return deq, codes[..., :last], exps.astype(np.int8)
+    return deq[..., :last], q, exps.astype(np.int8)
+
+
+def mx_qdq(x: np.ndarray, fmt: MxFormat):
+    """Block-quantize along the last axis: :func:`mx_grid`, encoded.
+
+    Returns (dequantized, codes, scale_exponents). Codes are unsigned
+    (sign bit above the magnitude index); scale exponents are one int8
+    per block. An all-zero block gets exponent 0 and zero codes.
+    """
+    deq, q, exps = mx_grid(x, fmt)
+    padded = q.shape[:-2] + (q.shape[-2] * fmt.block,)
+    codes = _encode_grid(q, fmt).reshape(padded)
+    return deq, codes[..., :deq.shape[-1]], exps
 
 
 def _encode_grid(q: np.ndarray, fmt: MxFormat) -> np.ndarray:

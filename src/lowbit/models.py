@@ -182,11 +182,14 @@ class ToyModel:
         logits = self.forward(ids, overrides, taps, start, x)
         return _next_token_loss(logits, ids), logits
 
-    def eval_loss(self, batches, weights=None) -> float:
-        """Mean loss over batches with optional plain-array overrides."""
+    def eval_loss(self, batches, weights=None, start=0, xs=None) -> float:
+        """Mean loss over batches with optional plain-array overrides.
+        With ``xs``, each batch's pass starts at block ``start`` from its
+        input there, as ``forward`` does with ``x``."""
         total = 0.0
-        for ids in batches:
-            loss, _ = self.loss(ids, overrides=weights)
+        for i, ids in enumerate(batches):
+            loss, _ = self.loss(ids, overrides=weights, start=start,
+                                x=None if xs is None else xs[i])
             total += loss.item()
         return total / len(batches)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .allocator import SENSITIVITY_SCHEMA
-from .codecs import mx_qdq, quantize_layer
+from .codecs import mx_grid, quantize_layer
 # sensitivity.option_set stays: it names the schemes a report scores
 from .spec import QuantScheme, option_set
 from .workers import map_ordered
@@ -89,7 +89,7 @@ def delta_loss(model, layer_name: str, scheme: QuantScheme, calib_batches,
 
         def tap(x):
             probe["fp"] = x.data
-            probe["leaf"] = T.Tensor(mx_qdq(x.data, scheme.mx_format)[0],
+            probe["leaf"] = T.Tensor(mx_grid(x.data, scheme.mx_format)[0],
                                      requires_grad=True)
             return probe["leaf"]
 

@@ -1,13 +1,17 @@
 """Dense numpy-backed tensors with reverse-mode automatic differentiation.
 
 The graph is built eagerly: every operation that sees at least one
-gradient-requiring input records its parents and a vector-Jacobian
-callback on the output node; an operation on constants records nothing.
+gradient-requiring input gives its output a :class:`Node`, holding the
+operands' nodes and a vector-Jacobian callback; an operation on
+constants records nothing. The graph holds nodes, not values: each
+callback closes over only the arrays it reads (a product its other
+operand, a mean or a reshape only shapes), so an intermediate array dies
+when the code that made it drops its Tensor, unless a VJP reads it.
 ``backward`` orders the reachable nodes topologically
 (:func:`build_tape`) and replays them in reverse, so each node is
 visited only after all of its consumers. It returns the gradients of
 the tensors asked for and consumes the graph as it goes, so the arrays
-of a node are freed once no node upstream of it needs them.
+a VJP reads are freed once it has run.
 
 Tensors are treated as immutable once constructed; optimizers build
 fresh leaves each step instead of mutating ``data`` in place. All data
@@ -32,16 +36,33 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-class Tensor:
-    """A dense array plus the bookkeeping needed for backpropagation."""
+class Node:
+    """One op's place in the graph: its operands' nodes, None for an
+    operand that requires no gradient, and the VJP mapping the upstream
+    gradient to one gradient per operand. A leaf has no operands and no
+    VJP. A node holds no values: each VJP closes over the arrays it
+    reads and nothing else, so an op's output lives only as long as the
+    code that made it holds its Tensor, unless a VJP reads it."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents: tuple, vjp):
+        self.parents = parents
+        self.vjp = vjp
+
+
+class Tensor:
+    """A dense array plus, when it requires a gradient, its graph node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._vjp = None
+        self._node = Node((), None) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
 
     @property
     def shape(self):
@@ -65,16 +86,14 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, vjp) -> Tensor:
-    """An op's output node; ``vjp`` is None when no operand requires a
+def _make(data, node) -> Tensor:
+    """An op's output; ``node`` is None when no operand requires a
     gradient. Every op yields float64, so only a reduction to a scalar
-    needs converting, and a no-grad node (eval, targets, fp prefixes)
+    needs converting, and a no-grad output (eval, targets, fp prefixes)
     costs no more than its data."""
     t = Tensor.__new__(Tensor)
     t.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
-    t.requires_grad = vjp is not None
-    t._parents = parents if vjp is not None else ()
-    t._vjp = vjp
+    t._node = node
     return t
 
 
@@ -93,71 +112,75 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise arithmetic
 
 
-def _binary(a: Tensor, b: Tensor, out, da, db) -> Tensor:
-    """The node of a two-operand op. ``da(g, a, b)`` and ``db(g, a, b)``
-    map the upstream gradient to each operand's; an operand that
-    requires no gradient (weights in a probe, masks, epsilons) gets None,
-    and a node neither of whose operands requires one gets no VJP.
+def _binary(out, a: Tensor, b: Tensor, da, db) -> Tensor:
+    """The output of a two-operand op. ``da(g)`` and ``db(g)`` map the
+    upstream gradient to each operand's, closing over only what they
+    read; the node keeps neither for an operand that requires no
+    gradient (weights in a probe, masks, epsilons), so that operand's
+    gradient is None and the arrays only its function reads are not
+    held. An op neither of whose operands requires one gets no node.
     """
-    if not (a.requires_grad or b.requires_grad):
-        return _make(out, (a, b), None)
+    na, nb = a._node, b._node
+    if na is None and nb is None:
+        return _make(out, None)
+    da = None if na is None else da
+    db = None if nb is None else db
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return (_unbroadcast(da(g, a, b), a.shape) if a.requires_grad else None,
-                _unbroadcast(db(g, a, b), b.shape) if b.requires_grad else None)
+        return (None if da is None else _unbroadcast(da(g), sa),
+                None if db is None else _unbroadcast(db(g), sb))
 
-    return _make(out, (a, b), vjp)
+    return _make(out, Node((na, nb), vjp))
 
 
 def custom(out, parents: tuple, vjp) -> Tensor:
-    """A node with a hand-written VJP: ``vjp(g)`` returns one gradient
+    """An op with a hand-written VJP: ``vjp(g)`` returns one gradient
     per parent, shaped like the parent or broadcast to it. A parent that
-    requires no gradient gets None, whatever ``vjp`` gives it.
+    requires no gradient gets None, whatever ``vjp`` gives it. Only
+    ``vjp`` and the parents' shapes are kept.
     """
-    if not any(p.requires_grad for p in parents):
-        return _make(out, parents, None)
+    nodes = tuple(p._node for p in parents)
+    if all(n is None for n in nodes):
+        return _make(out, None)
+    shapes = [None if n is None else p.shape for n, p in zip(nodes, parents)]
 
     def node_vjp(g):
-        return tuple(_unbroadcast(pg, p.shape) if p.requires_grad else None
-                     for p, pg in zip(parents, vjp(g)))
+        return tuple(None if s is None else _unbroadcast(pg, s)
+                     for s, pg in zip(shapes, vjp(g)))
 
-    return _make(out, parents, node_vjp)
+    return _make(out, Node(nodes, node_vjp))
 
 
 def _unary(out, a: Tensor, vjp) -> Tensor:
-    """The node of a one-operand op; no VJP for an operand that needs none."""
-    return _make(out, (a,), vjp if a.requires_grad else None)
+    """The output of a one-operand op; no node when the operand needs
+    no gradient."""
+    return _make(out, None if a._node is None else Node((a._node,), vjp))
 
 
-def _upstream(g, a, b):
+def _same(g):
     return g
-
-
-def _times_b(g, a, b):
-    return g * b.data
-
-
-def _times_a(g, a, b):
-    return g * a.data
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    return _binary(a, b, a.data + b.data, _upstream, _upstream)
+    return _binary(a.data + b.data, a, b, _same, _same)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    return _binary(a, b, a.data * b.data, _times_b, _times_a)
+    x, y = a.data, b.data
+    return _binary(x * y, a, b, lambda g: g * y, lambda g: g * x)
 
 
 def power(a: Tensor, p: float) -> Tensor:
     """Elementwise a**p for a constant exponent."""
     a = _lift(a)
-    out = a.data ** p
+    x = a.data
+    out = x ** p
 
     def vjp(g):
-        return (g * p * a.data ** (p - 1.0),)
+        return (g * p * x ** (p - 1.0),)
 
     return _unary(out, a, vjp)
 
@@ -193,17 +216,23 @@ def _erf():
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU. With a gradient to pass, the forward also
+    takes the slope ``cdf + x * pdf``, the one array the VJP reads."""
     a = _lift(a)
     x = a.data
     cdf = 0.5 * (1.0 + _erf()(x * _INV_SQRT2))
     out = x * cdf
-
-    def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
-
-    return _unary(out, a, vjp)
+    if not a.requires_grad:
+        return _make(out, None)
+    # cdf + x * (_INV_SQRT2PI * exp(-0.5 * x * x)), in place, with the
+    # same ufuncs in the same order
+    slope = np.multiply(-0.5, x)
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= x
+    slope += cdf
+    return _unary(out, a, lambda g: (g * slope,))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -224,25 +253,20 @@ def softmax(a: Tensor) -> Tensor:
 # reductions
 
 
-def _spread(g, a: Tensor, axis, keepdims) -> tuple:
-    """VJP of a reduction of ``a`` over ``axis``: the upstream gradient
-    copied back over the reduced axis (or over all of ``a``)."""
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),)
-
-
-def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    a = _lift(a)
-    return _unary(a.data.sum(axis=axis, keepdims=keepdims), a,
-                  lambda g: _spread(g, a, axis, keepdims))
-
-
 def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    """Mean over ``axis``, or over all of ``a``; backward copies the
+    upstream gradient, divided by the count, back over the reduced axis."""
     a = _lift(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return _unary(a.data.mean(axis=axis, keepdims=keepdims), a,
-                  lambda g: _spread(g / count, a, axis, keepdims))
+    shape = a.shape
+    count = a.data.size if axis is None else shape[axis]
+
+    def vjp(g):
+        g = g / count
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).astype(np.float64, copy=True),)
+
+    return _unary(a.data.mean(axis=axis, keepdims=keepdims), a, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +275,11 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _lift(a)
-    shape = tuple(shape)
-    out = a.data.reshape(shape)
+    back = a.shape
+    out = a.data.reshape(tuple(shape))
 
     def vjp(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(back),)
 
     return _unary(out, a, vjp)
 
@@ -269,9 +293,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl = [slice(None)] * a.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
+    shape = a.shape
 
     def vjp(g):
-        grad = np.zeros_like(a.data)
+        grad = np.zeros(shape)
         grad[sl] = g
         return (grad,)
 
@@ -305,10 +330,11 @@ def take(a: Tensor, indices: np.ndarray) -> Tensor:
             f"take index out of range [0, {a.shape[0]}): "
             f"min={idx.min()} max={idx.max()}")
     out = a.data[idx]
+    shape = a.shape
 
     def vjp(g):
-        grad = np.zeros_like(a.data)
-        np.add.at(grad, idx.reshape(-1), g.reshape(idx.size, *a.shape[1:]))
+        grad = np.zeros(shape)
+        np.add.at(grad, idx.reshape(-1), g.reshape(idx.size, *shape[1:]))
         return (grad,)
 
     return _unary(out, a, vjp)
@@ -324,26 +350,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return _binary(a, b, a.data @ b.data, _matmul_da, _matmul_db)
+    x, y = a.data, b.data
+    shape = b.shape
+    return _binary(x @ y, a, b, lambda g: g @ np.swapaxes(y, -1, -2),
+                   lambda g: _matmul_db(g, x, shape))
 
 
-def _matmul_da(g, a, b):
-    return g @ np.swapaxes(b.data, -1, -2)
-
-
-def _matmul_db(g, a, b):
-    if b.ndim == 2 and a.ndim > 2:
+def _matmul_db(g, x, shape):
+    """The gradient of the right operand, of ``shape``, of ``x @ b``."""
+    if len(shape) == 2 and x.ndim > 2:
         # a weight under batched activations: add each slice's (in, out)
         # product into one array, in the order _unbroadcast's sum over
         # the leading axes adds them (C order, from zero), instead of
         # building the (batch, in, out) stack first
-        acc = np.zeros(b.shape)
-        prod = np.empty(b.shape)
-        for ai, gi in zip(a.data.reshape(-1, *a.shape[-2:]),
+        acc = np.zeros(shape)
+        prod = np.empty(shape)
+        for xi, gi in zip(x.reshape(-1, *x.shape[-2:]),
                           g.reshape(-1, *g.shape[-2:])):
-            acc += np.matmul(ai.T, gi, out=prod)
+            acc += np.matmul(xi.T, gi, out=prod)
         return acc
-    return np.swapaxes(a.data, -1, -2) @ g
+    return np.swapaxes(x, -1, -2) @ g
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -380,8 +406,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 # backward machinery
 
 
-def build_tape(root: Tensor) -> list:
-    """Every gradient-relevant node under ``root``, parents before consumers.
+def build_tape(root: Node) -> list:
+    """Every node under ``root``, parents before consumers.
 
     Iterating the list in reverse visits each node after all of its
     consumers have deposited their contributions. Reaching a node that
@@ -395,13 +421,13 @@ def build_tape(root: Tensor) -> list:
         if expanded:
             order.append(node)
             continue
-        if node in visited or not node.requires_grad:
+        if node is None or node in visited:
             continue
-        if node._parents is None:
+        if node.parents is None:
             raise ContractError("graph already consumed by backward")
         visited.add(node)
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             stack.append((p, False))
     return order
 
@@ -416,36 +442,36 @@ def _accumulate(grads: dict, parents: tuple, parent_grads) -> None:
 def backward(loss: Tensor, wrt) -> dict:
     """The gradients of ``loss`` with respect to the tensors in ``wrt``.
 
-    Returns exactly those gradients, zeros for one the loss does not
-    reach, and consumes the graph: each node leaves the tape as its VJP
-    runs, its gradient is dropped unless it is in ``wrt``, and it is
-    unlinked from its parents and its VJP. So a node's gradient lives
-    only until its parents have theirs, and its forward arrays only
-    until nothing upstream reads them. A second ``backward`` over the
-    consumed graph raises ContractError.
+    Returns exactly those gradients, keyed by tensor, zeros for one the
+    loss does not reach, and consumes the graph: each node leaves the
+    tape as its VJP runs, its gradient is dropped unless it is a node of
+    ``wrt``, and it is unlinked from its parents and its VJP. So a
+    node's gradient lives only until its parents have theirs, and the
+    arrays its VJP reads only until that VJP has run. A second
+    ``backward`` over the consumed graph raises ContractError.
 
     Every tape node holds a gradient by the time the reverse loop reaches
     it: the root starts with one, and each of its consumers, visited
     earlier, gives an array to every parent that requires a gradient
     (``_binary`` and ``custom`` give None only for a constant operand,
-    and a unary op enters the graph only when its operand requires a
+    and a unary op gets a node only when its operand requires a
     gradient).
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
+    root = loss._node
+    if root is None:
         raise ContractError("loss does not depend on any gradient-requiring tensor")
-    tape = build_tape(loss)
-    keep = set(wrt)
-    grads = {loss: np.ones_like(loss.data)}
+    tape = build_tape(root)
+    wrt = list(wrt)
+    keep = {t._node for t in wrt}
+    grads = {root: np.ones_like(loss.data)}
     while tape:
         node = tape.pop()
         g = grads[node] if node in keep else grads.pop(node)
-        if node._vjp is not None:
-            _accumulate(grads, node._parents, node._vjp(g))
-            node._parents = node._vjp = None
+        if node.vjp is not None:
+            _accumulate(grads, node.parents, node.vjp(g))
+            node.parents = node.vjp = None
         del node, g  # hold nothing into the next node's VJP
-    for t in wrt:
-        if t not in grads:
-            grads[t] = np.zeros_like(t.data)
-    return grads
+    return {t: grads[t._node] if t._node in grads else np.zeros_like(t.data)
+            for t in wrt}

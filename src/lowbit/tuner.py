@@ -34,27 +34,42 @@ def trimmed_mse(pred: T.Tensor, target, trim_fraction: float = 0.0) -> T.Tensor:
 
     Ties at the cut sort stably, so among equal errors the later flat
     positions are dropped first. Gradients flow only through survivors.
+    One node, which keeps the difference and, when it drops any, a bool
+    keep mask; its VJP is the sum-of-products chain's, ``(g * keep * d)``
+    added to itself.
     """
     tgt = target.data if isinstance(target, T.Tensor) else np.asarray(target)
     if pred.shape != tgt.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {tgt.shape}")
     if not 0.0 <= trim_fraction < 1.0:
         raise ContractError("trim_fraction must lie in [0, 1)")
-    diff = T.add(pred, T.Tensor(-tgt))  # x - y is x + (-y) in IEEE
-    sq = T.mul(diff, diff)
-    k = int(math.floor(trim_fraction * sq.data.size))
-    if k == 0:
-        return T.sum_(sq)
-    # drop the k largest as a stable sort would, without sorting: all
-    # above the cut value, then the latest of the ties at the cut
-    flat = sq.data.ravel()
-    cut = np.partition(flat, flat.size - k)[flat.size - k]
-    keep = flat <= cut
-    ties = np.flatnonzero(flat == cut)
-    tied_drops = k - (flat.size - np.count_nonzero(keep))
-    keep[ties[len(ties) - tied_drops:]] = False
-    mask = keep.astype(np.float64)
-    return T.sum_(T.mul(sq, T.Tensor(mask.reshape(sq.shape))))
+    d = pred.data - tgt
+    sq = d * d
+    k = int(math.floor(trim_fraction * sq.size))
+    keep = None
+    if k:
+        # drop the k largest as a stable sort would, without sorting: all
+        # above the cut value, then the latest of the ties at the cut
+        flat = sq.reshape(-1)
+        cut = np.partition(flat, flat.size - k)[flat.size - k]
+        keep = flat <= cut
+        ties = np.flatnonzero(flat == cut)
+        tied_drops = k - (flat.size - np.count_nonzero(keep))
+        keep[ties[len(ties) - tied_drops:]] = False
+        keep = keep.reshape(sq.shape)
+        sq *= keep  # an inf dropped here makes the loss NaN
+    out = sq.sum()
+    del sq
+
+    def vjp(g):
+        if keep is None:
+            gd = np.multiply(g, d)
+        else:
+            gd = np.multiply(g, keep)
+            gd *= d
+        return (np.add(gd, gd, out=gd),)
+
+    return T.custom(out, (pred,), vjp)
 
 
 # each tuned parameter and the box its sign steps are clamped to
@@ -146,37 +161,46 @@ def _tuning_step(model, block, x, target, frozen, schemes, theta, init_scales,
                  cfg, last):
     """The trimmed loss at ``theta`` on one batch and, unless ``last`` or
     the loss is not finite, the next iterate: one clamped sign step per
-    parameter, written into its gradient's buffer. The leaves and the
-    graph die on return.
+    parameter. The last evaluation runs no backward, so its leaves
+    require no gradient and it builds no graph. The leaves and the graph
+    die on return.
     """
     over = dict(frozen)
     leaves = {}
     for n, th in theta.items():
         sch = schemes[n]
-        leaves[n] = [T.Tensor(th[k], requires_grad=True) for k in BOXES]
+        leaves[n] = [T.Tensor(th[k], requires_grad=not last) for k in BOXES]
         # beta is unused under searched scales: its gradient is zero,
         # so its sign step leaves it at exactly 1
         over[n] = codecs.uniform_qdq_graph(
             model.params[n], sch.bits, sch.group_size, *leaves[n],
             init_scales=init_scales.get(n))
-    loss = trimmed_mse(model.block_forward(block, x, overrides=over), target,
-                       cfg.trim_fraction)
-    del over  # the graph alone holds the quantized weights now
+    pred = model.block_forward(block, x, overrides=over)
+    del over  # the graph alone holds what its VJPs read of the weights
+    loss = trimmed_mse(pred, target, cfg.trim_fraction)
+    del pred
     lval = loss.item()
     if last or not np.isfinite(lval):
         return lval, None
+    # the next iterate's arrays, taken while the graph is alive: they sit
+    # above its arrays in the heap, so freeing the graph leaves no large
+    # free top for the allocator to trim and fault in again next step
+    nxt = {n: {k: np.empty_like(a) for k, a in th.items()}
+           for n, th in theta.items()}
     grads = T.backward(loss, wrt=[t for ts in leaves.values() for t in ts])
-    return lval, {n: {k: _sign_step(th[k], grads.pop(t), cfg.lr, BOXES[k])
-                      for k, t in zip(BOXES, leaves[n])}
-                  for n, th in theta.items()}
+    for n, th in theta.items():
+        for k, t in zip(BOXES, leaves[n]):
+            _sign_step(th[k], grads.pop(t), cfg.lr, BOXES[k], nxt[n][k])
+    return lval, nxt
 
 
-def _sign_step(th, grad, lr, box):
-    """clip(th - lr * sign(grad), *box), written into ``grad``."""
+def _sign_step(th, grad, lr, box, out):
+    """clip(th - lr * sign(grad), *box), written into ``out``; ``grad``
+    is overwritten."""
     np.sign(grad, out=grad)
     grad *= lr
-    np.subtract(th, grad, out=grad)
-    return np.clip(grad, *box, out=grad)
+    np.subtract(th, grad, out=out)
+    return np.clip(out, *box, out=out)
 
 
 def _forward_rows(model, block: int, x, rows: int, overrides=None):
@@ -213,10 +237,15 @@ def plan_from_assignment(names, bits, family: str,
 
 @dataclass
 class QuantizeResult:
-    weights: dict       # name -> final dequantized weight
     packed: dict        # name -> PackedWeights
     tuned: list         # BlockTuneResult per tuned block
     metrics: dict
+
+    @property
+    def weights(self) -> dict:
+        """name -> final dequantized weight, decoded from ``packed`` on
+        each read: a payload decodes to its eval weight bit for bit."""
+        return {n: pw.dequantize() for n, pw in self.packed.items()}
 
 
 def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
@@ -234,8 +263,11 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
     then gets its payload from one :func:`codecs.quantize_layer` call,
     with the block's learned parameters when it was tuned; the head is
     never tuned. The walk holds float weights for one block at a time,
-    and forwards and tunes at most ``cfg.batch_size`` rows at once; the
-    result's weights are decoded from the payloads after it.
+    and forwards and tunes at most ``cfg.batch_size`` rows at once.
+    ``eval_batches`` go through each block beside the walk, under its
+    eval weights, and the head's loss over them is
+    :meth:`~lowbit.models.ToyModel.eval_loss`'s, so nothing is decoded
+    after the walk.
     """
     for name in plan:
         model.layer_info(name)  # raises for a layer that does not quantize
@@ -250,11 +282,13 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
                 model.params[n], stats[n], plan[n].bits, plan[n].group_size)
         init_scales = dict(zip(tunes, map_ordered(search, tunes)))
 
-    packed, tuned = {}, []
+    packed, tuned, metrics = {}, [], {}
     blocks = model.block_ids()
     if tunes:
         ids = np.concatenate([np.asarray(b) for b in calib_batches], axis=0)
         x = model.embed_forward(ids)
+    if eval_batches is not None:
+        evals = [model.embed_forward(ids) for ids in eval_batches]
     for block in [*blocks, None]:  # None is the head
         bnames = [n for n in model.block_layer_names(block) if n in plan]
         learned = {}
@@ -268,14 +302,14 @@ def quantize_model(model, plan: dict, calib_batches, cfg: TuneConfig,
         for n in bnames:
             deq[n], packed[n] = codecs.quantize_layer(
                 model.params[n], plan[n], init_scales=init_scales.get(n),
-                **learned.get(n, {}))
+                **learned.pop(n, {}))
         if tunes and block in blocks[:-1]:  # nothing reads the last output
             x = _forward_rows(model, block, x, cfg.batch_size, overrides=deq)
-    # a payload decodes to its eval weight bit for bit
-    weights = {n: pw.dequantize() for n, pw in packed.items()}
-
-    metrics = {}
-    if eval_batches is not None:
-        metrics["quantized_loss"] = model.eval_loss(
-            eval_batches, weights=weights or None)
-    return QuantizeResult(weights, packed, tuned, metrics)
+        if eval_batches is not None and block is not None:
+            for i, e in enumerate(evals):
+                evals[i] = model.block_forward(block, e, overrides=deq).data
+        elif eval_batches is not None:
+            metrics["quantized_loss"] = model.eval_loss(
+                eval_batches, weights=deq, start=len(blocks), xs=evals)
+        del deq  # not held while the next block tunes
+    return QuantizeResult(packed, tuned, metrics)

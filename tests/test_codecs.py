@@ -291,7 +291,7 @@ class TestUniformQdq:
         a_t = T.Tensor(a0, requires_grad=True)
         b_t = T.Tensor(b0, requires_grad=True)
         q_t = C.uniform_qdq_graph(w, bits, 0, v_t, a_t, b_t)
-        loss = T.sum_(T.power(T.add(q_t, T.Tensor(-tgt)), 2.0))
+        loss = T.mean(T.power(T.add(q_t, T.Tensor(-tgt)), 2.0))
         grads = T.backward(loss, wrt=[v_t, a_t, b_t])
 
         wmax, wmin = w.max(axis=0), w.min(axis=0)
@@ -300,7 +300,7 @@ class TestUniformQdq:
         off_clip = (raw >= lo) & (raw <= hi)
         code = np.clip(raw, lo, hi)
         q = s * code
-        dq = 2.0 * (q - tgt)
+        dq = 2.0 * (q - tgt) / q.size  # the loss is a mean
         gv = dq * s * off_clip
         dq_ds = code - (w / s) * off_clip
         ga = (dq * dq_ds * (wmax / den)).sum(axis=0, keepdims=True)
@@ -334,7 +334,7 @@ class TestUniformQdq:
                       for k in ("v", "alpha", "beta")]
             out = qdq(w, bits, gs, *leaves,
                       init_scales=init if searched else None)
-            loss = T.sum_(T.mul(out, T.Tensor(upstream)))
+            loss = T.mean(T.mul(out, T.Tensor(upstream)))
             grads = T.backward(loss, wrt=leaves)
             return [out.data] + [grads[t] for t in leaves]
 
@@ -357,7 +357,7 @@ class TestUniformQdq:
         q = C.uniform_qdq_graph(
             w, 2, 0, v, T.Tensor(np.ones((1, 1))), T.Tensor(np.ones((1, 1))),
             init_scales=np.array([[0.1]]))
-        grads = T.backward(T.sum_(q), wrt=[v])
+        grads = T.backward(T.mean(q), wrt=[v])
         assert grads[v][2, 0] == 0.0
         assert grads[v][0, 0] != 0.0
 
@@ -370,6 +370,19 @@ class TestMxQdq:
     def test_e2m1_magnitude_set(self):
         assert [m for m, _ in e2m1_values()] == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
         assert list(C.MXFP4.magnitudes) == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
+
+    @pytest.mark.parametrize("fmt", [C.MXFP4, C.MXFP8], ids=["fp4", "fp8"])
+    def test_grid_step_is_mx_qdq_without_the_codes(self, fmt):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(3, 70)) * 10.0  # a partial last block
+        x[1, 32:64] = 0.0  # an all-zero block
+        deq, q, exps = C.mx_grid(x, fmt)
+        want, codes, want_exps = C.mx_qdq(x, fmt)
+        assert deq.tobytes() == want.tobytes()
+        assert exps.dtype == want_exps.dtype and np.array_equal(exps, want_exps)
+        assert q.shape == (3, 3, 32)
+        assert (C._decode_grid(codes, fmt).tobytes()
+                == q.reshape(3, 96)[:, :70].tobytes())
 
     def test_e4m3_extremes(self):
         mags = [m for m, _ in e4m3_values()]

@@ -11,6 +11,7 @@ from lowbit import models as M
 from lowbit import tensor as T
 from lowbit.errors import ConfigError, ContractError, IngestionError, NumericError
 from lowbit.scale_init import calibrate_act_stats
+from tracepeak import peak_layers
 
 
 def ce_ref(logits, targets):
@@ -184,6 +185,19 @@ class TestTraining:
         cal = M.synthetic_batches(spec.vocab, 4, 6, 2, seed=1)
         with pytest.raises(NumericError, match="at step [0-9]+"):
             M.train_model(model, cal, 30, 1e6)
+
+
+class TestMemory:
+    def test_a_training_step_holds_only_what_its_vjps_read(self):
+        # the benchmark's tiny transformer: 2 blocks, 64 wide, 8 rows of
+        # 32 tokens; a graph that held every op's output until backward
+        # ended took the step to 4.4 layer-sized arrays
+        spec = M.ModelSpec(arch=M.ARCH_TT, hidden=64, n_blocks=2, vocab=64,
+                           n_heads=4, ffn_mult=2, max_seq=32, seed=21)
+        model = M.ToyModel.build(spec)
+        cal = M.markov_batches(64, 8, 32, 8, seed=21)
+        peak = peak_layers(lambda: M.train_model(model, cal, 1, 0.5))
+        assert peak <= 3.0, peak
 
 
 class TestGradients:

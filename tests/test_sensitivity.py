@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from lowbit import cli
+from lowbit import cli, codecs
 from lowbit import models as M
 from lowbit import sensitivity as sv
 from lowbit import tensor as T
@@ -279,6 +279,37 @@ def test_probe_on_a_512_wide_layer_stays_small(layer):
     scheme = sv.option_set("int-sym", [4], 32)[0]
     peak = peak_layers(lambda: sv.delta_loss(m, layer, scheme, cal, prefixes))
     assert peak <= 5.25, peak
+
+
+def test_probe_graph_holds_only_what_its_vjps_read():
+    # layers.0 of two 512-wide blocks: the graph reaches through both
+    # blocks and the head; one that held every op's output took the
+    # probe to 6.5
+    spec = M.ModelSpec(arch=M.ARCH_MLP, hidden=512, n_blocks=2, vocab=512,
+                       seed=3)
+    m = M.ToyModel.build(spec)
+    cal = M.synthetic_batches(512, 8, 32, 8, seed=3)
+    prefixes = sv.fp_prefixes(m, cal)
+    scheme = sv.option_set("int-sym", [4], 32)[0]
+    peak = peak_layers(
+        lambda: sv.delta_loss(m, "layers.0", scheme, cal, prefixes))
+    assert peak <= 4.75, peak
+
+
+def test_activation_probe_encodes_no_codes(monkeypatch):
+    # the tap reads the dequantized input only: the one encoding is the
+    # weight's payload
+    m, cal = untrained_fixture(M.ARCH_MLP)
+    scheme = sv.option_set("mxfp", [4], 32)[0]
+    encoded = []
+    encode = codecs._encode_grid
+
+    def counted(q, fmt):
+        encoded.append(q.shape)
+        return encode(q, fmt)
+    monkeypatch.setattr(codecs, "_encode_grid", counted)
+    sv.delta_loss(m, "layers.1", scheme, cal)
+    assert len(cal) > 1 and len(encoded) == 1
 
 
 def test_deviation_score_holds_one_temporary():

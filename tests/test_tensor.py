@@ -6,6 +6,7 @@ matmul), gradients against central finite differences.
 """
 
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,7 @@ class TestBackward:
         rng = np.random.default_rng(10)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4,))
-        check_grads(lambda x, y: T.sum_(T.mul(T.add(x, y), x)), a, b)
+        check_grads(lambda x, y: T.mean(T.mul(T.add(x, y), x)), a, b)
 
     def test_sub_div(self):
         rng = np.random.default_rng(11)
@@ -142,32 +143,32 @@ class TestBackward:
         b = rng.normal(size=(5,)) + 3.0
         # a difference is a sum with a negation, and a quotient a product
         # with a reciprocal
-        check_grads(lambda x, y: T.sum_(T.mul(
+        check_grads(lambda x, y: T.mean(T.mul(
             T.add(x, T.mul(y, T.Tensor(-1.0))), T.power(y, -1.0))), a, b)
 
     def test_matmul_both_sides(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
-        check_grads(lambda x, y: T.sum_(T.matmul(x, y)), a, b)
+        check_grads(lambda x, y: T.mean(T.matmul(x, y)), a, b)
 
     def test_matmul_batched_against_2d_weight(self):
         rng = np.random.default_rng(13)
         a = rng.normal(size=(2, 3, 4))
         b = rng.normal(size=(4, 5))
-        check_grads(lambda x, y: T.sum_(T.power(T.matmul(x, y), 2.0)), a, b)
+        check_grads(lambda x, y: T.mean(T.power(T.matmul(x, y), 2.0)), a, b)
 
     @pytest.mark.parametrize("fn", [T.gelu])
     def test_unary_activations(self, fn):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(40,))
-        check_grads(lambda t: T.sum_(T.mul(fn(t), t)), x)
+        check_grads(lambda t: T.mean(T.mul(fn(t), t)), x)
 
     def test_softmax_grad(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(3, 6))
         w = rng.normal(size=(3, 6))
-        check_grads(lambda t: T.sum_(T.mul(T.softmax(t), T.Tensor(w))), x)
+        check_grads(lambda t: T.mean(T.mul(T.softmax(t), T.Tensor(w))), x)
 
     def test_cross_entropy_grad(self):
         rng = np.random.default_rng(16)
@@ -178,20 +179,20 @@ class TestBackward:
     def test_power_and_mean(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(4, 5)) + 4.0
-        check_grads(lambda t: T.sum_(T.power(T.mean(t, axis=1), 1.5)), x)
+        check_grads(lambda t: T.mean(T.power(T.mean(t, axis=1), 1.5)), x)
 
     def test_reshape_transpose(self):
         rng = np.random.default_rng(18)
         x = rng.normal(size=(2, 3, 4))
         check_grads(
-            lambda t: T.sum_(T.power(T.transpose(T.reshape(t, (6, 4)), (1, 0)), 2.0)), x)
+            lambda t: T.mean(T.power(T.transpose(T.reshape(t, (6, 4)), (1, 0)), 2.0)), x)
 
     def test_take_accumulates_repeats(self):
         table = T.Tensor(np.ones((3, 2)), requires_grad=True)
         idx = np.array([0, 0, 2])
-        out = T.sum_(T.take(table, idx))
+        out = T.mean(T.take(table, idx))
         grads = T.backward(out, wrt=[table])
-        np.testing.assert_array_equal(grads[table], [[2, 2], [0, 0], [1, 1]])
+        np.testing.assert_array_equal(grads[table] * 6, [[2, 2], [0, 0], [1, 1]])
 
 
 class TestMachinery:
@@ -202,55 +203,65 @@ class TestMachinery:
 
     def test_backward_requires_grad_path(self):
         with pytest.raises(ContractError):
-            T.backward(T.sum_(T.Tensor(np.ones(3))), wrt=[])
+            T.backward(T.mean(T.Tensor(np.ones(3))), wrt=[])
 
     def test_tape_orders_parents_before_consumers(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
         y = T.mul(x, x)
-        z = T.sum_(T.add(y, x))
-        tape = T.build_tape(z)
+        z = T.mean(T.add(y, x))
+        tape = T.build_tape(z._node)
         pos = {n: i for i, n in enumerate(tape)}
-        assert set(pos) >= {x, y, z}
+        assert set(pos) >= {x._node, y._node, z._node}
         for node in tape:
-            for p in node._parents:
+            for p in node.parents:
                 if p in pos:
                     assert pos[p] < pos[node]
 
     def test_grad_accumulates_across_reuse(self):
         x = T.Tensor(np.array([3.0]), requires_grad=True)
         y = T.add(T.mul(x, x), x)  # x^2 + x, grad 2x + 1
-        grads = T.backward(T.sum_(y), wrt=[x])
+        grads = T.backward(T.mean(y), wrt=[x])
         np.testing.assert_allclose(grads[x], [7.0])
 
     def test_unreached_wrt_gets_zeros(self):
         x = T.Tensor(np.ones(2), requires_grad=True)
         other = T.Tensor(np.ones(4), requires_grad=True)
-        grads = T.backward(T.sum_(x), wrt=[other])
+        grads = T.backward(T.mean(x), wrt=[other])
         assert set(grads) == {other}
         np.testing.assert_array_equal(grads[other], np.zeros(4))
 
     def test_gradient_map_covers_exactly_the_tape(self):
         # every tape node holds a gradient by the time the reverse pass
-        # reaches it, so asking for all of them gets the whole tape back
+        # reaches it, so asking for the tensors of all of them gets the
+        # whole tape back
         rng = np.random.default_rng(23)
-        x = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        h = T.add(T.matmul(x, T.Tensor(rng.normal(size=(3, 3)))),
-                  T.Tensor(np.ones(3)))
-        y = T.mul(h, h)  # h is used twice
-        c = T.gelu(T.narrow(T.take(w, np.array([0, 0, 2])), 1, 1, 3))
-        terms = [T.mean(y, axis=0),
-                 T.sum_(T.mul(c, T.Tensor(2.0)), axis=1),
-                 T.sum_(T.mean(c, axis=1, keepdims=True)),
-                 T.sum_(T.sum_(y, axis=0, keepdims=True))]
-        loss = T.sum_(T.add(T.add(terms[0], terms[1]),
-                            T.add(terms[2], terms[3])))
-        tape = T.build_tape(loss)
-        grads = T.backward(loss, wrt=tape)
-        assert set(grads) == set(tape)
+        made = []
+
+        def keep(t):
+            made.append(t)
+            return t
+
+        x = keep(T.Tensor(rng.normal(size=(4, 3)), requires_grad=True))
+        w = keep(T.Tensor(rng.normal(size=(3, 5)), requires_grad=True))
+        h = keep(T.add(keep(T.matmul(x, T.Tensor(rng.normal(size=(3, 3))))),
+                       T.Tensor(np.ones(3))))
+        y = keep(T.mul(h, h))  # h is used twice
+        c = keep(T.gelu(keep(T.narrow(keep(T.take(w, np.array([0, 0, 2]))),
+                                      1, 1, 3))))
+        terms = [keep(T.mean(y, axis=0)),
+                 keep(T.mean(keep(T.mul(c, T.Tensor(2.0))), axis=1)),
+                 keep(T.mean(keep(T.mean(c, axis=1, keepdims=True)))),
+                 keep(T.mean(keep(T.mean(y, axis=0, keepdims=True))))]
+        loss = keep(T.mean(keep(T.add(keep(T.add(terms[0], terms[1])),
+                                      keep(T.add(terms[2], terms[3]))))))
+        tape = T.build_tape(loss._node)
+        tensors = {t._node: t for t in made}
+        assert set(tensors) == set(tape)
+        grads = T.backward(loss, wrt=list(tensors.values()))
+        assert set(grads) == set(made)
         assert {x, w, h, y, c} <= set(grads)
-        for node in tape:
-            assert grads[node].shape == node.shape
+        for t in made:
+            assert grads[t].shape == t.shape
 
     def test_wrt_returns_exactly_its_gradients_and_consumes_the_graph(self):
         rng = np.random.default_rng(24)
@@ -259,7 +270,7 @@ class TestMachinery:
 
         def loss_of(x, w):
             h = T.matmul(x, w)
-            return T.sum_(T.mul(h, T.gelu(h)))
+            return T.mean(T.mul(h, T.gelu(h)))
 
         full = T.backward(loss_of(x, w), wrt=[x, w])
         loss = loss_of(x, w)
@@ -272,9 +283,28 @@ class TestMachinery:
         with pytest.raises(ContractError):
             T.backward(loss, wrt=[x, w])
         with pytest.raises(ContractError):
-            T.backward(T.sum_(T.add(loss, x)), wrt=[x])
+            T.backward(T.mean(T.add(loss, x)), wrt=[x])
         # the leaves survive and feed a fresh graph
         assert np.array_equal(T.backward(loss_of(x, w), wrt=[w])[w], full[w])
+
+    def test_the_graph_holds_only_what_a_vjp_reads(self):
+        # a mean reads no values and a product its other operand only, so
+        # an intermediate dies with its Tensor unless a VJP reads it
+        def run(read_h):
+            x = T.Tensor(np.arange(3.0), requires_grad=True)
+            h = T.add(x, T.Tensor(1.0))
+            alive = weakref.ref(h.data)
+            loss = T.mean(T.mul(h, x if read_h else T.Tensor(2.0)))
+            del h
+            held = alive() is not None
+            return held, T.backward(loss, wrt=[x])[x], alive
+
+        held, grad, alive = run(read_h=False)
+        assert not held
+        np.testing.assert_allclose(grad * 3, [2.0, 2.0, 2.0])
+        held, grad, alive = run(read_h=True)
+        assert held and alive() is None  # freed once the VJP has run
+        np.testing.assert_allclose(grad * 3, [1.0, 3.0, 5.0])
 
     def test_backward_bit_identical_on_repeat(self):
         rng = np.random.default_rng(20)
@@ -283,7 +313,7 @@ class TestMachinery:
 
         def run():
             ta = T.Tensor(a, requires_grad=True)
-            loss = T.sum_(T.power(T.matmul(ta, T.Tensor(b)), 2.0))
+            loss = T.mean(T.power(T.matmul(ta, T.Tensor(b)), 2.0))
             return T.backward(loss, wrt=[ta])[ta]
 
         g1, g2 = run(), run()
@@ -292,8 +322,8 @@ class TestMachinery:
     def test_independent_graphs_do_not_interfere(self):
         x1 = T.Tensor(np.array([2.0]), requires_grad=True)
         x2 = T.Tensor(np.array([5.0]), requires_grad=True)
-        l1 = T.sum_(T.mul(x1, x1))
-        l2 = T.sum_(T.mul(x2, x2))
+        l1 = T.mean(T.mul(x1, x1))
+        l2 = T.mean(T.mul(x2, x2))
         g2 = T.backward(l2, wrt=[x2])
         g1 = T.backward(l1, wrt=[x1])
         np.testing.assert_allclose(g1[x1], [4.0])
@@ -301,7 +331,7 @@ class TestMachinery:
 
     def test_finite_diff_rejects_bad_eps(self):
         with pytest.raises(ValueError):
-            finite_diff_grad(lambda t: T.sum_(t), T.Tensor(np.ones(2)), eps=0.0)
+            finite_diff_grad(lambda t: T.mean(t), T.Tensor(np.ones(2)), eps=0.0)
 
 
 # (op, shape of a, shape of b); the broadcast cases sum the gradient of
@@ -330,15 +360,17 @@ class TestConstantOperands:
         def run(needs_grad):
             leaves = [T.Tensor(x, requires_grad=r) for x, r in zip((a, b), needs_grad)]
             out = op(*leaves)
-            vjp = out._vjp(np.ones_like(out.data))
+            parents = out._node.parents
+            vjp = out._node.vjp(np.ones_like(out.data))
             # a non-uniform upstream gradient, so no gradient is a plain sum
-            grads = T.backward(T.sum_(T.power(out, 2.0)),
+            grads = T.backward(T.mean(T.power(out, 2.0)),
                                wrt=[t for t in leaves if t.requires_grad])
-            return vjp, [grads.get(t) for t in leaves]
+            return parents, vjp, [grads.get(t) for t in leaves]
 
-        _, want = run((True, True))
-        vjp, got = run(tuple(i != constant for i in range(2)))
+        _, _, want = run((True, True))
+        parents, vjp, got = run(tuple(i != constant for i in range(2)))
         varied = 1 - constant
+        assert parents[constant] is None and parents[varied] is not None
         assert vjp[constant] is None and vjp[varied] is not None
         assert got[constant] is None
         assert np.array_equal(got[varied], want[varied])
@@ -357,7 +389,7 @@ class TestStreamedWeightGradient:
         a = rng.normal(size=a_shape)
         g = rng.normal(size=a_shape[:-1] + (n_out,))
         w = T.Tensor(rng.normal(size=(a_shape[-1], n_out)), requires_grad=True)
-        got = T.matmul(T.Tensor(a), w)._vjp(g)[1]
+        got = T.matmul(T.Tensor(a), w)._node.vjp(g)[1]
         stack = np.swapaxes(a, -1, -2) @ g
         for want in (stack.reshape(-1, *stack.shape[-2:]).sum(axis=0),
                      stack.sum(axis=tuple(range(a.ndim - 2)))):
@@ -440,7 +472,7 @@ w = np.random.default_rng(1).normal(size=grid.shape)
 
 x = T.Tensor(grid, requires_grad=True)
 y = T.gelu(x)
-dx = T.backward(T.sum_(T.mul(y, w)), [x])[x]
+dx = T.backward(T.mean(T.mul(y, w)), [x])[x]
 package_before = "scipy.special" in sys.modules
 import scipy.special
 from scipy.stats import spearmanr
@@ -450,7 +482,7 @@ pdf = T._INV_SQRT2PI * np.exp(-0.5 * grid * grid)
 print(json.dumps({
     "package_before": package_before, "same_ufunc": T._erf() is erf,
     "y": y.data.tobytes() == (grid * cdf).tobytes(),
-    "dx": dx.tobytes() == (w * (cdf + grid * pdf)).tobytes(),
+    "dx": dx.tobytes() == (1.0 / grid.size * w * (cdf + grid * pdf)).tobytes(),
     "spearman": float(spearmanr(grid[-9:], w[-9:]).statistic),
     "sha": hashlib.sha256(y.data.tobytes() + dx.tobytes()).hexdigest()}))
 """

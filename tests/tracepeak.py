@@ -23,3 +23,15 @@ def peak_layers(fn) -> float:
         return (tracemalloc.get_traced_memory()[1] - start) / LAYER_BYTES
     finally:
         tracemalloc.stop()
+
+
+def held_layers(fn) -> float:
+    """Traced bytes that ``fn()``'s result still holds once it returns,
+    in LAYER_BYTES."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kept = fn()  # noqa: F841 -- held while the count is taken
+        return (tracemalloc.get_traced_memory()[0] - start) / LAYER_BYTES
+    finally:
+        tracemalloc.stop()

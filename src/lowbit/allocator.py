@@ -23,38 +23,28 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ContractError, InfeasibleError, SizeError
-from .spec import scheme_for_bits
+from .spec import as_budget, scheme_for_bits
 
 SENSITIVITY_SCHEMA = "lowbit/sensitivity-v1"
 DP_CAPACITY_LIMIT = 1_000_000
 BRUTE_LIMIT = 10_000_000
 
 
-def as_budget(t) -> Fraction:
-    """Exact target average bits. Floats are rejected: 8/3 and friends
-    do not survive the round trip through binary."""
-    if isinstance(t, float):
-        raise ContractError(
-            f"budget {t!r} is a float; pass a string like '8/3' or a Fraction")
-    try:
-        return Fraction(t)
-    except (ValueError, ZeroDivisionError, TypeError) as e:
-        raise ContractError(f"bad budget {t!r}: {e}") from e
+class AllocationProblem(namedtuple("AllocationProblem",
+                                   "names params options costs target")):
+    """``names``: the layer names, in model order; ``params``: P_i,
+    positive ints; ``options``: (label, bits) pairs, ascending bits;
+    ``costs[i][k]`` >= 0: layer i under option k; ``target``: the
+    average bits budget, a Fraction."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class AllocationProblem:
-    names: tuple          # layer names, model order
-    params: tuple         # P_i, positive ints
-    options: tuple        # (label, bits), ascending bits
-    costs: tuple          # costs[i][k] >= 0, layer i option k
-    target: Fraction      # average bits budget
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n, k = len(self.names), len(self.options)
         if n == 0 or k == 0:
             raise ContractError("empty allocation problem")
@@ -73,6 +63,7 @@ class AllocationProblem:
         if not min(bits) <= self.target <= max(bits):
             raise ContractError(
                 f"target {self.target} outside option range [{min(bits)}, {max(bits)}]")
+        return self
 
     @classmethod
     def build(cls, names, params, options, costs, target) -> "AllocationProblem":
@@ -112,13 +103,14 @@ class AllocationProblem:
         return [b for _, b in self.options]
 
 
-@dataclass(frozen=True)
-class BitAssignment:
-    choices: tuple      # option label per layer
-    bits: tuple         # chosen bits per layer
-    objective: float    # canonical fsum of chosen scores
-    avg_bits: Fraction  # exact achieved average
-    solver: str         # dp | brute | head | tail
+class BitAssignment(namedtuple("BitAssignment",
+                               "choices bits objective avg_bits solver")):
+    """``choices``: the option label per layer; ``bits``: the chosen
+    bits per layer; ``objective``: the canonical fsum of the chosen
+    scores; ``avg_bits``: the exact achieved average, a Fraction;
+    ``solver``: dp, brute, head or tail."""
+
+    __slots__ = ()
 
     def to_dict(self, problem: AllocationProblem) -> dict:
         return {

@@ -189,8 +189,8 @@ def uniform_qdq_graph(w: np.ndarray, bits: int, group_size: int,
 
     def vjp(g):
         # g_s = g * q + (-g_x * w) / (s_full * s_full), with the same ufuncs
-        # in the same order, one row group at a time; np.add.at adds each
-        # group's rows into g_sg in row order
+        # in the same order, one row group at a time; each group's rows
+        # are summed into g_sg in row order
         g_x = s_g[rows]
         g_x *= g
         g_x *= in_grid  # reaches v and w / s unchanged
@@ -200,7 +200,7 @@ def uniform_qdq_graph(w: np.ndarray, bits: int, group_size: int,
             g_s *= w[a:b]
             g_s /= s_g[j] * s_g[j]
             g_s += np.multiply(g[a:b], codes[a:b])
-            np.add.at(g_sg, rows[a:b], g_s)
+            _sum_rows(g_s, g_sg, j, rows[a:b])
         g_sg *= above_floor
         if init_scales is not None:  # beta is not in the formula
             return g_x, g_sg * terms[0], np.zeros_like(g_sg)
@@ -209,6 +209,19 @@ def uniform_qdq_graph(w: np.ndarray, bits: int, group_size: int,
         return g_x, g_sg * wmax, -g_sg * wmin
 
     return T.custom(out, (v, alpha, beta), vjp)
+
+
+def _sum_rows(g_s: np.ndarray, g_sg: np.ndarray, j: int, rows) -> None:
+    """``np.add.at(g_sg, rows, g_s)`` for one group's rows (all ``j``),
+    bit for bit, in ``g_sg[j]`` from +0.0. numpy reduces axis 0 of a
+    C-contiguous block of two or more columns row by row, which is
+    add.at's order; adding +0.0 maps the one sum that can differ, an
+    all -0.0 column, to add.at's +0.0. One column numpy sums pairwise,
+    so it keeps add.at."""
+    if g_s.shape[1] < 2:
+        np.add.at(g_sg, rows, g_s)
+    else:
+        np.add(np.add.reduce(g_s, axis=0), 0.0, out=g_sg[j])
 
 
 # ---------------------------------------------------------------------------

@@ -9,25 +9,21 @@ the config's semantic content (the output directory is location, not
 semantics, and is excluded).
 
 This module imports no numpy: loading a config, and rejecting one, costs
-the stdlib plus :mod:`lowbit.spec` and :mod:`lowbit.allocator`.
+the stdlib it reads plus :mod:`lowbit.spec`. The digests' :mod:`json`
+and :mod:`hashlib` load when a digest is first taken.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
-import hashlib
-import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from pathlib import Path
 
-from .allocator import as_budget
 from .errors import ConfigError, ContractError
-from .spec import ARCH_TT, ModelSpec, TuneConfig, scheme_for_bits
+from .spec import ARCH_TT, ModelSpec, TuneConfig, as_budget, scheme_for_bits
 
 GENERATED = ("synthetic", "markov")  # any other data.source is a token file
 
@@ -78,23 +74,15 @@ DEFAULTS = {section: {key: text for key, (text, _) in keys.items()}
             for section, keys in FIELDS.items()}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    spec: ModelSpec
-    train_steps: int
-    train_lr: float
-    family: str
-    options: tuple
-    group_size: int
-    target_bits: Fraction
-    tune: TuneConfig
-    source: str
-    calib_samples: int
-    seq_len: int
-    batch_size: int
-    eval_samples: int
-    seed: int
-    out_dir: Path
+class RunConfig(namedtuple(
+        "RunConfig", "spec train_steps train_lr family options group_size "
+        "target_bits tune source calib_samples seq_len batch_size "
+        "eval_samples seed out_dir")):
+    """A loaded run: ``spec`` a ModelSpec and ``tune`` a TuneConfig,
+    ``target_bits`` a Fraction, ``out_dir`` a Path; the other fields
+    are those of :data:`FIELDS` by their keys."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """Semantic content as JSON-ready primitives (out_dir excluded)."""
@@ -116,16 +104,17 @@ class RunConfig:
 
 
 def _unseeded(obj) -> dict:
-    """A dataclass's fields but its seed, which the run section holds."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
-            if f.name != "seed"}
+    """A record's fields but its seed, which the run section holds."""
+    return {k: getattr(obj, k) for k in obj._fields if k != "seed"}
 
 
 def canonical_json(obj) -> str:
+    import json  # loading a config takes no digest
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def digest_of(obj) -> str:
+    import hashlib
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 

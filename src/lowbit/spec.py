@@ -10,13 +10,20 @@ import the names they use from here:
 * sensitivity: :func:`option_set`, the schemes a report scores (the
   report itself is a JSON dict, which
   :meth:`allocator.AllocationProblem.from_report` reads);
-* tuner: :class:`TuneConfig`.
+* tuner: :class:`TuneConfig`;
+* config and allocator: :func:`as_budget`, the exact bit budget.
+
+The records here are named tuples: immutable, hashable and compared
+by value, and cheap to define, which keeps a process that only loads
+a config from paying for :mod:`dataclasses`. A record with rules
+checks them in ``__new__``, when it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from fractions import Fraction
 
 from .errors import ConfigError, ContractError
 
@@ -28,39 +35,38 @@ ARCH_TT = "tiny-transformer"
 # models
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    arch: str
-    hidden: int
-    n_blocks: int
-    vocab: int
-    n_heads: int = 4
-    ffn_mult: int = 4
-    max_seq: int = 64
-    seed: int = 0
+class ModelSpec(namedtuple(
+        "ModelSpec", "arch hidden n_blocks vocab n_heads ffn_mult max_seq seed",
+        defaults=(4, 4, 64, 0))):
+    """The toy model to build: ``arch`` with ``n_blocks`` blocks of width
+    ``hidden`` over ``vocab`` tokens; a tiny transformer also reads
+    ``n_heads``, ``ffn_mult`` and ``max_seq``. ``seed`` draws its
+    parameters."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.arch not in (ARCH_MLP, ARCH_TT):
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if self.vocab < 2 or self.hidden < 2 or self.n_blocks < 1:
             raise ConfigError("model dimensions too small")
         if self.arch != ARCH_TT:
-            return
+            return self
         if min(self.n_heads, self.ffn_mult, self.max_seq) < 1:
             raise ConfigError("n_heads, ffn_mult and max_seq must be >= 1")
         if self.hidden % self.n_heads:
             raise ConfigError(
                 f"hidden {self.hidden} not divisible by {self.n_heads} heads")
+        return self
 
 
-@dataclass(frozen=True)
-class LayerInfo:
+class LayerInfo(namedtuple("LayerInfo", "name shape block",
+                           defaults=(None,))):
     """A quantizable (linear) layer; ``block`` is None for the head.
     Embeddings and norm gains are in ``ToyModel.params`` only."""
 
-    name: str
-    shape: tuple
-    block: int | None = None
+    __slots__ = ()
 
     @property
     def n_params(self) -> int:
@@ -87,15 +93,16 @@ def layer_table(spec: ModelSpec) -> list:
 # schemes
 
 
-@dataclass(frozen=True)
-class QuantScheme:
-    """One layer's quantization recipe."""
+class QuantScheme(namedtuple("QuantScheme", "family bits group_size",
+                             defaults=(32,))):
+    """One layer's quantization recipe: ``family`` is "int-sym", "mxfp"
+    or "none"; ``group_size`` is the int-sym group's rows or the mx
+    block's length, 0 for the whole axis."""
 
-    family: str  # "int-sym" | "mxfp" | "none"
-    bits: int
-    group_size: int = 32  # int-sym group rows; mx block length; 0 = whole axis
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in ("int-sym", "mxfp", "none"):
             raise ContractError(f"unknown codec family {self.family!r}")
         if self.family == "none" and self.bits < 16:
@@ -109,6 +116,7 @@ class QuantScheme:
                                 f"got group_size {self.group_size}")
         if self.group_size < 0:
             raise ContractError("group_size must be >= 0")
+        return self
 
     @property
     def label(self) -> str:
@@ -173,15 +181,15 @@ def _float_grid(ebits: int, mbits: int, bias: int) -> list:
     return sorted(set(vals))
 
 
-@dataclass(frozen=True)
-class MxFormat:
-    name: str
-    mbits: int
-    emax: int        # exponent of the largest finite magnitude
-    emin: int        # lowest normal exponent
-    max_value: float
-    magnitudes: tuple  # sorted non-negative representable magnitudes
-    block: int = 32
+class MxFormat(namedtuple("MxFormat",
+                          "name mbits emax emin max_value magnitudes block",
+                          defaults=(32,))):
+    """A microscaling element format: ``mbits`` mantissa bits, ``emax``
+    the exponent of the largest finite magnitude, ``emin`` the lowest
+    normal exponent, ``magnitudes`` the sorted non-negative
+    representable magnitudes, and ``block`` elements per shared scale."""
+
+    __slots__ = ()
 
     @property
     def sign_shift(self) -> int:
@@ -204,18 +212,18 @@ MXFP8 = MxFormat("mxfp8", mbits=3, emax=8, emin=-6, max_value=448.0,
 # tuning
 
 
-@dataclass(frozen=True)
-class TuneConfig:
-    steps: int = 200
-    lr: float | None = None  # resolved to 1/steps when omitted
-    batch_size: int = 8
-    trim_fraction: float = 0.001
-    use_scale_init: bool = True
-    seed: int = 0
+class TuneConfig(namedtuple(
+        "TuneConfig", "steps lr batch_size trim_fraction use_scale_init seed",
+        defaults=(200, None, 8, 0.001, True, 0))):
+    """Sign-descent settings; ``lr`` is resolved to 1/steps when
+    omitted."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lr is None:
-            object.__setattr__(self, "lr", 1.0 / max(self.steps, 1))
+            self = self._replace(lr=1.0 / max(self.steps, 1))
         if self.steps < 0:
             raise ConfigError("steps must be >= 0 (0 disables tuning)")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -226,3 +234,20 @@ class TuneConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        return self
+
+
+# ---------------------------------------------------------------------------
+# budget
+
+
+def as_budget(t) -> Fraction:
+    """Exact target average bits. Floats are rejected: 8/3 and friends
+    do not survive the round trip through binary."""
+    if isinstance(t, float):
+        raise ContractError(
+            f"budget {t!r} is a float; pass a string like '8/3' or a Fraction")
+    try:
+        return Fraction(t)
+    except (ValueError, ZeroDivisionError, TypeError) as e:
+        raise ContractError(f"bad budget {t!r}: {e}") from e

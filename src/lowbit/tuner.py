@@ -169,11 +169,13 @@ def _tuning_step(model, block, x, target, frozen, schemes, theta, init_scales,
     leaves = {}
     for n, th in theta.items():
         sch = schemes[n]
-        leaves[n] = [T.Tensor(th[k], requires_grad=not last) for k in BOXES]
-        # beta is unused under searched scales: its gradient is zero,
-        # so its sign step leaves it at exactly 1
+        # beta is unused under searched scales: it is no leaf, and the
+        # next iterate keeps its ones array
+        leaves[n] = {k: T.Tensor(th[k], requires_grad=not last and (
+                         k != "beta" or n not in init_scales))
+                     for k in BOXES}
         over[n] = codecs.uniform_qdq_graph(
-            model.params[n], sch.bits, sch.group_size, *leaves[n],
+            model.params[n], sch.bits, sch.group_size, *leaves[n].values(),
             init_scales=init_scales.get(n))
     pred = model.block_forward(block, x, overrides=over)
     del over  # the graph alone holds what its VJPs read of the weights
@@ -185,12 +187,14 @@ def _tuning_step(model, block, x, target, frozen, schemes, theta, init_scales,
     # the next iterate's arrays, taken while the graph is alive: they sit
     # above its arrays in the heap, so freeing the graph leaves no large
     # free top for the allocator to trim and fault in again next step
-    nxt = {n: {k: np.empty_like(a) for k, a in th.items()}
-           for n, th in theta.items()}
-    grads = T.backward(loss, wrt=[t for ts in leaves.values() for t in ts])
+    nxt = {n: {k: np.empty_like(t.data) if t.requires_grad else t.data
+               for k, t in ts.items()} for n, ts in leaves.items()}
+    grads = T.backward(loss, wrt=[t for ts in leaves.values()
+                                  for t in ts.values() if t.requires_grad])
     for n, th in theta.items():
-        for k, t in zip(BOXES, leaves[n]):
-            _sign_step(th[k], grads.pop(t), cfg.lr, BOXES[k], nxt[n][k])
+        for k, t in leaves[n].items():
+            if t.requires_grad:
+                _sign_step(th[k], grads.pop(t), cfg.lr, BOXES[k], nxt[n][k])
     return lval, nxt
 
 

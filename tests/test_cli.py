@@ -82,22 +82,34 @@ class TestConfig:
         assert loaded is False
 
     def test_config_loading_and_rejection_import_no_numpy(self, tmp_path):
+        # nor what loading reads nothing of: dataclasses (with inspect),
+        # the digests' hashlib and json, and the allocator
         bench = runpy.run_path(str(ROOT / "bench" / "run.py"))
-        sets = [list(bench["WORKLOADS"][w]) for w in sorted(bench["WORKLOADS"])]
+        sets = ["\n".join(bench["WORKLOADS"][w]) for w in sorted(bench["WORKLOADS"])]
         code = """
-import json, sys
+import sys
 import lowbit.config as c
-for sets in json.loads(sys.argv[1]):
-    c.load_config(None, sets)
+from lowbit.errors import ConfigError
+for sets in sys.argv[2:]:
+    c.load_config(None, sets.splitlines())
+try:
+    c.load_config(None, ["scheme.target_bits=9"])
+    rejected = False
+except ConfigError:
+    rejected = True
 after_load = "numpy" in sys.modules
+unread = [m for m in ("dataclasses", "inspect", "hashlib", "json",
+                      "lowbit.allocator") if m in sys.modules]
+import json
 from lowbit import cli
 rcs = [cli.main([cmd, "--set", "scheme.target_bits=9",
-                 "--set", "run.out_dir=" + sys.argv[2]]) for cmd in cli.COMMANDS]
-print(json.dumps([after_load, rcs, "numpy" in sys.modules]))
+                 "--set", "run.out_dir=" + sys.argv[1]]) for cmd in cli.COMMANDS]
+print(json.dumps([rejected, after_load, unread, rcs, "numpy" in sys.modules]))
 """
-        _, (after_load, rcs, after_reject) = run_fresh(
-            code, json.dumps(sets), str(tmp_path))
+        _, (rejected, after_load, unread, rcs, after_reject) = run_fresh(
+            code, str(tmp_path), *sets)
         assert len(sets) == 3
+        assert rejected is True and unread == []
         assert rcs == [cli.EXIT_CONFIG] * len(cli.COMMANDS)
         assert after_load is False and after_reject is False
 
@@ -107,7 +119,7 @@ print(json.dumps([after_load, rcs, "numpy" in sys.modules]))
                 for a in ("--set", s)]
         _, res = run_fresh(RUN_CLI, "allocate", *argv)
         assert res["rc"] == 0
-        assert "numpy" not in res["ran"]
+        assert not {"numpy", "dataclasses", "inspect"} & set(res["ran"])
 
         assert run_cli(tmp_path, "quantize") == 0
         out, res = run_fresh(RUN_CLI, "verify", *argv)

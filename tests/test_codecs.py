@@ -361,6 +361,42 @@ class TestUniformQdq:
         assert grads[v][2, 0] == 0.0
         assert grads[v][0, 0] != 0.0
 
+    @pytest.mark.parametrize("rows, cols, gs", [
+        (200, 1, 16), (72, 6, 16), (128, 64, 32), (512, 512, 32)],
+        ids=["one-column", "partial-group", "64-wide", "512-wide"])
+    def test_group_row_sums_equal_add_at_bit_for_bit(self, rows, cols, gs):
+        rng = np.random.default_rng(rows + cols)
+        # magnitudes 1e-8..1e8, so any other summation order shows
+        g = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(
+            -8, 9, size=(rows, cols))
+        g[rng.random(g.shape) < 0.05] = -0.0
+        g[rng.random(g.shape) < 0.05] = 0.0
+        segments = C.group_segments(rows, gs)
+        for j, (a, b) in enumerate(segments[:4]):
+            c = j % cols
+            if j == 0:
+                g[a:b, c] = -0.0  # sums to -0.0 in order, +0.0 by add.at
+            elif j == 1:
+                g[a:b, c] = np.resize([2.5, -2.5], b - a)  # cancels exactly
+            elif j == 2:
+                g[a, c], g[b - 1, c] = np.inf, -np.inf  # inf - inf
+            else:
+                g[a + 1, c] = np.nan
+        rows_of = C.group_index(rows, gs)
+        want = np.zeros((len(segments), cols))
+        got = np.zeros_like(want)
+        backwards = np.zeros_like(want)
+        with np.errstate(invalid="ignore"):
+            np.add.at(want, rows_of, g)
+            for j, (a, b) in enumerate(segments):
+                C._sum_rows(g[a:b].copy(), got, j, rows_of[a:b])
+            np.add.at(backwards, rows_of[::-1], g[::-1])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert not np.signbit(got[0, 0])
+        assert np.isnan(got[2, 2 % cols]) and np.isnan(got[3, 3 % cols])
+        # the data tells summation orders apart
+        assert not np.array_equal(backwards.view(np.int64), want.view(np.int64))
+
 
 # ---------------------------------------------------------------------------
 # microscaling

@@ -36,6 +36,31 @@ def block_inputs(model, cal):
     return model.embed_forward(np.concatenate(cal))
 
 
+def beta_leaf_step(model, block, x, target, frozen, schemes, theta,
+                   init_scales, cfg, last):
+    """``tuner._tuning_step`` with every parameter a leaf: under searched
+    scales beta takes a sign step on its zero gradient."""
+    over = dict(frozen)
+    leaves = {}
+    for n, th in theta.items():
+        sch = schemes[n]
+        leaves[n] = [T.Tensor(th[k], requires_grad=not last)
+                     for k in tuner.BOXES]
+        over[n] = codecs.uniform_qdq_graph(
+            model.params[n], sch.bits, sch.group_size, *leaves[n],
+            init_scales=init_scales.get(n))
+    loss = tuner.trimmed_mse(model.block_forward(block, x, overrides=over),
+                             target, cfg.trim_fraction)
+    if last or not np.isfinite(loss.item()):
+        return loss.item(), None
+    grads = T.backward(loss, wrt=[t for ts in leaves.values() for t in ts])
+    return loss.item(), {
+        n: {k: tuner._sign_step(th[k], grads[t], cfg.lr, tuner.BOXES[k],
+                                np.empty_like(th[k]))
+            for k, t in zip(tuner.BOXES, leaves[n])}
+        for n, th in theta.items()}
+
+
 def tt_int_run():
     """The benchmark's tt-int shapes: a 2-block, 64-wide tiny transformer,
     64 calibration rows of 32 tokens, int-sym 2/4/8/16 bits, tuned in
@@ -314,6 +339,33 @@ class TestTuneBlock:
         lay = res.learned["layers.0"]
         np.testing.assert_array_equal(lay["beta"], np.ones_like(lay["beta"]))
         assert not np.array_equal(lay["alpha"], np.ones_like(lay["alpha"]))
+
+    def test_searched_scales_leave_beta_out_of_backward(self, monkeypatch):
+        model, cal = small_model(arch=models.ARCH_TT, seed=6)
+        x = block_inputs(model, cal)
+        names = model.block_layer_names(0)
+        schemes = {n: scheme_for_bits("int-sym", 3, 32) for n in names}
+        # every other layer searched; the rest keep minmax's beta leaf
+        init = {n: np.abs(model.params[n]).max(axis=0, keepdims=True) / 3.0
+                for n in names[::2]}
+        cfg = tuner.TuneConfig(steps=6, lr=0.05, batch_size=4, seed=2)
+        leaf_counts = []
+        backward = T.backward
+
+        def counted(loss, wrt):
+            leaf_counts.append(len(wrt))
+            return backward(loss, wrt)
+        monkeypatch.setattr(T, "backward", counted)
+        got = tuner.tune_block(model, 0, x, schemes, cfg, init_scales=init)
+        assert leaf_counts == [3 * len(names) - len(init)] * cfg.steps
+
+        monkeypatch.setattr(tuner, "_tuning_step", beta_leaf_step)
+        ref = tuner.tune_block(model, 0, x, schemes, cfg, init_scales=init)
+        assert got.history == ref.history and got.best_step == ref.best_step
+        for n in names:
+            for k in tuner.BOXES:
+                assert (got.learned[n][k].tobytes()
+                        == ref.learned[n][k].tobytes()), (n, k)
 
     def test_non_finite_loss_names_step_and_block(self):
         model, cal = small_model(seed=1)

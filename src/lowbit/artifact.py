@@ -16,7 +16,6 @@ never leaves a partial artifact behind.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .codecs import PackedWeights
-from .config import canonical_json, digest_of, write_atomic
+from .config import canonical_json, digest_of, read_json_object, write_atomic
 from .errors import ContractError, PackError
 from .spec import scheme_for_bits
 
@@ -87,11 +86,9 @@ def _read_header(buf: bytes) -> tuple:
     if len(buf) < start + hlen:
         raise PackError("truncated artifact header")
     try:
-        header = json.loads(buf[start:start + hlen])
-    except ValueError as e:  # bad JSON or bad UTF-8
-        raise PackError(f"artifact header is not valid JSON: {e}") from None
-    if not isinstance(header, dict):
-        raise PackError("artifact header is not a JSON object")
+        header = read_json_object(buf[start:start + hlen])
+    except ValueError as e:
+        raise PackError(f"artifact header is {e}") from None
     if header.get("format") != FORMAT:
         raise PackError(f"unknown artifact format {header.get('format')!r}")
     return header, buf[start + hlen:]
@@ -111,7 +108,8 @@ def _text(x) -> bool:
 
 SECTION_ROW = {"name": _text, "kind": _text, "offset": _count,
                "length": _count, "sha256": _text}
-LAYER_ROW = {"name": _text, "params": _count, "bits": _count, "shape": _shape}
+LAYER_ROW = {"name": _text, "params": _count, "bits": _count, "label": _text,
+             "shape": _shape}
 ASSIGNED_ROW = {"name": _text, "bits": _count}
 
 
@@ -151,14 +149,57 @@ def _decode_section(row, blob, problems, packed) -> None:
     packed[parts[1]] = pw
 
 
-def _parse(buf: bytes, problems: list) -> tuple:
-    """(header, layer name -> PackedWeights) of an artifact's bytes.
+def _check_layer(lname, row, pw, family, group_size, assigned,
+                 problems) -> None:
+    """Cross-check one layer's table row, packed scheme and assignment."""
+    bits = row["bits"]
+    if assigned.get(lname) != bits:
+        problems.append(f"layer {lname}: table has {bits} bits, "
+                        f"assignment {assigned.get(lname)}")
+    if family is not None:
+        try:
+            want = scheme_for_bits(family, bits, group_size)
+        except ContractError as e:
+            problems.append(f"layer {lname}: {e}")
+        else:
+            if pw.scheme != want:
+                problems.append(f"layer {lname}: packed as {pw.scheme}, "
+                                f"table and config say {want}")
+            elif row["label"] != want.label:
+                problems.append(f"layer {lname}: labelled {row['label']!r}, "
+                                f"table and config say {want.label}")
+    shape = tuple(row["shape"])
+    if row["params"] != math.prod(shape):
+        problems.append(f"layer {lname}: table has {row['params']} params, "
+                        f"shape {list(shape)} holds {math.prod(shape)}")
+    if pw.shape != shape:
+        problems.append(f"layer {lname}: packed shape {pw.shape}, want {shape}")
+        return
+    try:
+        deq = pw.dequantize()
+    except PackError as e:
+        problems.append(f"layer {lname}: {e}")
+        return
+    if not np.all(np.isfinite(deq)):
+        problems.append(f"layer {lname}: non-finite dequantized values")
 
-    Raises :class:`PackError` when there is no header to read; appends a
-    problem for each malformed section row, truncated or tampered
-    section, undecodable payload and unaccounted payload byte.
+
+def _check(path) -> tuple:
+    """(header, layer name -> PackedWeights, problems) of the artifact
+    at ``path``: the one check of an artifact's bytes. Never raises.
+
+    Checks every section row, hash and byte-level round trip and that
+    the sections account for every payload byte; re-derives both
+    digests; cross-checks each layer's packed scheme, label and shape
+    against the layer table, the assignment and the config's scheme;
+    and re-checks exactly that the table's average bits equal the
+    assignment's ``avg_bits`` and fit its ``target_bits``.
     """
-    header, payload = _read_header(buf)
+    problems = []
+    try:
+        header, payload = _read_header(Path(path).read_bytes())
+    except (OSError, PackError) as e:
+        return {}, {}, [str(e)]
     seen_payload = 0
     packed = {}
     for row in _rows(header.get("sections", []), "section table",
@@ -176,65 +217,6 @@ def _parse(buf: bytes, problems: list) -> tuple:
     if len(payload) != seen_payload:
         problems.append(
             f"payload has {len(payload) - seen_payload} unaccounted bytes")
-    return header, packed
-
-
-def load_artifact(path) -> Artifact:
-    """Read an artifact; a :class:`PackError` names every section fault."""
-    problems = []
-    header, packed = _parse(Path(path).read_bytes(), problems)
-    if problems:
-        raise PackError("; ".join(problems))
-    return Artifact(header, packed)
-
-
-def _check_layer(lname, row, pw, family, group_size, assigned,
-                 problems) -> None:
-    """Cross-check one layer's table row, packed scheme and assignment."""
-    bits = row["bits"]
-    if assigned.get(lname) != bits:
-        problems.append(f"layer {lname}: table has {bits} bits, "
-                        f"assignment {assigned.get(lname)}")
-    if family is not None:
-        try:
-            want = scheme_for_bits(family, bits, group_size)
-        except ContractError as e:
-            problems.append(f"layer {lname}: {e}")
-        else:
-            if pw.scheme != want:
-                problems.append(f"layer {lname}: packed as {pw.scheme}, "
-                                f"table and config say {want}")
-    shape = tuple(row["shape"])
-    if row["params"] != math.prod(shape):
-        problems.append(f"layer {lname}: table has {row['params']} params, "
-                        f"shape {list(shape)} holds {math.prod(shape)}")
-    if pw.shape != shape:
-        problems.append(f"layer {lname}: packed shape {pw.shape}, want {shape}")
-        return
-    try:
-        deq = pw.dequantize()
-    except PackError as e:
-        problems.append(f"layer {lname}: {e}")
-        return
-    if not np.all(np.isfinite(deq)):
-        problems.append(f"layer {lname}: non-finite dequantized values")
-
-
-def verify_artifact(path) -> list:
-    """Self-contained integrity check; returns a list of problems.
-
-    Never raises on a malformed file. Re-derives both digests, checks
-    every section hash and byte-level round trip, cross-checks each
-    layer's packed scheme and shape against the layer table, the
-    assignment and the config's scheme, and re-checks exactly that the
-    table's average bits equal the assignment's ``avg_bits`` and fit its
-    ``target_bits``.
-    """
-    problems = []
-    try:
-        header, packed = _parse(Path(path).read_bytes(), problems)
-    except (OSError, PackError) as e:
-        return [str(e)]
 
     if digest_of(header.get("config", {})) != header.get("config_digest"):
         problems.append("config digest mismatch")
@@ -289,7 +271,22 @@ def verify_artifact(path) -> list:
         problems.append(
             f"budget violated: {used} bit-params over {total} params "
             f"exceeds target {asn['target_bits']}")
-    return problems
+    return header, packed, problems
+
+
+def load_artifact(path) -> Artifact:
+    """Read an artifact that verifies; otherwise a :class:`PackError`
+    names every problem :func:`verify_artifact` reports."""
+    header, packed, problems = _check(path)
+    if problems:
+        raise PackError("; ".join(problems))
+    return Artifact(header, packed)
+
+
+def verify_artifact(path) -> list:
+    """Every problem of the artifact at ``path``, [] when it verifies
+    (see :func:`_check`); never raises."""
+    return _check(path)[2]
 
 
 def _fraction(asn: dict, key: str, problems: list):

@@ -89,19 +89,17 @@ def _ingest(path: Path, what: str, made_by: str, parse) -> tuple:
     """(raw dict, ``parse(raw dict)``) for the JSON object in ``path``.
 
     A missing file is a ConfigError naming the command that writes it;
-    a file that is not JSON, or lacks a key or holds a wrong type
-    anywhere ``parse`` reads, is an IngestionError naming the file.
+    a file that holds no JSON object (:func:`config.read_json_object`), or
+    lacks a key or holds a wrong type anywhere ``parse`` reads, is an
+    IngestionError naming the file.
     """
     if not path.is_file():
         raise ConfigError(f"{what} {path} does not exist; "
                           f"run `lowbit {made_by}` first")
     try:
-        with open(path) as fh:
-            d = json.load(fh)
-        if not isinstance(d, dict):
-            raise TypeError(f"top level is a JSON {type(d).__name__}")
+        d = cfglib.read_json_object(path.read_bytes())
         return d, parse(d)
-    except (LookupError, TypeError, ValueError, AttributeError,
+    except (OSError, LookupError, TypeError, ValueError, AttributeError,
             ArithmeticError, ContractError) as e:
         raise IngestionError(f"{what} {path}: {type(e).__name__}: {e}") \
             from None

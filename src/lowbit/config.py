@@ -10,7 +10,8 @@ semantics, and is excluded).
 
 This module imports no numpy: loading a config, and rejecting one, costs
 the stdlib it reads plus :mod:`lowbit.spec`. The digests' :mod:`json`
-and :mod:`hashlib` load when a digest is first taken.
+and :mod:`hashlib` load when a digest is first taken, and :mod:`json`
+when a JSON input is first read.
 """
 
 from __future__ import annotations
@@ -118,6 +119,22 @@ def digest_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
+def read_json_object(data: bytes) -> dict:
+    """The JSON object ``data`` holds: the one JSON decoder of the package.
+
+    Bad UTF-8, bad JSON, nesting deeper than the decoder can recurse and
+    a top level of another type each raise a ValueError.
+    """
+    import json
+    try:
+        obj = json.loads(data)
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj
+
+
 def apply_overrides(parser, sets) -> None:
     """Apply "section.key=value" strings on top of the parsed file."""
     for item in sets or ():
@@ -140,9 +157,9 @@ def load_config(path=None, sets=()) -> RunConfig:
         if not p.is_file():
             raise ConfigError(f"config file {p} does not exist")
         try:
-            with open(p) as fh:
+            with open(p, encoding="utf-8") as fh:
                 parser.read_file(fh)
-        except configparser.Error as e:
+        except (configparser.Error, UnicodeDecodeError) as e:
             raise ConfigError(f"{p}: {e}") from None
         for section in parser.sections():
             if section not in FIELDS:

@@ -306,10 +306,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     a = _lift(a)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
 
-    def vjp(g):
-        return (g.transpose(inv),)
+    def vjp(g):  # the inverse permutation, only when a gradient flows
+        return (g.transpose(np.argsort(axes)),)
 
     return _unary(a.data.transpose(axes), a, vjp)
 

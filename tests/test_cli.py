@@ -160,7 +160,9 @@ print(json.dumps([rejected, after_load, unread, rcs, "numpy" in sys.modules]))
     def test_ini_file_and_overrides(self, tmp_path):
         p = tmp_path / "run.ini"
         p.write_text("[model]\nhidden = 24\n[scheme]\ntarget_bits = 3\n")
-        cfg = load_config(p, ["model.vocab=40", "tuning.steps=9"])
+        cfg = load_config(p, ["model.vocab=40", "tuning.steps=9",
+                              "tuning.use_scale_init=false"])
+        assert cfg.tune.use_scale_init is False
         assert cfg.spec.hidden == 24
         assert cfg.spec.vocab == 40
         assert cfg.target_bits == Fraction(3)
@@ -341,6 +343,52 @@ def mutate_header(header, rng):
         return
     swaps = [None, 0, -1, 2 ** 70, 1.5, True, "x", [], {}, [1, 2], {"a": 1}]
     parent[key] = swaps[rng.integers(len(swaps))]
+
+
+def checked_problems(path):
+    """``verify_artifact``'s problems, asserting that ``load_artifact``
+    raises a PackError naming them exactly when there are some."""
+    problems = art.verify_artifact(path)
+    try:
+        art.load_artifact(path)
+    except PackError as e:
+        assert problems and str(e) == "; ".join(problems)
+    else:
+        assert problems == []
+    return problems
+
+
+def mutated_artifacts(path, rng):
+    """Write 400 damaged artifacts to ``path`` in turn, yielding after each."""
+    bases = []
+    for parts in (demo_payload(np.random.default_rng(5)),
+                  mx_payload(np.random.default_rng(6))):
+        save_parts(path, parts)
+        assert art.verify_artifact(path) == []
+        bases.append((parts, path.read_bytes()))
+    for case in range(400):
+        parts, good = bases[case % 2]
+        kind = case // 2 % 4
+        if kind == 0:  # flip one byte anywhere
+            buf = bytearray(good)
+            buf[rng.integers(len(buf))] ^= int(rng.integers(1, 256))
+            path.write_bytes(bytes(buf))
+        elif kind == 1:  # truncate
+            path.write_bytes(good[:rng.integers(len(good))])
+        elif kind == 2:  # delete a header key or swap its type
+            path.write_bytes(good)
+            rewrite_header(path, lambda h: mutate_header(h, rng))
+        else:  # crafted payload header behind a matching sha256
+            name = sorted(parts[3])[case % len(parts[3])]
+            blob = bytearray(parts[3][name].to_bytes())
+            blob[rng.integers(min(len(blob), 32))] ^= \
+                int(rng.integers(1, 256))
+            save_parts(path, parts, {**parts[3], name: Blob(bytes(blob))})
+        yield case
+
+
+# JSON nested deeper than the decoder recurses
+DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
 class TestArtifact:
@@ -560,35 +608,85 @@ class TestArtifact:
             assert any("section packed:lin" in p for p in problems), what
 
     def test_verify_never_raises_on_mutations(self, tmp_path):
-        rng = np.random.default_rng(2024)
         path = tmp_path / "a.lbq"
-        bases = []
-        for parts in (demo_payload(np.random.default_rng(5)),
-                      mx_payload(np.random.default_rng(6))):
-            save_parts(path, parts)
-            assert art.verify_artifact(path) == []
-            bases.append((parts, path.read_bytes()))
-        for case in range(400):
-            parts, good = bases[case % 2]
-            kind = case // 2 % 4
-            if kind == 0:  # flip one byte anywhere
-                buf = bytearray(good)
-                buf[rng.integers(len(buf))] ^= int(rng.integers(1, 256))
-                path.write_bytes(bytes(buf))
-            elif kind == 1:  # truncate
-                path.write_bytes(good[:rng.integers(len(good))])
-            elif kind == 2:  # delete a header key or swap its type
-                path.write_bytes(good)
-                rewrite_header(path, lambda h: mutate_header(h, rng))
-            else:  # crafted payload header behind a matching sha256
-                name = sorted(parts[3])[case % len(parts[3])]
-                blob = bytearray(parts[3][name].to_bytes())
-                blob[rng.integers(min(len(blob), 32))] ^= \
-                    int(rng.integers(1, 256))
-                save_parts(path, parts, {**parts[3], name: Blob(bytes(blob))})
+        for case in mutated_artifacts(path, np.random.default_rng(2024)):
             problems = art.verify_artifact(path)
             assert isinstance(problems, list), case
             assert all(isinstance(p, str) for p in problems), case
+
+    def test_load_accepts_exactly_what_verify_accepts(self, tmp_path):
+        path = tmp_path / "a.lbq"
+        for _ in mutated_artifacts(path, np.random.default_rng(2024)):
+            checked_problems(path)
+
+        def restate_avg_bits(h):
+            h["assignment"]["avg_bits"] = "2"
+            h["assignment_digest"] = digest_of(h["assignment"])
+        # header rewrites that leave every section intact
+        rewrites = {
+            "config digest mismatch":
+                lambda h: h.update(config_digest="0" * 64),
+            "layer lin: table has 2 bits, assignment 4":
+                lambda h: h["layers"][0].update(bits=2),
+            "assignment avg_bits 2 disagrees with the layer table's 192 "
+            "bit-params over 48 params": restate_avg_bits}
+        for problem, rewrite in rewrites.items():
+            save_demo(path, np.random.default_rng(5))
+            rewrite_header(path, rewrite)
+            assert problem in checked_problems(path)
+
+    def test_rewritten_label_flagged(self, tmp_path):
+        path = tmp_path / "a.lbq"
+        save_demo(path, np.random.default_rng(5))
+        rewrite_header(path, lambda h: h["layers"][0].update(label="w8g4"))
+        assert art.verify_artifact(path) == [
+            "layer lin: labelled 'w8g4', table and config say w4g4"]
+        rewrite_header(path, lambda h: h["layers"][0].pop("label"))
+        assert "layer table row 0 is malformed" in art.verify_artifact(path)
+
+    def test_deeply_nested_header_fails_verify(self, tmp_path, capsys):
+        path = tmp_path / "a.lbq"
+        path.write_bytes(art.MAGIC + struct.pack("<Q", len(DEEP)) + DEEP)
+        assert run_cli(tmp_path, "verify", "--artifact", str(path)) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert out[0].startswith("FAIL artifact header is not valid JSON: ")
+        assert checked_problems(path) == [out[0][len("FAIL "):]]
+
+    def test_table_bits_the_family_lacks_flagged(self, tmp_path):
+        path = tmp_path / "a.lbq"
+        save_parts(path, mx_payload(np.random.default_rng(6)))
+
+        def to_3_bits(h):
+            h["layers"][0]["bits"] = 3  # lin, 240 params beside 18 raw
+            h["assignment"]["layers"][0]["bits"] = 3
+            h["assignment"]["avg_bits"] = "168/43"
+            h["assignment_digest"] = digest_of(h["assignment"])
+        rewrite_header(path, to_3_bits)
+        assert art.verify_artifact(path) == [
+            "layer lin: mxfp bits must be 4 or 8, got 3"]
+
+    def test_undecodable_mx_code_flagged(self, tmp_path):
+        rng = np.random.default_rng(6)
+        config, assignment, layers, _ = mx_payload(rng)
+        pw = codecs.quantize_layer(rng.normal(size=(40, 6)),
+                                   codecs.QuantScheme("mxfp", 8, 32))[1]
+        pw.codes[0, 0] = 127  # MXFP8 has no magnitude index 127
+        layers = [dict(layers[0], bits=8, label="mxfp8")]
+        assignment = {"target_bits": "8", "avg_bits": "8",
+                      "layers": [{"name": "lin", "bits": 8}]}
+        path = tmp_path / "a.lbq"
+        save_parts(path, (config, assignment, layers, {"lin": pw}))
+        assert art.verify_artifact(path) == [
+            "layer lin: magnitude index out of range"]
+
+    def test_nan_scale_flagged(self, tmp_path):
+        parts = demo_payload(np.random.default_rng(5))
+        parts[3]["lin"].scales[0, 0] = np.nan
+        path = tmp_path / "a.lbq"
+        save_parts(path, parts)
+        assert art.verify_artifact(path) == [
+            "layer lin: non-finite dequantized values"]
 
     def test_failed_save_leaves_nothing(self, tmp_path, monkeypatch):
         path = tmp_path / "a.lbq"
@@ -1114,6 +1212,25 @@ class TestCliErrors:
         assert not (tmp_path / "artifact.lbq").exists()
         assert not (tmp_path / "fp_model.npz").exists()
 
+    @pytest.mark.parametrize("body", [DEEP, b"\xff{}"],
+                             ids=["deep", "not-utf8"])
+    @pytest.mark.parametrize("command,name", [
+        ("allocate", "sensitivity.json"), ("report", "sensitivity.json"),
+        ("quantize", "assignment.json")])
+    def test_undecodable_input_exits_config(self, tmp_path, capsys, command,
+                                            name, body):
+        (tmp_path / name).write_bytes(body)
+        assert run_cli(tmp_path, command) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / name) in err and "Traceback" not in err
+
+    def test_config_file_not_utf8_exits_config(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(b"[model]\nhidden = 16\xff\n")
+        assert run_cli(tmp_path, "allocate", config=ini) == 2
+        err = capsys.readouterr().err
+        assert str(ini) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("body", [
         pytest.param(body, id=n) for n, body in UNFIT_ASSIGNMENTS.items()])
     def test_unfit_assignment_exits_config_before_quantizing(
@@ -1162,7 +1279,9 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("items", [
         *(pytest.param((item,), id=item)
-          for item in ("scheme.options=1,4", "scheme.group_size=-3")),
+          for item in ("scheme.options=1,4", "scheme.group_size=-3",
+                       "scheme.options=", "data.calib_samples=0",
+                       "tuning.use_scale_init=maybe")),
         *(pytest.param(("model.arch=tiny-transformer", item), id=f"tt-{item}")
           for item in ("model.n_heads=0", "model.ffn_mult=0",
                        "model.n_heads=-4", "model.ffn_mult=-1",

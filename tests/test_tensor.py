@@ -525,3 +525,37 @@ def test_every_public_function_has_a_caller_in_the_package(module):
         used |= _package_references(ast.parse(path.read_text()), module,
                                     path == own)
     assert sorted(public - used - NO_CALLER_YET.get(module, set())) == []
+
+
+def _json_decodes(tree: ast.Module) -> list:
+    """Line numbers of ``json.load``/``json.loads`` calls in a module,
+    under any alias ``import json`` or ``from json import`` binds."""
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name == "json"}
+    bare = {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "json"
+            for a in node.names if a.name in ("load", "loads")}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("load", "loads")
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id in modules)
+                or (isinstance(node.func, ast.Name) and node.func.id in bare))]
+
+
+def test_json_is_decoded_in_one_place():
+    # every JSON input goes through config.read_json_object, so a decode
+    # failure of any kind reaches each caller as one ValueError
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree)
+                     if isinstance(f, ast.FunctionDef)]
+        for line in _json_decodes(tree):
+            owner = min((f for f in functions
+                         if f.lineno <= line <= f.end_lineno),
+                        key=lambda f: f.end_lineno - f.lineno, default=None)
+            sites.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    assert sites == ["config.read_json_object"]
